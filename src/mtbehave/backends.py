@@ -16,13 +16,15 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import requests
 
+from .codec import write_text
 from .segmentation import MASK_TOKEN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,18 +103,7 @@ class BackendSpec:
     def from_dict(cls, data: Mapping[str, object]) -> "BackendSpec":
         if not isinstance(data, Mapping):
             raise ValueError(f"backend spec must be an object, got {data!r}")
-        known = {
-            "backend_id",
-            "kind",
-            "transport",
-            "endpoint",
-            "model_name",
-            "auth_env_var",
-            "timeout",
-            "max_retries",
-            "stub_params",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {item.name for item in fields(cls)})
         if unknown:
             raise ValueError(f"unknown backend spec fields: {unknown}")
         for required in ("backend_id", "kind", "transport"):
@@ -142,12 +133,12 @@ class ResponseCache:
         return self.root / backend_id / f"{digest}.entry"
 
     def get(self, backend_id: str, digest: str) -> tuple[bool, object]:
-        path = self.entry_path(backend_id, digest)
-        if not path.exists():
+        """(hit, value); an absent, unreadable or malformed entry is a miss."""
+        try:
+            with open(self.entry_path(backend_id, digest), encoding="utf-8") as handle:
+                return True, json.load(handle)["value"]
+        except (OSError, ValueError, KeyError, TypeError):
             return False, None
-        with open(path, encoding="utf-8") as handle:
-            entry = json.load(handle)
-        return True, entry["value"]
 
     def put(
         self, backend_id: str, digest: str, request: Mapping[str, object], value: object
@@ -160,11 +151,7 @@ class ResponseCache:
             "value": value,
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
-        blob = json.dumps(entry, ensure_ascii=False, indent=2)
-        temp = path.parent / f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        os.replace(temp, path)
+        write_text(path, json.dumps(entry, ensure_ascii=False, indent=2))
 
 
 def chat_request(model_name: str | None, user_content: str) -> dict:
@@ -416,6 +403,14 @@ def _extract_score(raw: object) -> float:
         except ValueError:
             pass
     raise NonNumericReplyError(f"scorer reply is not numeric: {value!r}")
+
+
+def map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
+    """``[fn(item) for item in items]`` in order, on ``jobs`` threads when above one."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass

@@ -10,13 +10,12 @@ original and a reference-free scorer finds its quality close to the original
 from __future__ import annotations
 
 import hashlib
-import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .backends import Backend, BackendError, Backends
-from .corpus import Corpus, CorpusError, Span, TranslationPair
+from .backends import Backend, BackendError, Backends, map_jobs
+from .codec import read_jsonl, to_row, write_jsonl
+from .corpus import Corpus, Span, TranslationPair
 from .segmentation import (
     MASK_TOKEN,
     Capability,
@@ -165,22 +164,31 @@ class PromptRequest:
 
 @dataclass
 class TestCase:
-    """One generated perturbation and its journey through the filters."""
+    """One generated perturbation and its journey through the filters.
+
+    The fields after ``capability`` are keyword-only so that the field order
+    can be the cases file's key order. The raw response is not stored there.
+    """
 
     case_id: str
     pair_id: str
     capability: Capability
-    seed: int
+    _: KW_ONLY
+    source_prime: tuple[str, ...] | None = field(default=None, metadata={"key": "x_prime"})
+    reference_prime: tuple[str, ...] | None = field(default=None, metadata={"key": "r_prime"})
     filter_status: str = STATUS_PENDING
+    seed: int
     template_id: str | None = None
-    source_prime: tuple[str, ...] | None = None
-    reference_prime: tuple[str, ...] | None = None
-    raw_response: str | None = None
+    raw_response: str | None = field(default=None, metadata={"key": None})
     raw_response_digest: str | None = None
     score_diff: float | None = None
     error: str | None = None
     error_kind: str | None = None
-    masked_ref_spans: tuple[Span, ...] = field(default=())
+    masked_ref_spans: tuple[Span, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.filter_status not in FILTER_STATUSES:
+            raise ValueError(f"unknown filter status {self.filter_status!r}")
 
 
 def derive_seed(master_seed: int, pair_id: str) -> int:
@@ -370,8 +378,6 @@ def generate_cases(
     for pair, alignment, annotation in corpus.triples():
         segments = extract_editable(pair, alignment, annotation)
         eligible = filter_by_capability(segments, annotation, capability)
-        if not eligible:
-            continue
         pair_seed = derive_seed(seed, pair.pair_id)
         try:
             plans = plan_selection(pair, eligible, capability, per_pair, pair_seed)
@@ -391,69 +397,14 @@ def generate_cases(
         case, pair, plan = item
         return _run_case(case, pair, plan, capability, backends, judge_config.beta)
 
-    if jobs <= 1:
-        return [run(item) for item in work]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, work))
+    return map_jobs(run, work, jobs)
 
 
 def write_cases(cases: Iterable[TestCase], path) -> None:
     """Write the cases file, one JSON object per case, in batch order."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for case in cases:
-            record = {
-                "case_id": case.case_id,
-                "pair_id": case.pair_id,
-                "capability": case.capability.value,
-                "x_prime": list(case.source_prime) if case.source_prime is not None else None,
-                "r_prime": list(case.reference_prime)
-                if case.reference_prime is not None
-                else None,
-                "filter_status": case.filter_status,
-                "seed": case.seed,
-                "template_id": case.template_id,
-                "raw_response_digest": case.raw_response_digest,
-                "score_diff": case.score_diff,
-                "error": case.error,
-                "error_kind": case.error_kind,
-                "masked_ref_spans": [[s, e] for s, e in case.masked_ref_spans],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+    write_jsonl(path, map(to_row, cases))
 
 
 def read_cases(path) -> list[TestCase]:
     """Read a cases file back; raw responses are not stored, only digests."""
-    cases = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                record = json.loads(line)
-                case = TestCase(
-                    case_id=record["case_id"],
-                    pair_id=record["pair_id"],
-                    capability=Capability(record["capability"]),
-                    seed=record["seed"],
-                    filter_status=record["filter_status"],
-                    template_id=record.get("template_id"),
-                    source_prime=tuple(record["x_prime"])
-                    if record.get("x_prime") is not None
-                    else None,
-                    reference_prime=tuple(record["r_prime"])
-                    if record.get("r_prime") is not None
-                    else None,
-                    raw_response_digest=record.get("raw_response_digest"),
-                    score_diff=record.get("score_diff"),
-                    error=record.get("error"),
-                    error_kind=record.get("error_kind"),
-                    masked_ref_spans=tuple(
-                        (s, e) for s, e in record.get("masked_ref_spans", [])
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad case record: {exc}") from exc
-            if case.filter_status not in FILTER_STATUSES:
-                raise CorpusError(
-                    f"{path}:{lineno}: unknown filter status {case.filter_status!r}"
-                )
-            cases.append(case)
-    return cases
+    return read_jsonl(path, TestCase, "case record")

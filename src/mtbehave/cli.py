@@ -34,6 +34,7 @@ from .casegen import (
     read_cases,
     write_cases,
 )
+from .codec import to_row, write_json, write_jsonl, write_text
 from .corpus import CorpusError, load_corpus
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
@@ -239,10 +240,12 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        entries: list[dict] = []
-        if path.exists():
-            with open(path, encoding="utf-8") as handle:
-                entries = json.load(handle)
+        try:
+            entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+        except (OSError, ValueError) as exc:
+            raise CorpusError(f"{path}: unreadable manifest: {exc}") from exc
+        if not isinstance(entries, list):
+            raise CorpusError(f"{path}: the manifest is not a JSON list")
         return cls(path, entries)
 
     def record_stage(
@@ -266,9 +269,7 @@ class RunManifest:
                 "finished_at": finished_at,
             }
         )
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(self.entries, handle, indent=2)
-            handle.write("\n")
+        write_json(self.path, self.entries)
 
 
 def _die(code: int, message: str) -> None:
@@ -286,6 +287,7 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner) ->
         _die(EXIT_USAGE, str(exc))
     started_at = _now()
     try:
+        manifest = RunManifest.load(config.output_dir / "manifest.json")
         inputs, outputs, summary = runner(config)
     except ConfigError as exc:
         _die(EXIT_USAGE, str(exc))
@@ -293,7 +295,6 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner) ->
         _die(EXIT_DATA, str(exc))
     except BackendError as exc:
         _die(EXIT_BACKEND, str(exc))
-    manifest = RunManifest.load(config.output_dir / "manifest.json")
     manifest.record_stage(stage, config, inputs, outputs, started_at, _now())
     click.echo(summary)
 
@@ -326,22 +327,13 @@ def _run_extract(config: RunConfig) -> tuple[list[Path], list[Path], str]:
     corpus = load_corpus(config.pairs_path, config.alignments_path, config.annotations_path)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "segments.jsonl"
-    count = 0
-    with open(out_path, "w", encoding="utf-8") as handle:
-        for pair, alignment, annotation in corpus.triples():
-            for segment in extract_editable(pair, alignment, annotation):
-                record = {
-                    "pair_id": pair.pair_id,
-                    "src_span": list(segment.src_span),
-                    "ref_span": list(segment.ref_span),
-                    "kind": segment.kind,
-                    "pos_class": segment.pos_class,
-                    "ne_type": segment.ne_type,
-                    "tense_eligible": segment.tense_eligible,
-                }
-                handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
-                count += 1
-    summary = f"extracted {count} editable segments from {len(corpus)} pairs -> {out_path}"
+    segments = [
+        (pair.pair_id, segment)
+        for pair, alignment, annotation in corpus.triples()
+        for segment in extract_editable(pair, alignment, annotation)
+    ]
+    write_jsonl(out_path, ({"pair_id": pair_id, **to_row(seg)} for pair_id, seg in segments))
+    summary = f"extracted {len(segments)} editable segments from {len(corpus)} pairs -> {out_path}"
     return _corpus_inputs(config), [out_path], summary
 
 
@@ -442,12 +434,9 @@ def _run_sweep(config: RunConfig, alphas_text: str, betas_text: str):
             for beta in betas
         ],
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(json_path, payload)
     md_path = config.output_dir / "sweep.md"
-    with open(md_path, "w", encoding="utf-8") as handle:
-        handle.write(sweep_markdown(grid))
+    write_text(md_path, sweep_markdown(grid))
     summary = f"swept {len(grid)} threshold cells -> {json_path}"
     return [records_path], [json_path, md_path], summary
 
@@ -482,9 +471,7 @@ def _run_eval(config: RunConfig, gold_path: str):
         lines.append(f"error-position analysis undefined ({type(exc).__name__}: {exc})")
     result["undefined"] = undefined
     out_path = config.output_dir / "eval.json"
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
+    write_json(out_path, result)
     summary = "\n".join(lines + [f"evaluation -> {out_path}"])
     return [verdicts_path, gold_file], [out_path], summary
 

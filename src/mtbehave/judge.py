@@ -9,15 +9,14 @@ against its reference. The case passes iff the base translation is good enough
 
 from __future__ import annotations
 
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .backends import Backend, BackendError
+from .backends import Backend, BackendError, map_jobs
 from .casegen import STATUS_KEPT, TestCase
-from .corpus import Corpus, CorpusError
+from .codec import read_jsonl, to_row, write_jsonl
+from .corpus import Corpus
 
 FAIL_LOW_BASE_QUALITY = "low_base_quality"
 FAIL_LARGE_DIFF = "large_diff"
@@ -63,7 +62,7 @@ class Verdict:
     qual_y_prime: float
     diff: float
     passed: bool
-    fail_reason: str | None
+    fail_reason: str | None = None
 
 
 def diff(qual_y: float, qual_y_prime: float) -> float:
@@ -158,83 +157,20 @@ def score_records(
             record.error_kind = "backend"
         return record
 
-    if jobs <= 1:
-        return [run(case) for case in kept]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, kept))
+    return map_jobs(run, kept, jobs)
 
 
 def write_records(records: Iterable[TranslationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            payload = {
-                "case_id": record.case_id,
-                "system_id": record.system_id,
-                "y": record.y,
-                "y_prime": record.y_prime,
-                "qual_y": record.qual_y,
-                "qual_y_prime": record.qual_y_prime,
-                "error": record.error,
-                "error_kind": record.error_kind,
-            }
-            handle.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
+    write_jsonl(path, map(to_row, records))
 
 
 def read_records(path) -> list[TranslationRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                data = json.loads(line)
-                records.append(
-                    TranslationRecord(
-                        case_id=data["case_id"],
-                        system_id=data["system_id"],
-                        y=data.get("y"),
-                        y_prime=data.get("y_prime"),
-                        qual_y=data.get("qual_y"),
-                        qual_y_prime=data.get("qual_y_prime"),
-                        error=data.get("error"),
-                        error_kind=data.get("error_kind"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from exc
-    return records
+    return read_jsonl(path, TranslationRecord, "record")
 
 
 def write_verdicts(verdicts: Iterable[Verdict], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for verdict in verdicts:
-            payload = {
-                "case_id": verdict.case_id,
-                "system_id": verdict.system_id,
-                "qual_y": verdict.qual_y,
-                "qual_y_prime": verdict.qual_y_prime,
-                "diff": verdict.diff,
-                "passed": verdict.passed,
-                "fail_reason": verdict.fail_reason,
-            }
-            handle.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
+    write_jsonl(path, map(to_row, verdicts))
 
 
 def read_verdicts(path) -> list[Verdict]:
-    verdicts = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                data = json.loads(line)
-                verdicts.append(
-                    Verdict(
-                        case_id=data["case_id"],
-                        system_id=data["system_id"],
-                        qual_y=data["qual_y"],
-                        qual_y_prime=data["qual_y_prime"],
-                        diff=data["diff"],
-                        passed=data["passed"],
-                        fail_reason=data.get("fail_reason"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad verdict: {exc}") from exc
-    return verdicts
+    return read_jsonl(path, Verdict, "verdict")

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .casegen import STATUS_KEPT, TestCase
-from .corpus import CorpusError, Span
+from .codec import json_text, read_jsonl, to_row, write_text
+from .corpus import CorpusError, Span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
 
@@ -66,7 +66,7 @@ class GoldErrorAnnotation:
     system_id: str
     is_erroneous: bool
     error_spans: tuple[Span, ...]
-    edited_spans: tuple[Span, ...]
+    edited_spans: tuple[Span, ...] = field(metadata={"key": "edited_spans_on_y_prime"})
 
     def __post_init__(self) -> None:
         if not self.is_erroneous and self.error_spans:
@@ -89,7 +89,7 @@ class CapabilityReport:
     pass_rate: float
     size: int
     errored: int
-    is_best: bool
+    is_best: bool = field(metadata={"key": "best"})
 
 
 def capability_table(
@@ -176,10 +176,6 @@ def precision_recall(
     return precision, recall
 
 
-def _spans_overlap(a: Span, b: Span) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
 def error_position_analysis(
     verdicts: Sequence[Verdict],
     gold: Mapping[tuple[str, str], GoldErrorAnnotation],
@@ -204,7 +200,7 @@ def error_position_analysis(
                 f"case {row.case_id!r} has no edited-span projection on y'"
             )
         if any(
-            _spans_overlap(error_span, edited_span)
+            spans_overlap(error_span, edited_span)
             for error_span in row.error_spans
             for edited_span in row.edited_spans
         ):
@@ -215,43 +211,18 @@ def error_position_analysis(
 def load_gold(path) -> dict[tuple[str, str], GoldErrorAnnotation]:
     """Read gold error annotations, keyed by (case_id, system_id)."""
     gold: dict[tuple[str, str], GoldErrorAnnotation] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                data = json.loads(line)
-                row = GoldErrorAnnotation(
-                    case_id=data["case_id"],
-                    system_id=data["system_id"],
-                    is_erroneous=data["is_erroneous"],
-                    error_spans=tuple((s, e) for s, e in data["error_spans"]),
-                    edited_spans=tuple(
-                        (s, e) for s, e in data["edited_spans_on_y_prime"]
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad gold row: {exc}") from exc
-            if not isinstance(row.is_erroneous, bool):
-                raise CorpusError(f"{path}:{lineno}: is_erroneous must be a boolean")
-            key = (row.case_id, row.system_id)
-            if key in gold:
-                raise CorpusError(f"{path}:{lineno}: duplicate gold row for {key}")
-            gold[key] = row
+    for lineno, row in enumerate(read_jsonl(path, GoldErrorAnnotation, "gold row"), start=1):
+        if not isinstance(row.is_erroneous, bool):
+            raise CorpusError(f"{path}:{lineno}: is_erroneous must be a boolean")
+        key = (row.case_id, row.system_id)
+        if key in gold:
+            raise CorpusError(f"{path}:{lineno}: duplicate gold row for {key}")
+        gold[key] = row
     return gold
 
 
-def _row_payload(row: CapabilityReport) -> dict:
-    return {
-        "capability": row.capability.value,
-        "system_id": row.system_id,
-        "pass_rate": row.pass_rate,
-        "size": row.size,
-        "errored": row.errored,
-        "best": row.is_best,
-    }
-
-
 def render_report_json(rows: Sequence[CapabilityReport]) -> str:
-    return json.dumps({"rows": [_row_payload(row) for row in rows]}, indent=2) + "\n"
+    return json_text({"rows": [to_row(row) for row in rows]})
 
 
 def render_report_markdown(rows: Sequence[CapabilityReport]) -> str:
@@ -334,28 +305,7 @@ def emit_report(rows: Sequence[CapabilityReport], fmt: str, path) -> None:
     """Write the table in the requested format; bytes are input-deterministic."""
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
-    text = _RENDERERS[fmt](rows)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
-def load_report(path) -> list[CapabilityReport]:
-    """Read back a JSON report emitted by :func:`emit_report`."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    rows = []
-    for item in data["rows"]:
-        rows.append(
-            CapabilityReport(
-                capability=Capability(item["capability"]),
-                system_id=item["system_id"],
-                pass_rate=item["pass_rate"],
-                size=item["size"],
-                errored=item["errored"],
-                is_best=item["best"],
-            )
-        )
-    return rows
+    write_text(path, _RENDERERS[fmt](rows))
 
 
 def sweep_markdown(grid: Mapping[tuple[float, float], float]) -> str:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import Annotation, AlignmentSet, Span, TranslationPair
+from .corpus import Annotation, AlignmentSet, Span, TranslationPair, spans_overlap
 
 # Hard cap on masking plans per pair and the masked-token budget for the
 # General capability: the masked source tokens must total strictly less than
@@ -51,15 +51,6 @@ POS_CAPABILITY_TAGS = {
     Capability.PREP: "ADP",
     Capability.OTHERS: "OTHER",
 }
-
-
-class NoEligibleSegments(Exception):
-    """A pair offers no segment for the requested capability."""
-
-    def __init__(self, pair_id: str, capability: Capability):
-        super().__init__(f"pair {pair_id!r} has no eligible segment for {capability.value}")
-        self.pair_id = pair_id
-        self.capability = capability
 
 
 class BudgetUnsatisfiable(Exception):
@@ -104,10 +95,6 @@ class SelectionPlan:
     capability: Capability
     segments: tuple[EditableSegment, ...]
     seed: int
-
-
-def _spans_overlap(a: Span, b: Span) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
 
 
 def _head_index(span: Span, pos: tuple[str, ...]) -> int:
@@ -195,8 +182,8 @@ def resolve_overlaps(segments: list[EditableSegment]) -> list[EditableSegment]:
     kept: list[EditableSegment] = []
     for segment in ordered:
         clashes = any(
-            _spans_overlap(segment.src_span, other.src_span)
-            or _spans_overlap(segment.ref_span, other.ref_span)
+            spans_overlap(segment.src_span, other.src_span)
+            or spans_overlap(segment.ref_span, other.ref_span)
             for other in kept
         )
         if not clashes:
@@ -237,13 +224,13 @@ def plan_selection(
     replacement. General plans are budgeted subsets: a seeded shuffle is walked
     and every segment that keeps the masked-token total strictly under a fifth
     of the source length is added. Fewer than ``count`` plans are returned when
-    fewer distinct ones exist.
+    fewer distinct ones exist, none for an empty pool.
     """
     if count < 1 or count > MAX_PLANS_PER_PAIR:
         raise ValueError(f"count must be between 1 and {MAX_PLANS_PER_PAIR}, got {count}")
     pool = sorted(set(segments), key=lambda seg: (seg.src_span, seg.ref_span))
     if not pool:
-        raise NoEligibleSegments(pair.pair_id, capability)
+        return []
     rng = random.Random(seed)
 
     if capability is not Capability.GENERAL:

@@ -141,6 +141,18 @@ class TestResponseCache:
         hit, value = response_cache.get("b1", "0" * 64)
         assert not hit and value is None
 
+    @pytest.mark.parametrize(
+        "damage", [b'{"digest": "ab', b"", b"[1]", b'{"digest": "ab"}', b"\xff\xfe"]
+    )
+    def test_malformed_entry_is_a_miss_until_rewritten(self, response_cache, damage):
+        digest = "cd" * 32
+        response_cache.put("b1", digest, {"q": 1}, "first")
+        response_cache.entry_path("b1", digest).write_bytes(damage)
+        assert response_cache.get("b1", digest) == (False, None)
+        response_cache.put("b1", digest, {"q": 1}, "second")
+        assert response_cache.get("b1", digest) == (True, "second")
+        assert [p.name for p in (response_cache.root / "b1").iterdir()] == [f"{digest}.entry"]
+
 
 class TestBackendCaching:
     def test_identical_requests_hit_upstream_once(self, response_cache):
@@ -268,6 +280,17 @@ class TestReplayTransport:
             BackendSpec("qe", "scorer_ref_free", "replay_cache"), cache=response_cache
         )
         assert replay.score("a", "b") == 0.7
+
+    def test_truncated_entry_raises_cache_miss(self, response_cache):
+        live = stub_backend("qe", "scorer_ref_free", cache=response_cache, mode="constant", value=0.7)
+        live.score("a", "b")
+        (entry,) = (response_cache.root / "qe").iterdir()
+        entry.write_text(entry.read_text(encoding="utf-8")[:10], encoding="utf-8")
+        replay = Backend(
+            BackendSpec("qe", "scorer_ref_free", "replay_cache"), cache=response_cache
+        )
+        with pytest.raises(CacheMissError):
+            replay.score("a", "b")
 
     def test_cold_entry_raises_cache_miss(self, response_cache):
         replay = Backend(

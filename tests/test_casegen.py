@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtbehave.backends import Backends, BackendError, _StubTransport, Backend
+from mtbehave.backends import Backends, BackendError, BackendSpec, _StubTransport, Backend
 from mtbehave.casegen import (
     STATUS_DROPPED_IDENTICAL,
     STATUS_DROPPED_QUALITY,
@@ -417,6 +418,33 @@ class TestGenerateCases:
         errored = next(case for case in cases if case.pair_id == "p1")
         assert errored.error_kind == "backend"
         assert "upstream exploded" in errored.error
+
+    def test_truncated_replay_entry_fails_only_its_case(self, response_cache):
+        live = Backends(
+            infill=stub_backend("infill-stub", "infill", response_cache, src="store", ref="门店"),
+            scorer_ref_free=stub_backend(
+                "qe-stub", "scorer_ref_free", response_cache, mode="constant", value=0.9
+            ),
+        )
+        generate_cases(generation_corpus(), Capability.GENERAL, 1, live, JudgeConfig(), seed=7)
+        for entry in (response_cache.root / "infill-stub").iterdir():
+            request = json.loads(entry.read_text(encoding="utf-8"))["request"]
+            if "today" in request["messages"][-1]["content"]:  # p1's prompt
+                entry.write_text('{"digest": ', encoding="utf-8")
+        replay = Backends(
+            infill=Backend(BackendSpec("infill-stub", "infill", "replay_cache"), response_cache),
+            scorer_ref_free=Backend(
+                BackendSpec("qe-stub", "scorer_ref_free", "replay_cache"), response_cache
+            ),
+        )
+        cases = generate_cases(
+            generation_corpus(), Capability.GENERAL, 1, replay, JudgeConfig(), seed=7
+        )
+        by_pair = {case.pair_id: case for case in cases}
+        assert by_pair["p1"].filter_status == STATUS_ERROR
+        assert by_pair["p1"].error_kind == "backend"
+        assert "no cached response" in by_pair["p1"].error
+        assert by_pair["p2"].filter_status == STATUS_KEPT
 
     def test_jobs_parameter_preserves_order(self):
         sequential = generate_cases(

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 from mtbehave import __version__
 from mtbehave.casegen import STATUS_KEPT, read_cases
 from mtbehave.cli import main
-from mtbehave.report import load_report
+
+from dumpers import load_report
 
 SENTENCES = {
     "base": "the little shop closed early today",
@@ -198,6 +199,17 @@ class TestGenerate:
         )
         result = run_ok("generate", "--config", config)
         assert "kept 0, identical 0, quality-dropped 1, errors 0" in result.output
+
+    def test_truncated_cache_entry_is_recomputed_and_rewritten(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        cases = (tmp_path / "out" / "cases.jsonl").read_bytes()
+        (entry,) = (tmp_path / "cache" / "stub-infill").iterdir()
+        whole = entry.read_text(encoding="utf-8")
+        entry.write_text(whole[: len(whole) // 2], encoding="utf-8")
+        run_ok("generate", "--config", config)
+        assert json.loads(entry.read_text(encoding="utf-8"))["value"]
+        assert (tmp_path / "out" / "cases.jsonl").read_bytes() == cases
 
     def test_missing_backend_is_a_usage_error(self, tmp_path):
         write_corpus(tmp_path)
@@ -427,6 +439,18 @@ class TestManifest:
         run_ok("sweep", "--config", config)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert len(manifest) == 4 and manifest[3]["stage"] == "sweep"
+
+    def test_corrupt_manifest_is_a_data_error_before_any_write(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        out = tmp_path / "out"
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        before = sorted((p.name, p.read_bytes()) for p in out.iterdir())
+        result = invoke("judge", "--config", config)
+        assert result.exit_code == 2
+        assert f"error: {manifest}: unreadable manifest" in result.output
+        assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
 
 class TestConfigValidation:

@@ -15,7 +15,6 @@ from mtbehave.corpus import (
     Corpus,
     CorpusError,
     TranslationPair,
-    dump_corpus,
     load_alignments,
     load_annotations,
     load_corpus,
@@ -23,6 +22,7 @@ from mtbehave.corpus import (
 )
 
 from conftest import make_annotation, make_pair
+from dumpers import dump_corpus
 
 
 def write_lines(path: Path, *lines: str) -> Path:
@@ -81,6 +81,11 @@ class TestAnnotation:
             make_annotation(pair, ne=((1, 1, "GPE"),))
         with pytest.raises(ValueError):
             make_annotation(pair, phrases_src=((2, 1),))
+
+    def test_rejects_a_non_text_ne_type(self):
+        pair = make_pair("p1", "a b", "c")
+        with pytest.raises(ValueError, match="invalid NE type 5"):
+            make_annotation(pair, ne=((0, 1, 5),))
 
 
 class TestLoadPairs:
@@ -202,6 +207,8 @@ class TestLoadAnnotations:
             (lambda r: r.update(ne=[[0, 0, "GPE"]]), "not a valid span"),
             (lambda r: r.update(ne=[[0, 5, "GPE"]]), "out of range"),
             (lambda r: r.update(ne=[[0, 1, "bad type"]]), "invalid NE type"),
+            (lambda r: r.update(ne=[[0, 1, 5]]), "ann.jsonl:1: invalid NE type 5"),
+            (lambda r: r.update(phrases_ref=[[1, 0]]), "ann.jsonl:1: reference phrase span"),
             (lambda r: r.update(phrases_src=[[0]]), r"\[start, end\] list"),
             (lambda r: r.update(id="nope"), "unknown pair id"),
         ],

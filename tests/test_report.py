@@ -20,13 +20,14 @@ from mtbehave.report import (
     emit_report,
     error_position_analysis,
     load_gold,
-    load_report,
     precision_recall,
     render_report_csv,
     render_report_markdown,
     sweep_markdown,
 )
 from mtbehave.segmentation import Capability
+
+from dumpers import load_report
 
 
 def case(case_id, capability=Capability.NOUN, status=STATUS_KEPT):

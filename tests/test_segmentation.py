@@ -12,7 +12,6 @@ from mtbehave.segmentation import (
     BudgetUnsatisfiable,
     Capability,
     EditableSegment,
-    NoEligibleSegments,
     extract_editable,
     filter_by_capability,
     plan_selection,
@@ -275,8 +274,8 @@ class TestPlanSelection:
 
     def test_no_eligible_segments(self):
         pair, _ = self.pool(2)
-        with pytest.raises(NoEligibleSegments):
-            plan_selection(pair, [], Capability.NOUN, 1, seed=0)
+        assert plan_selection(pair, [], Capability.NOUN, 1, seed=0) == []
+        assert plan_selection(pair, [], Capability.GENERAL, 1, seed=0) == []
 
     def test_general_budget_is_strict(self):
         # 10 source tokens, single eligible segment of 2: 5*2 = 10 is not
