@@ -7,7 +7,7 @@ MT system's behavior on the perturbed inputs and report where it breaks.
 
 __version__ = "0.1.0"
 
-from .backends import Backend, Backends, BackendSpec, ResponseCache
+from .backends import Backend, BackendSpec, ResponseCache
 from .casegen import TestCase, generate_cases, read_cases, write_cases
 from .corpus import Corpus, load_corpus
 from .judge import (
@@ -40,7 +40,6 @@ from .segmentation import (
 __all__ = [
     "__version__",
     "Backend",
-    "Backends",
     "BackendSpec",
     "ResponseCache",
     "TestCase",

@@ -43,6 +43,7 @@ class BackendError(Exception):
     """Base class for backend failures; ``retryable`` drives the retry loop."""
 
     retryable = False
+    error_kind = "backend"
 
 
 class BackendTimeout(BackendError):
@@ -411,13 +412,3 @@ def map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
-
-
-@dataclass
-class Backends:
-    """The backend slots a pipeline stage may need."""
-
-    infill: Backend | None = None
-    translator: Backend | None = None
-    scorer_ref_based: Backend | None = None
-    scorer_ref_free: Backend | None = None

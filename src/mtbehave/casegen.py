@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import KW_ONLY, dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .backends import Backend, BackendError, Backends, map_jobs
+from .backends import Backend, BackendError, map_jobs
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import Corpus, Span, TranslationPair
 from .segmentation import (
@@ -25,9 +25,6 @@ from .segmentation import (
     filter_by_capability,
     plan_selection,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .judge import JudgeConfig
 
 # Filter pipeline states for a generated case.
 STATUS_PENDING = "pending"
@@ -122,6 +119,8 @@ ZH_MARKER = "Filled Chinese:"
 class ResponseParseError(Exception):
     """The infill reply could not be turned into a filled pair."""
 
+    error_kind = "parse"
+
 
 class MissingMarker(ResponseParseError):
     pass
@@ -133,6 +132,8 @@ class EmptyFill(ResponseParseError):
 
 class PromptMetadataError(Exception):
     """A template slot has no value (e.g. NER plan without an NE type)."""
+
+    error_kind = "prompt"
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,6 @@ class MaskedPair:
 class PromptRequest:
     """A rendered infill prompt; ``metadata`` carries the slot values used."""
 
-    capability: Capability
     template_id: str
     rendered_text: str
     metadata: dict
@@ -257,7 +257,7 @@ def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
         template_id = "pos"
     text = text.replace("[MASKED ENGLISH]", metadata["masked_source"])
     text = text.replace("[MASKED CHINESE]", metadata["masked_reference"])
-    return PromptRequest(capability, template_id, text, metadata)
+    return PromptRequest(template_id, text, metadata)
 
 
 def _clean_fill(text: str) -> str:
@@ -324,33 +324,26 @@ def _run_case(
     pair: TranslationPair,
     plan: SelectionPlan,
     capability: Capability,
-    backends: Backends,
+    infill: Backend,
+    scorer: Backend,
     beta: float,
 ) -> TestCase:
     try:
         masked = mask_pair(pair, plan)
         prompt = render_prompt(masked, capability)
         case.template_id = prompt.template_id
-        raw = backends.infill.infill(prompt)
+        raw = infill.infill(prompt)
         case.raw_response = raw
         case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
         case.source_prime, case.reference_prime = parse_response(raw)
         status = dedup(case, pair)
         if status == STATUS_PENDING:
-            status = quality_filter(case, pair, backends.scorer_ref_free, beta)
+            status = quality_filter(case, pair, scorer, beta)
         case.filter_status = status
-    except BackendError as exc:
+    except (BackendError, ResponseParseError, PromptMetadataError) as exc:
         case.filter_status = STATUS_ERROR
         case.error = str(exc)
-        case.error_kind = "backend"
-    except ResponseParseError as exc:
-        case.filter_status = STATUS_ERROR
-        case.error = str(exc)
-        case.error_kind = "parse"
-    except PromptMetadataError as exc:
-        case.filter_status = STATUS_ERROR
-        case.error = str(exc)
-        case.error_kind = "prompt"
+        case.error_kind = exc.error_kind
     return case
 
 
@@ -358,8 +351,9 @@ def generate_cases(
     corpus: Corpus,
     capability: Capability,
     per_pair: int,
-    backends: Backends,
-    judge_config: JudgeConfig,
+    infill: Backend,
+    scorer: Backend,
+    beta: float,
     seed: int,
     jobs: int = 1,
 ) -> list[TestCase]:
@@ -367,13 +361,10 @@ def generate_cases(
 
     Pairs without eligible segments (or without any budget-satisfiable segment
     for General) are skipped. A backend, parse, or prompt failure is recorded
-    on its case; the batch itself never aborts. Deterministic for a fixed seed
-    when the backends are (stub or warm replay cache).
+    on its case; the batch itself never aborts. ``scorer`` is the quality
+    filter's reference-free scorer. Deterministic for a fixed seed when the
+    backends are (stub or warm replay cache).
     """
-    if backends.infill is None:
-        raise ValueError("generate_cases needs an infill backend")
-    if backends.scorer_ref_free is None:
-        raise ValueError("generate_cases needs a reference-free scorer backend")
     work: list[tuple[TestCase, TranslationPair, SelectionPlan]] = []
     for pair, alignment, annotation in corpus.triples():
         segments = extract_editable(pair, alignment, annotation)
@@ -395,7 +386,7 @@ def generate_cases(
 
     def run(item: tuple[TestCase, TranslationPair, SelectionPlan]) -> TestCase:
         case, pair, plan = item
-        return _run_case(case, pair, plan, capability, backends, judge_config.beta)
+        return _run_case(case, pair, plan, capability, infill, scorer, beta)
 
     return map_jobs(run, work, jobs)
 

@@ -1,10 +1,10 @@
 """Command-line pipeline: extract, generate, judge, sweep, eval, report.
 
-Every command takes a JSON run config (--config) and optional flag overrides;
-flags beat the file, the file beats built-in defaults. Relative paths inside
-the config resolve against the config file's directory. Each successful stage
-appends an entry to manifest.json in the output directory with digests of the
-files it read and wrote.
+Every command takes a JSON run config (--config), --output-dir, and flags for
+the config values it reads; flags beat the file, the file beats built-in
+defaults. Relative paths inside the config resolve against the config file's
+directory. Each successful stage appends an entry to manifest.json in the
+output directory with digests of the files it read and wrote.
 
 Exit codes: 0 success, 1 usage or config error, 2 data validation error,
 3 backend exhaustion.
@@ -19,12 +19,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import click
 
 from . import __version__
-from .backends import Backend, BackendError, Backends, BackendSpec, ResponseCache
+from .backends import Backend, BackendError, BackendSpec, ResponseCache
 from .casegen import (
     STATUS_DROPPED_IDENTICAL,
     STATUS_DROPPED_QUALITY,
@@ -97,7 +97,7 @@ class RunConfig:
     pairs_path: Path
     alignments_path: Path
     annotations_path: Path
-    capability: Capability
+    capability: Capability | None = None
     per_pair: int = 1
     seed: int = 0
     jobs: int = 1
@@ -149,12 +149,13 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
         corpus_paths[name] = file_path
 
     capability_value = overrides.get("capability", data.get("capability"))
-    _expect(capability_value is not None, "a capability is required (config or --capability)")
-    try:
-        capability = Capability(str(capability_value))
-    except ValueError:
-        valid = ", ".join(c.value for c in Capability)
-        raise ConfigError(f"unknown capability {capability_value!r} (valid: {valid})")
+    capability = None
+    if capability_value is not None:
+        try:
+            capability = Capability(str(capability_value))
+        except ValueError:
+            valid = ", ".join(c.value for c in Capability)
+            raise ConfigError(f"unknown capability {capability_value!r} (valid: {valid})")
 
     per_pair = _as_int(overrides.get("per_pair", data.get("per_pair", 1)), "per_pair")
     _expect(
@@ -277,10 +278,10 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
-StageRunner = Callable[[RunConfig], tuple[list[Path], list[Path], str]]
+StageRunner = Callable[..., tuple[list[Path], list[Path], str]]
 
 
-def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner) -> None:
+def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *args) -> None:
     try:
         config = load_run_config(config_path, overrides)
     except ConfigError as exc:
@@ -288,7 +289,7 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner) ->
     started_at = _now()
     try:
         manifest = RunManifest.load(config.output_dir / "manifest.json")
-        inputs, outputs, summary = runner(config)
+        inputs, outputs, summary = runner(config, *args)
     except ConfigError as exc:
         _die(EXIT_USAGE, str(exc))
     except (CorpusError, EmptyVerdictSet, MissingGold, MissingProjection, ValueError) as exc:
@@ -303,18 +304,28 @@ def _corpus_inputs(config: RunConfig) -> list[Path]:
     return [config.pairs_path, config.alignments_path, config.annotations_path]
 
 
-def _build_backends(config: RunConfig, required: Sequence[str]) -> Backends:
+def _build_backends(config: RunConfig, *slots: str) -> list[Backend]:
+    """The backends of the named slots, in slot order, sharing one cache."""
     cache = ResponseCache(config.cache_root) if config.cache_root is not None else None
-    built = {}
-    for slot in required:
+    built = []
+    for slot in slots:
         spec = config.backend_specs.get(slot)
         if spec is None:
             raise ConfigError(f"config declares no {slot!r} backend")
         try:
-            built[slot] = Backend(spec, cache=cache)
+            built.append(Backend(spec, cache=cache))
         except ValueError as exc:
             raise ConfigError(f"backend {slot!r}: {exc}") from exc
-    return Backends(**built)
+    return built
+
+
+def _fail_if_all_backend_errors(results: list, attempts: str) -> None:
+    """A batch in which every attempt failed upstream exits as a backend error."""
+    if results and all(result.error_kind == "backend" for result in results):
+        raise BackendError(
+            f"all {len(results)} {attempts} attempts failed with backend errors "
+            f"(first: {results[0].error})"
+        )
 
 
 def _require_artifact(path: Path, producer: str) -> Path:
@@ -338,25 +349,23 @@ def _run_extract(config: RunConfig) -> tuple[list[Path], list[Path], str]:
 
 
 def _run_generate(config: RunConfig) -> tuple[list[Path], list[Path], str]:
+    _expect(config.capability is not None, "a capability is required (config or --capability)")
     corpus = load_corpus(config.pairs_path, config.alignments_path, config.annotations_path)
-    backends = _build_backends(config, ("infill", "scorer_ref_free"))
+    infill, scorer = _build_backends(config, "infill", "scorer_ref_free")
     cases = generate_cases(
         corpus,
         config.capability,
         config.per_pair,
-        backends,
-        config.judge,
+        infill,
+        scorer,
+        config.judge.beta,
         config.seed,
         config.jobs,
     )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "cases.jsonl"
     write_cases(cases, out_path)
-    if cases and all(case.error_kind == "backend" for case in cases):
-        raise BackendError(
-            f"all {len(cases)} infill attempts failed with backend errors "
-            f"(first: {cases[0].error})"
-        )
+    _fail_if_all_backend_errors(cases, "infill")
     counts = Counter(case.filter_status for case in cases)
     summary = (
         f"generated {len(cases)} cases for {config.capability.value} "
@@ -371,17 +380,11 @@ def _run_judge(config: RunConfig) -> tuple[list[Path], list[Path], str]:
     corpus = load_corpus(config.pairs_path, config.alignments_path, config.annotations_path)
     cases_path = _require_artifact(config.output_dir / "cases.jsonl", "generate")
     cases = read_cases(cases_path)
-    backends = _build_backends(config, ("translator", "scorer_ref_based"))
-    records = score_records(
-        cases, corpus, backends.translator, backends.scorer_ref_based, config.jobs
-    )
+    translator, scorer = _build_backends(config, "translator", "scorer_ref_based")
+    records = score_records(cases, corpus, translator, scorer, config.jobs)
     records_path = config.output_dir / "records.jsonl"
     write_records(records, records_path)
-    if records and all(record.error_kind == "backend" for record in records):
-        raise BackendError(
-            f"all {len(records)} translation attempts failed with backend errors "
-            f"(first: {records[0].error})"
-        )
+    _fail_if_all_backend_errors(records, "translation")
     verdicts = judge_records(records, config.judge)
     if not verdicts:
         raise EmptyVerdictSet("no scored records to judge")
@@ -493,86 +496,105 @@ def _run_report(config: RunConfig, fmt: str):
     return [verdicts_path, cases_path], [out_path], summary
 
 
-def _stage_options(fn):
+# The flag overrides, keyed by the load_run_config override each one sets.
+_OVERRIDES = {
+    "cache_root": click.option("--cache-root", "cache_root", default=None, help="Override the response cache root."),
+    "seed": click.option("--seed", type=int, default=None, help="Override the master seed."),
+    "jobs": click.option("--jobs", type=int, default=None, help="Concurrent backend calls."),
+    "capability": click.option("--capability", default=None, help="Capability to target."),
+    "per_pair": click.option("--per-pair", "per_pair", type=int, default=None, help="Cases per pair."),
+    "alpha": click.option("--alpha", type=float, default=None, help="Base quality threshold."),
+    "beta": click.option("--beta", type=float, default=None, help="Allowed quality difference."),
+    "exclude_low_base": click.option(
+        "--exclude-low-base",
+        "exclude_low_base",
+        is_flag=True,
+        default=None,
+        help="Drop low-base-quality failures from the reported pass rate.",
+    ),
+}
+
+
+def _stage_options(*overrides: str):
+    """--config, --output-dir, and the named overrides: the ones the stage reads."""
     options = [
         click.option("--config", "config_path", required=True, help="Run config JSON file."),
         click.option("--output-dir", "output_dir", default=None, help="Override the output directory."),
-        click.option("--cache-root", "cache_root", default=None, help="Override the response cache root."),
-        click.option("--seed", type=int, default=None, help="Override the master seed."),
-        click.option("--jobs", type=int, default=None, help="Concurrent backend calls."),
-        click.option("--capability", default=None, help="Capability to target."),
-        click.option("--per-pair", "per_pair", type=int, default=None, help="Cases per pair."),
-        click.option("--alpha", type=float, default=None, help="Base quality threshold."),
-        click.option("--beta", type=float, default=None, help="Allowed quality difference."),
+        *(_OVERRIDES[name] for name in overrides),
     ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+
+    def decorate(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+
+    return decorate
 
 
-@click.group()
+def _usage_exit(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USAGE
+        raise
+
+
+class _Main(click.Group):
+    """Click exits 2 on a usage error, but 2 means bad data here: usage errors exit 1."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exit(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exit(super().invoke, ctx)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="mtbehave")
 def main() -> None:
     """Behavioral testing harness for machine translation systems."""
 
 
 @main.command()
-@_stage_options
+@_stage_options()
 def extract(config_path, **overrides):
     """Extract the editable segments of every corpus pair."""
     _run_stage("extract", config_path, overrides, _run_extract)
 
 
 @main.command()
-@_stage_options
+@_stage_options("cache_root", "seed", "jobs", "capability", "per_pair", "beta")
 def generate(config_path, **overrides):
     """Generate, infill, and filter test cases for the configured capability."""
     _run_stage("generate", config_path, overrides, _run_generate)
 
 
 @main.command()
-@_stage_options
-@click.option(
-    "--exclude-low-base",
-    "exclude_low_base",
-    is_flag=True,
-    default=None,
-    help="Drop low-base-quality failures from the reported pass rate.",
-)
+@_stage_options("cache_root", "jobs", "alpha", "beta", "exclude_low_base")
 def judge(config_path, **overrides):
     """Translate kept cases, score them, and judge pass or fail."""
     _run_stage("judge", config_path, overrides, _run_judge)
 
 
 @main.command("sweep")
-@_stage_options
+@_stage_options()
 @click.option("--alphas", default=DEFAULT_SWEEP_ALPHAS, show_default=True)
 @click.option("--betas", default=DEFAULT_SWEEP_BETAS, show_default=True)
 def sweep_cmd(config_path, alphas, betas, **overrides):
     """Re-judge existing score records over a grid of thresholds."""
-    _run_stage(
-        "sweep",
-        config_path,
-        overrides,
-        lambda config: _run_sweep(config, alphas, betas),
-    )
+    _run_stage("sweep", config_path, overrides, _run_sweep, alphas, betas)
 
 
 @main.command("eval")
-@_stage_options
+@_stage_options()
 @click.option("--gold", "gold_path", required=True, help="Gold error annotations (JSONL).")
 def eval_cmd(config_path, gold_path, **overrides):
     """Evaluate verdicts against gold error annotations."""
-    _run_stage(
-        "eval",
-        config_path,
-        overrides,
-        lambda config: _run_eval(config, gold_path),
-    )
+    _run_stage("eval", config_path, overrides, _run_eval, gold_path)
 
 
 @main.command()
-@_stage_options
+@_stage_options()
 @click.option(
     "--format",
     "fmt",
@@ -582,12 +604,7 @@ def eval_cmd(config_path, gold_path, **overrides):
 )
 def report(config_path, fmt, **overrides):
     """Render the per-capability pass-rate table."""
-    _run_stage(
-        "report",
-        config_path,
-        overrides,
-        lambda config: _run_report(config, fmt),
-    )
+    _run_stage("report", config_path, overrides, _run_report, fmt)
 
 
 if __name__ == "__main__":

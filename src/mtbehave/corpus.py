@@ -89,7 +89,7 @@ class Annotation:
 
     def __post_init__(self) -> None:
         for tag in self.pos:
-            if tag not in POS_TAGS:
+            if not isinstance(tag, str) or tag not in POS_TAGS:
                 raise ValueError(f"unknown POS tag {tag!r}")
         if len(self.past_perfect) != len(self.pos):
             raise ValueError("past_perfect length differs from pos length")
@@ -119,9 +119,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.pairs)
 
     def triples(self) -> Iterator[tuple[TranslationPair, AlignmentSet, Annotation]]:
         """Yield (pair, alignment, annotation) in corpus order."""
@@ -208,6 +205,13 @@ def _read_span(value: object, limit: int, path, lineno: int, what: str) -> Span:
     return (start, end)
 
 
+def _read_spans(value: object, limit: int, path, lineno: int, what: str) -> tuple[Span, ...]:
+    """A list of [start, end] spans, duplicates dropped in order."""
+    if not isinstance(value, list):
+        _fail(path, lineno, f"{what}s must be a list, got {value!r}")
+    return tuple(dict.fromkeys(_read_span(item, limit, path, lineno, what) for item in value))
+
+
 def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Annotation]:
     """Read the JSONL annotation file; exactly one record per corpus pair.
 
@@ -233,7 +237,7 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
             if unknown:
                 _fail(path, lineno, f"unknown fields: {unknown}")
             pair_id = record["id"]
-            if pair_id not in pairs:
+            if not isinstance(pair_id, str) or pair_id not in pairs:
                 _fail(path, lineno, f"unknown pair id {pair_id!r}")
             if pair_id in annotations:
                 _fail(path, lineno, f"duplicate annotation for pair {pair_id!r}")
@@ -263,17 +267,8 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
                 entry = (*_read_span(item[:2], n_src, path, lineno, "NE span"), item[2])
                 if entry not in ne_spans:
                     ne_spans.append(entry)
-
-            phrases_src: list[Span] = []
-            for item in record["phrases_src"]:
-                span = _read_span(item, n_src, path, lineno, "source phrase span")
-                if span not in phrases_src:
-                    phrases_src.append(span)
-            phrases_ref: list[Span] = []
-            for item in record["phrases_ref"]:
-                span = _read_span(item, n_ref, path, lineno, "reference phrase span")
-                if span not in phrases_ref:
-                    phrases_ref.append(span)
+            phrases_src = _read_spans(record["phrases_src"], n_src, path, lineno, "source phrase span")
+            phrases_ref = _read_spans(record["phrases_ref"], n_ref, path, lineno, "reference phrase span")
 
             try:
                 annotations[pair_id] = Annotation(
@@ -281,8 +276,8 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
                     tuple(pos),
                     tuple(past),
                     tuple(ne_spans),
-                    tuple(phrases_src),
-                    tuple(phrases_ref),
+                    phrases_src,
+                    phrases_ref,
                 )
             except ValueError as exc:
                 _fail(path, lineno, str(exc))

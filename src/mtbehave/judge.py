@@ -65,15 +65,11 @@ class Verdict:
     fail_reason: str | None = None
 
 
-def diff(qual_y: float, qual_y_prime: float) -> float:
-    return abs(qual_y - qual_y_prime)
-
-
 def judge_case(record: TranslationRecord, config: JudgeConfig) -> Verdict:
     """Judge one scored record. Low base quality takes precedence as the reason."""
     if record.error is not None or record.qual_y is None or record.qual_y_prime is None:
         raise ValueError(f"record {record.case_id!r} was not scored")
-    gap = diff(record.qual_y, record.qual_y_prime)
+    gap = abs(record.qual_y - record.qual_y_prime)
     if record.qual_y < config.alpha:
         passed, reason = False, FAIL_LOW_BASE_QUALITY
     elif gap > config.beta:
@@ -154,7 +150,7 @@ def score_records(
             record.qual_y_prime = scorer.score(source_prime, record.y_prime, reference_prime)
         except BackendError as exc:
             record.error = str(exc)
-            record.error_kind = "backend"
+            record.error_kind = exc.error_kind
         return record
 
     return map_jobs(run, kept, jobs)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtbehave.backends import Backends, BackendError, BackendSpec, _StubTransport, Backend
+from mtbehave.backends import BackendError, BackendSpec, _StubTransport, Backend
 from mtbehave.casegen import (
     STATUS_DROPPED_IDENTICAL,
     STATUS_DROPPED_QUALITY,
@@ -329,22 +329,22 @@ def generation_corpus():
     )
 
 
+# The quality filter's default threshold.
+BETA = JudgeConfig().beta
+
+
 def generation_backends(src="store", ref="门店"):
-    return Backends(
-        infill=stub_backend("infill-stub", "infill", src=src, ref=ref),
-        scorer_ref_free=stub_backend("qe-stub", "scorer_ref_free", mode="constant", value=0.9),
+    """The infill and reference-free scorer stubs, in generate_cases' order."""
+    return (
+        stub_backend("infill-stub", "infill", src=src, ref=ref),
+        stub_backend("qe-stub", "scorer_ref_free", mode="constant", value=0.9),
     )
 
 
 class TestGenerateCases:
     def test_generates_kept_cases_with_stub_backends(self):
         cases = generate_cases(
-            generation_corpus(),
-            Capability.NOUN,
-            per_pair=1,
-            backends=generation_backends(),
-            judge_config=JudgeConfig(),
-            seed=7,
+            generation_corpus(), Capability.NOUN, 1, *generation_backends(), BETA, seed=7
         )
         # Only p1 has a NOUN segment; p2 has none and p3 is unaligned.
         assert [case.case_id for case in cases] == ["p1-noun-000"]
@@ -359,23 +359,14 @@ class TestGenerateCases:
 
     def test_identity_fill_is_dropped_as_identical(self):
         cases = generate_cases(
-            generation_corpus(),
-            Capability.NOUN,
-            per_pair=1,
-            backends=generation_backends(src="shop", ref="商店"),
-            judge_config=JudgeConfig(),
-            seed=7,
+            generation_corpus(), Capability.NOUN, 1,
+            *generation_backends(src="shop", ref="商店"), BETA, seed=7,
         )
         assert [case.filter_status for case in cases] == [STATUS_DROPPED_IDENTICAL]
 
     def test_case_ids_number_plans_per_pair(self):
         cases = generate_cases(
-            generation_corpus(),
-            Capability.GENERAL,
-            per_pair=3,
-            backends=generation_backends(),
-            judge_config=JudgeConfig(),
-            seed=7,
+            generation_corpus(), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7
         )
         by_pair = {}
         for case in cases:
@@ -400,16 +391,13 @@ class TestGenerateCases:
         from conftest import stub_spec
 
         spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
-        backends = Backends(
-            infill=Backend(spec, transport=FailOnToday(spec)),
-            scorer_ref_free=stub_backend("qe-stub", "scorer_ref_free", mode="constant", value=0.9),
-        )
         cases = generate_cases(
             generation_corpus(),
             Capability.GENERAL,
             per_pair=1,
-            backends=backends,
-            judge_config=JudgeConfig(),
+            infill=Backend(spec, transport=FailOnToday(spec)),
+            scorer=stub_backend("qe-stub", "scorer_ref_free", mode="constant", value=0.9),
+            beta=BETA,
             seed=7,
         )
         status_by_pair = {case.pair_id: case.filter_status for case in cases}
@@ -420,26 +408,20 @@ class TestGenerateCases:
         assert "upstream exploded" in errored.error
 
     def test_truncated_replay_entry_fails_only_its_case(self, response_cache):
-        live = Backends(
-            infill=stub_backend("infill-stub", "infill", response_cache, src="store", ref="门店"),
-            scorer_ref_free=stub_backend(
-                "qe-stub", "scorer_ref_free", response_cache, mode="constant", value=0.9
-            ),
+        live = (
+            stub_backend("infill-stub", "infill", response_cache, src="store", ref="门店"),
+            stub_backend("qe-stub", "scorer_ref_free", response_cache, mode="constant", value=0.9),
         )
-        generate_cases(generation_corpus(), Capability.GENERAL, 1, live, JudgeConfig(), seed=7)
+        generate_cases(generation_corpus(), Capability.GENERAL, 1, *live, BETA, seed=7)
         for entry in (response_cache.root / "infill-stub").iterdir():
             request = json.loads(entry.read_text(encoding="utf-8"))["request"]
             if "today" in request["messages"][-1]["content"]:  # p1's prompt
                 entry.write_text('{"digest": ', encoding="utf-8")
-        replay = Backends(
-            infill=Backend(BackendSpec("infill-stub", "infill", "replay_cache"), response_cache),
-            scorer_ref_free=Backend(
-                BackendSpec("qe-stub", "scorer_ref_free", "replay_cache"), response_cache
-            ),
+        replay = (
+            Backend(BackendSpec("infill-stub", "infill", "replay_cache"), response_cache),
+            Backend(BackendSpec("qe-stub", "scorer_ref_free", "replay_cache"), response_cache),
         )
-        cases = generate_cases(
-            generation_corpus(), Capability.GENERAL, 1, replay, JudgeConfig(), seed=7
-        )
+        cases = generate_cases(generation_corpus(), Capability.GENERAL, 1, *replay, BETA, seed=7)
         by_pair = {case.pair_id: case for case in cases}
         assert by_pair["p1"].filter_status == STATUS_ERROR
         assert by_pair["p1"].error_kind == "backend"
@@ -448,36 +430,19 @@ class TestGenerateCases:
 
     def test_jobs_parameter_preserves_order(self):
         sequential = generate_cases(
-            generation_corpus(), Capability.GENERAL, 2,
-            generation_backends(), JudgeConfig(), seed=7,
+            generation_corpus(), Capability.GENERAL, 2, *generation_backends(), BETA, seed=7,
         )
         threaded = generate_cases(
-            generation_corpus(), Capability.GENERAL, 2,
-            generation_backends(), JudgeConfig(), seed=7, jobs=4,
+            generation_corpus(), Capability.GENERAL, 2, *generation_backends(), BETA, seed=7, jobs=4,
         )
         assert [c.case_id for c in threaded] == [c.case_id for c in sequential]
         assert [c.source_prime for c in threaded] == [c.source_prime for c in sequential]
-
-    def test_requires_infill_and_scorer(self):
-        with pytest.raises(ValueError, match="infill"):
-            generate_cases(
-                generation_corpus(), Capability.NOUN, 1,
-                Backends(scorer_ref_free=generation_backends().scorer_ref_free),
-                JudgeConfig(), seed=7,
-            )
-        with pytest.raises(ValueError, match="scorer"):
-            generate_cases(
-                generation_corpus(), Capability.NOUN, 1,
-                Backends(infill=generation_backends().infill),
-                JudgeConfig(), seed=7,
-            )
 
 
 class TestCasesFile:
     def test_round_trip(self, tmp_path):
         cases = generate_cases(
-            generation_corpus(), Capability.NOUN, 1,
-            generation_backends(), JudgeConfig(), seed=7,
+            generation_corpus(), Capability.NOUN, 1, *generation_backends(), BETA, seed=7
         )
         path = tmp_path / "cases.jsonl"
         write_cases(cases, path)

@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from mtbehave import __version__
@@ -482,3 +483,65 @@ class TestConfigValidation:
         result = invoke("generate", "--config", config)
         assert result.exit_code == 1
         assert "declares mismatched kind" in result.output
+
+
+# The flags of each command besides --config and --output-dir: the config
+# values it reads and its own inputs.
+COMMAND_FLAGS = {
+    "extract": [],
+    "generate": ["--cache-root", "--seed", "--jobs", "--capability", "--per-pair", "--beta"],
+    "judge": ["--cache-root", "--jobs", "--alpha", "--beta", "--exclude-low-base"],
+    "sweep": ["--alphas", "--betas"],
+    "eval": ["--gold"],
+    "report": ["--format"],
+}
+
+
+class TestCommandFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        taken = {
+            name: sorted(opt for param in command.params for opt in param.opts)
+            for name, command in main.commands.items()
+        }
+        assert taken == {
+            name: sorted(["--config", "--output-dir", *flags])
+            for name, flags in COMMAND_FLAGS.items()
+        }
+        assert sum(len(command.params) for command in main.commands.values()) == 27
+
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path):
+        config = workspace(tmp_path)
+        result = invoke("sweep", "--config", config, "--alpha", "0.5")
+        assert result.exit_code == 1
+        assert "--alpha" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["extract"],
+            ["extract", "--config", "config.json", "--bogus"],
+            ["--bogus", "extract"],
+            ["translate"],
+        ],
+        ids=["missing --config", "unknown flag", "unknown group flag", "unknown command"],
+    )
+    def test_usage_errors_exit_1(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert "Usage:" in result.output
+
+    def test_only_generate_needs_a_capability(self, tmp_path):
+        config = workspace(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        del data["capability"]
+        config.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        result = invoke("generate", "--config", config)
+        assert result.exit_code == 1
+        assert "a capability is required" in result.output
+        run_ok("generate", "--config", config, "--capability", "noun")
+        run_ok("extract", "--config", config)
+        run_ok("judge", "--config", config)
+        run_ok("sweep", "--config", config)
+        run_ok("eval", "--config", config, "--gold", write_gold(tmp_path, erroneous=True))
+        run_ok("report", "--config", config)
+        assert (tmp_path / "out" / "report.md").is_file()

@@ -211,6 +211,10 @@ class TestLoadAnnotations:
             (lambda r: r.update(phrases_ref=[[1, 0]]), "ann.jsonl:1: reference phrase span"),
             (lambda r: r.update(phrases_src=[[0]]), r"\[start, end\] list"),
             (lambda r: r.update(id="nope"), "unknown pair id"),
+            (lambda r: r.update(phrases_src=5), "ann.jsonl:1: source phrase spans must be a list"),
+            (lambda r: r.update(phrases_ref=None), "ann.jsonl:1: reference phrase spans must be a list"),
+            (lambda r: r.update(pos=[[1], "OTHER"]), r"ann.jsonl:1: unknown POS tag \[1\]"),
+            (lambda r: r.update(id=["p1"]), r"ann.jsonl:1: unknown pair id \['p1'\]"),
         ],
     )
     def test_rejects_bad_records(self, tmp_path, mutation, pattern):
