@@ -12,17 +12,18 @@ produced them; nothing is clamped or rounded here.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
-
-import requests
 
 from .codec import write_text
 from .segmentation import MASK_TOKEN
@@ -166,9 +167,11 @@ def chat_request(model_name: str | None, user_content: str) -> dict:
 
 
 class _HttpTransport:
+    """POSTs the request as JSON to the spec's endpoint, one connection per call."""
+
     def __init__(self, spec: BackendSpec):
         self.spec = spec
-        self._headers = {}
+        self._headers = {"Content-Type": "application/json"}
         if spec.auth_env_var:
             key = os.environ.get(spec.auth_env_var)
             if not key:
@@ -180,20 +183,26 @@ class _HttpTransport:
 
     def send(self, request: Mapping[str, object], context=None) -> object:
         try:
-            response = requests.post(
+            http_request = urllib.request.Request(
                 self.spec.endpoint,
-                json=request,
+                data=json.dumps(request).encode("utf-8"),
                 headers=self._headers,
-                timeout=self.spec.timeout,
             )
-        except requests.Timeout as exc:
-            raise BackendTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
+            try:
+                response = urllib.request.urlopen(http_request, timeout=self.spec.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # a non-2xx reply, read like any other
+            with response:
+                status, body = response.status, response.read()
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # a connect timeout arrives wrapped in URLError, a read timeout bare
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise BackendTimeout(str(exc)) from exc
             raise BackendError(f"request failed: {exc}") from exc
-        if response.status_code != 200:
-            raise HttpStatusError(response.status_code, response.text[:200])
+        if status != 200:
+            raise HttpStatusError(status, body.decode("utf-8", "replace")[:200])
         try:
-            return response.json()
+            return json.loads(body)
         except ValueError as exc:
             raise MalformedReplyError("response body is not JSON") from exc
 

@@ -319,34 +319,6 @@ def quality_filter(
     return STATUS_KEPT if case.score_diff <= beta else STATUS_DROPPED_QUALITY
 
 
-def _run_case(
-    case: TestCase,
-    pair: TranslationPair,
-    plan: SelectionPlan,
-    capability: Capability,
-    infill: Backend,
-    scorer: Backend,
-    beta: float,
-) -> TestCase:
-    try:
-        masked = mask_pair(pair, plan)
-        prompt = render_prompt(masked, capability)
-        case.template_id = prompt.template_id
-        raw = infill.infill(prompt)
-        case.raw_response = raw
-        case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
-        case.source_prime, case.reference_prime = parse_response(raw)
-        status = dedup(case, pair)
-        if status == STATUS_PENDING:
-            status = quality_filter(case, pair, scorer, beta)
-        case.filter_status = status
-    except (BackendError, ResponseParseError, PromptMetadataError) as exc:
-        case.filter_status = STATUS_ERROR
-        case.error = str(exc)
-        case.error_kind = exc.error_kind
-    return case
-
-
 def generate_cases(
     corpus: Corpus,
     capability: Capability,
@@ -386,7 +358,23 @@ def generate_cases(
 
     def run(item: tuple[TestCase, TranslationPair, SelectionPlan]) -> TestCase:
         case, pair, plan = item
-        return _run_case(case, pair, plan, capability, infill, scorer, beta)
+        try:
+            masked = mask_pair(pair, plan)
+            prompt = render_prompt(masked, capability)
+            case.template_id = prompt.template_id
+            raw = infill.infill(prompt)
+            case.raw_response = raw
+            case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
+            case.source_prime, case.reference_prime = parse_response(raw)
+            status = dedup(case, pair)
+            if status == STATUS_PENDING:
+                status = quality_filter(case, pair, scorer, beta)
+            case.filter_status = status
+        except (BackendError, ResponseParseError, PromptMetadataError) as exc:
+            case.filter_status = STATUS_ERROR
+            case.error = str(exc)
+            case.error_kind = exc.error_kind
+        return case
 
     return map_jobs(run, work, jobs)
 

@@ -35,7 +35,7 @@ from .casegen import (
     write_cases,
 )
 from .codec import to_row, write_json, write_jsonl, write_text
-from .corpus import CorpusError, load_corpus
+from .corpus import Corpus, CorpusError, load_corpus
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
     EmptyVerdictSet,
@@ -51,8 +51,6 @@ from .judge import (
 )
 from .report import (
     REPORT_FORMATS,
-    MissingGold,
-    MissingProjection,
     ZeroFlagged,
     ZeroGoldErrors,
     capability_table,
@@ -64,7 +62,6 @@ from .report import (
 )
 from .segmentation import MAX_PLANS_PER_PAIR, Capability, extract_editable
 
-EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
@@ -142,11 +139,9 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
         and {"pairs", "alignments", "annotations"} <= set(corpus_section),
         f"{path}: corpus section must name pairs, alignments, and annotations files",
     )
-    corpus_paths = {}
-    for name in ("pairs", "alignments", "annotations"):
-        file_path = base / str(corpus_section[name])
-        _expect(file_path.is_file(), f"corpus {name} file not found: {file_path}")
-        corpus_paths[name] = file_path
+    corpus_paths = {
+        name: base / str(corpus_section[name]) for name in ("pairs", "alignments", "annotations")
+    }
 
     capability_value = overrides.get("capability", data.get("capability"))
     capability = None
@@ -292,7 +287,7 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *a
         inputs, outputs, summary = runner(config, *args)
     except ConfigError as exc:
         _die(EXIT_USAGE, str(exc))
-    except (CorpusError, EmptyVerdictSet, MissingGold, MissingProjection, ValueError) as exc:
+    except ValueError as exc:  # every data error (CorpusError, MissingGold, ...) is one
         _die(EXIT_DATA, str(exc))
     except BackendError as exc:
         _die(EXIT_BACKEND, str(exc))
@@ -300,8 +295,12 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *a
     click.echo(summary)
 
 
-def _corpus_inputs(config: RunConfig) -> list[Path]:
-    return [config.pairs_path, config.alignments_path, config.annotations_path]
+def _load_corpus(config: RunConfig) -> tuple[Corpus, list[Path]]:
+    """The corpus and its three files; only the stages that read it check them."""
+    paths = [config.pairs_path, config.alignments_path, config.annotations_path]
+    for name, path in zip(("pairs", "alignments", "annotations"), paths):
+        _expect(path.is_file(), f"corpus {name} file not found: {path}")
+    return load_corpus(*paths), paths
 
 
 def _build_backends(config: RunConfig, *slots: str) -> list[Backend]:
@@ -335,7 +334,7 @@ def _require_artifact(path: Path, producer: str) -> Path:
 
 
 def _run_extract(config: RunConfig) -> tuple[list[Path], list[Path], str]:
-    corpus = load_corpus(config.pairs_path, config.alignments_path, config.annotations_path)
+    corpus, corpus_paths = _load_corpus(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "segments.jsonl"
     segments = [
@@ -345,12 +344,12 @@ def _run_extract(config: RunConfig) -> tuple[list[Path], list[Path], str]:
     ]
     write_jsonl(out_path, ({"pair_id": pair_id, **to_row(seg)} for pair_id, seg in segments))
     summary = f"extracted {len(segments)} editable segments from {len(corpus)} pairs -> {out_path}"
-    return _corpus_inputs(config), [out_path], summary
+    return corpus_paths, [out_path], summary
 
 
 def _run_generate(config: RunConfig) -> tuple[list[Path], list[Path], str]:
     _expect(config.capability is not None, "a capability is required (config or --capability)")
-    corpus = load_corpus(config.pairs_path, config.alignments_path, config.annotations_path)
+    corpus, corpus_paths = _load_corpus(config)
     infill, scorer = _build_backends(config, "infill", "scorer_ref_free")
     cases = generate_cases(
         corpus,
@@ -373,11 +372,11 @@ def _run_generate(config: RunConfig) -> tuple[list[Path], list[Path], str]:
         f"quality-dropped {counts[STATUS_DROPPED_QUALITY]}, errors {counts[STATUS_ERROR]}) "
         f"-> {out_path}"
     )
-    return _corpus_inputs(config), [out_path], summary
+    return corpus_paths, [out_path], summary
 
 
 def _run_judge(config: RunConfig) -> tuple[list[Path], list[Path], str]:
-    corpus = load_corpus(config.pairs_path, config.alignments_path, config.annotations_path)
+    corpus, corpus_paths = _load_corpus(config)
     cases_path = _require_artifact(config.output_dir / "cases.jsonl", "generate")
     cases = read_cases(cases_path)
     translator, scorer = _build_backends(config, "translator", "scorer_ref_based")
@@ -403,7 +402,7 @@ def _run_judge(config: RunConfig) -> tuple[list[Path], list[Path], str]:
         f"(alpha={config.judge.alpha:g}, beta={config.judge.beta:g}, "
         f"errored {errored}) -> {verdicts_path}"
     )
-    return _corpus_inputs(config) + [cases_path], [records_path, verdicts_path], summary
+    return corpus_paths + [cases_path], [records_path, verdicts_path], summary
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
@@ -481,7 +480,7 @@ def _run_eval(config: RunConfig, gold_path: str):
 
 def _run_report(config: RunConfig, fmt: str):
     if fmt not in REPORT_FORMATS:
-        raise ConfigError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
+        raise ConfigError(f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
     verdicts_path = _require_artifact(config.output_dir / "verdicts.jsonl", "judge")
     cases_path = _require_artifact(config.output_dir / "cases.jsonl", "generate")
     verdicts = read_verdicts(verdicts_path)
@@ -489,7 +488,7 @@ def _run_report(config: RunConfig, fmt: str):
         raise EmptyVerdictSet("the verdicts file is empty; nothing to report")
     cases = read_cases(cases_path)
     rows = capability_table(verdicts, cases)
-    extension = {"json": "json", "markdown": "md", "csv": "csv"}[fmt]
+    extension, _ = REPORT_FORMATS[fmt]
     out_path = config.output_dir / f"report.{extension}"
     emit_report(rows, fmt, out_path)
     summary = f"wrote {len(rows)} report rows -> {out_path}"

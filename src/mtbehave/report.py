@@ -20,8 +20,6 @@ from .corpus import CorpusError, Span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
 
-REPORT_FORMATS = ("json", "markdown", "csv")
-
 # Column headers in the pass-rate table, in fixed capability order.
 DISPLAY_NAMES = {
     Capability.NOUN: "Noun",
@@ -294,18 +292,20 @@ def render_report_csv(rows: Sequence[CapabilityReport]) -> str:
     return buffer.getvalue()
 
 
-_RENDERERS = {
-    "json": render_report_json,
-    "markdown": render_report_markdown,
-    "csv": render_report_csv,
+# Each report format's file extension and renderer.
+REPORT_FORMATS = {
+    "json": ("json", render_report_json),
+    "markdown": ("md", render_report_markdown),
+    "csv": ("csv", render_report_csv),
 }
 
 
 def emit_report(rows: Sequence[CapabilityReport], fmt: str, path) -> None:
     """Write the table in the requested format; bytes are input-deterministic."""
-    if fmt not in _RENDERERS:
-        raise ValueError(f"unknown report format {fmt!r} (use one of {REPORT_FORMATS})")
-    write_text(path, _RENDERERS[fmt](rows))
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
+    _, render = REPORT_FORMATS[fmt]
+    write_text(path, render(rows))
 
 
 def sweep_markdown(grid: Mapping[tuple[float, float], float]) -> str:

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import mtbehave
 from mtbehave.backends import (
     Backend,
     BackendError,
@@ -345,8 +352,13 @@ class TestReplyExtraction:
 # -- live HTTP ----------------------------------------------------------------
 
 
+# Paths that fail their first call with this status and then succeed.
+FAIL_ONCE = {"/flaky": 429, "/unavailable": 503}
+SLOW_SECONDS = 0.5
+
+
 class ScriptedHandler(BaseHTTPRequestHandler):
-    state = {"flaky_calls": 0, "auth_headers": []}
+    state = {"calls": {}, "auth_headers": []}
 
     def log_message(self, *args):  # quiet
         pass
@@ -359,12 +371,21 @@ class ScriptedHandler(BaseHTTPRequestHandler):
             self._reply(200, {"choices": [{"message": {"content": "你好"}}]})
         elif self.path == "/score":
             self._reply(200, {"score": 0.42})
-        elif self.path == "/flaky":
-            ScriptedHandler.state["flaky_calls"] += 1
-            if ScriptedHandler.state["flaky_calls"] == 1:
-                self._reply(429, {"error": "slow down"})
+        elif self.path in FAIL_ONCE:
+            calls = ScriptedHandler.state["calls"]
+            calls[self.path] = calls.get(self.path, 0) + 1
+            if calls[self.path] == 1:
+                self._reply(FAIL_ONCE[self.path], {"error": "try again"})
             else:
                 self._reply(200, {"score": 0.9})
+        elif self.path == "/created":
+            self._reply(201, {"score": 0.5})
+        elif self.path == "/slow":
+            time.sleep(SLOW_SECONDS)
+            try:
+                self._reply(200, {"score": 0.1})
+            except OSError:  # the client gave up waiting
+                pass
         elif self.path == "/notjson":
             body = b"<html>not json</html>"
             self.send_response(200)
@@ -385,7 +406,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def http_server():
-    ScriptedHandler.state = {"flaky_calls": 0, "auth_headers": []}
+    ScriptedHandler.state = {"calls": {}, "auth_headers": []}
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -435,3 +456,60 @@ class TestHttpTransport:
         monkeypatch.delenv("NO_SUCH_KEY", raising=False)
         with pytest.raises(BackendError, match="NO_SUCH_KEY is not set"):
             Backend(http_spec(http_server, "/score", auth_env_var="NO_SUCH_KEY"))
+
+    def test_slow_reply_times_out_after_every_attempt(self, http_server):
+        sleeps = []
+        spec = http_spec(http_server, "/slow", timeout=0.1, max_retries=2)
+        backend = Backend(spec, sleep=sleeps.append)
+        with pytest.raises(BackendTimeout):
+            backend.score("a", "b")
+        assert sleeps == [0.25, 0.5]  # 1 + max_retries attempts
+
+    def test_connect_timeout_is_retried(self, monkeypatch):
+        def urlopen(request, timeout):
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        sleeps = []
+        backend = Backend(http_spec("http://127.0.0.1:9", "/score"), sleep=sleeps.append)
+        with pytest.raises(BackendTimeout):
+            backend.score("a", "b")
+        assert sleeps == [0.25, 0.5]
+
+    def test_503_is_retried_then_succeeds(self, http_server):
+        sleeps = []
+        backend = Backend(http_spec(http_server, "/unavailable"), sleep=sleeps.append)
+        assert backend.score("a", "b") == 0.9
+        assert sleeps == [0.25]
+        assert ScriptedHandler.state["calls"]["/unavailable"] == 2
+
+    def test_a_2xx_other_than_200_is_a_status_error(self, http_server):
+        sleeps = []
+        backend = Backend(http_spec(http_server, "/created"), sleep=sleeps.append)
+        with pytest.raises(HttpStatusError, match="HTTP 201"):
+            backend.score("a", "b")
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "base", ["http://127.0.0.1:{port}", "api.example.com"], ids=["refused", "no scheme"]
+    )
+    def test_connection_errors_fail_without_retry(self, base):
+        with socket.socket() as probe:  # nothing listens on the port once it is closed
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        sleeps = []
+        backend = Backend(http_spec(base.format(port=port), "/score"), sleep=sleeps.append)
+        with pytest.raises(BackendError, match="request failed") as caught:
+            backend.score("a", "b")
+        assert type(caught.value) is BackendError
+        assert sleeps == []
+
+
+def test_cli_import_leaves_requests_unloaded():
+    src = os.path.dirname(os.path.dirname(mtbehave.__file__))
+    code = "import sys, mtbehave.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -475,6 +475,18 @@ class TestConfigValidation:
         assert result.exit_code == 1
         assert "unknown capability 'sarcasm'" in result.output
 
+    def test_only_the_stages_that_read_the_corpus_need_its_files(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        run_ok("judge", "--config", config)
+        (tmp_path / "alignments.txt").unlink()
+        run_ok("sweep", "--config", config)
+        run_ok("eval", "--config", config, "--gold", write_gold(tmp_path, erroneous=True))
+        run_ok("report", "--config", config)
+        result = invoke("extract", "--config", config)
+        assert result.exit_code == 1
+        assert f"corpus alignments file not found: {tmp_path / 'alignments.txt'}" in result.output
+
     def test_backend_slot_kind_mismatch_is_rejected(self, tmp_path):
         write_corpus(tmp_path)
         backends = backend_section()
