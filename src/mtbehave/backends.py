@@ -20,6 +20,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -321,7 +322,8 @@ class Backend:
         self._transport = transport
         self._sleep = time.sleep if sleep is None else sleep
         self._registry_lock = threading.Lock()
-        self._in_flight: dict[str, threading.Lock] = {}
+        # digest -> [lock, number of threads holding or waiting on it]
+        self._in_flight: dict[str, list] = {}
 
     def infill(self, prompt: "PromptRequest") -> str:
         self._require_kind("infill")
@@ -364,9 +366,20 @@ class Backend:
             self.cache.put(self.spec.backend_id, digest, request, value)
             return value
 
-    def _key_lock(self, digest: str) -> threading.Lock:
+    @contextmanager
+    def _key_lock(self, digest: str):
+        """Hold the digest's in-flight lock; the last thread out drops the entry."""
         with self._registry_lock:
-            return self._in_flight.setdefault(digest, threading.Lock())
+            entry = self._in_flight.setdefault(digest, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._registry_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._in_flight[digest]
 
     def _call_upstream(self, request: dict, context, digest: str) -> object:
         if self._transport is None:
@@ -421,3 +434,31 @@ def map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def map_distinct(fn: Callable, keys: Iterable, jobs: int) -> dict:
+    """``{key: fn(key)}`` with ``fn`` called once per distinct key, via ``map_jobs``.
+
+    Keys are dispatched in first-seen order. A ``BackendError`` raised for a
+    key becomes that key's value instead of propagating; ``unwrap`` raises it
+    again where the value is read. A stage gathers the requests of all its
+    cases and passes them here together: a memo shared by per-case workers
+    would leave the cases of one pair waiting on each other's request instead
+    of keeping ``jobs`` distinct requests in flight.
+    """
+
+    def call(key):
+        try:
+            return fn(key)
+        except BackendError as exc:
+            return exc
+
+    distinct = list(dict.fromkeys(keys))
+    return dict(zip(distinct, map_jobs(call, distinct, jobs)))
+
+
+def unwrap(value: object) -> object:
+    """A ``map_distinct`` value, raising it if it is a stored ``BackendError``."""
+    if isinstance(value, BackendError):
+        raise value
+    return value

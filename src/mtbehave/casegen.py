@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable
 
-from .backends import Backend, BackendError, map_jobs
+from .backends import Backend, BackendError, map_distinct, map_jobs, unwrap
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import Corpus, Span, TranslationPair
 from .segmentation import (
@@ -303,18 +303,13 @@ def dedup(case: TestCase, original: TranslationPair) -> str:
     return STATUS_PENDING
 
 
-def quality_filter(
-    case: TestCase, original: TranslationPair, scorer: Backend, beta: float
-) -> str:
+def quality_filter(case: TestCase, q_original: float, q_edited: float, beta: float) -> str:
     """Keep the case iff the reference-free score moved by at most beta.
 
-    The scorer judges the reference given the source, for the original pair and
-    the edited pair; the absolute difference is recorded on the case.
+    ``q_original`` and ``q_edited`` are the scorer's ratings of the reference
+    given the source, for the original pair and the edited pair; the absolute
+    difference is recorded on the case.
     """
-    q_original = scorer.score(" ".join(original.source), " ".join(original.reference))
-    q_edited = scorer.score(
-        " ".join(case.source_prime), " ".join(case.reference_prime)
-    )
     case.score_diff = abs(q_original - q_edited)
     return STATUS_KEPT if case.score_diff <= beta else STATUS_DROPPED_QUALITY
 
@@ -334,8 +329,9 @@ def generate_cases(
     Pairs without eligible segments (or without any budget-satisfiable segment
     for General) are skipped. A backend, parse, or prompt failure is recorded
     on its case; the batch itself never aborts. ``scorer`` is the quality
-    filter's reference-free scorer. Deterministic for a fixed seed when the
-    backends are (stub or warm replay cache).
+    filter's reference-free scorer; each distinct pair it rates is sent once,
+    so the original pair is scored once for all of its cases. Deterministic
+    for a fixed seed when the backends are (stub or warm replay cache).
     """
     work: list[tuple[TestCase, TranslationPair, SelectionPlan]] = []
     for pair, alignment, annotation in corpus.triples():
@@ -366,17 +362,43 @@ def generate_cases(
             case.raw_response = raw
             case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
             case.source_prime, case.reference_prime = parse_response(raw)
-            status = dedup(case, pair)
-            if status == STATUS_PENDING:
-                status = quality_filter(case, pair, scorer, beta)
-            case.filter_status = status
+            case.filter_status = dedup(case, pair)
         except (BackendError, ResponseParseError, PromptMetadataError) as exc:
-            case.filter_status = STATUS_ERROR
-            case.error = str(exc)
-            case.error_kind = exc.error_kind
+            _record_error(case, exc)
         return case
 
-    return map_jobs(run, work, jobs)
+    cases = map_jobs(run, work, jobs)
+    # The quality filter's requests go out after every infill, each distinct
+    # one once, so the cases of one pair share their original pair's score.
+    pending = [
+        (case, _qe_request(pair.source, pair.reference),
+         _qe_request(case.source_prime, case.reference_prime))
+        for case, pair, _ in work
+        if case.filter_status == STATUS_PENDING
+    ]
+    scores = map_distinct(
+        lambda request: scorer.score(*request),
+        (request for _, original, edited in pending for request in (original, edited)),
+        jobs,
+    )
+    for case, original, edited in pending:
+        try:
+            q_original = unwrap(scores[original])
+            q_edited = unwrap(scores[edited])
+            case.filter_status = quality_filter(case, q_original, q_edited, beta)
+        except BackendError as exc:
+            _record_error(case, exc)
+    return cases
+
+
+def _qe_request(source: tuple[str, ...], reference: tuple[str, ...]) -> tuple[str, str]:
+    return " ".join(source), " ".join(reference)
+
+
+def _record_error(case: TestCase, exc: Exception) -> None:
+    case.filter_status = STATUS_ERROR
+    case.error = str(exc)
+    case.error_kind = exc.error_kind
 
 
 def write_cases(cases: Iterable[TestCase], path) -> None:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .backends import Backend, BackendError, map_jobs
+from .backends import Backend, BackendError, map_distinct, unwrap
 from .casegen import STATUS_KEPT, TestCase
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import Corpus
@@ -124,14 +124,17 @@ def score_records(
 ) -> list[TranslationRecord]:
     """Translate and score every kept case against one MT system.
 
-    Backend failures are recorded per record and never abort the batch. The
-    record's system_id is the translator's backend id.
+    Each distinct source is translated once and each distinct (source,
+    translation, reference) scored once, so the base sentence of a pair is
+    translated and scored once for all of its cases. Backend failures are
+    recorded per record and never abort the batch: a record keeps the fields
+    set before its first failing request, in the order y, y', qual_y, qual_y'.
+    The record's system_id is the translator's backend id.
     """
     kept = [case for case in cases if case.filter_status == STATUS_KEPT]
     system_id = translator.spec.backend_id
-
-    def run(case: TestCase) -> TranslationRecord:
-        record = TranslationRecord(case.case_id, system_id)
+    texts = []  # (x, r, x', r') per kept case
+    for case in kept:
         pair = corpus.pairs.get(case.pair_id)
         if pair is None:
             raise ValueError(
@@ -139,21 +142,40 @@ def score_records(
             )
         if case.source_prime is None or case.reference_prime is None:
             raise ValueError(f"kept case {case.case_id!r} lacks its edited texts")
-        source = " ".join(pair.source)
-        reference = " ".join(pair.reference)
-        source_prime = " ".join(case.source_prime)
-        reference_prime = " ".join(case.reference_prime)
+        texts.append((
+            " ".join(pair.source),
+            " ".join(pair.reference),
+            " ".join(case.source_prime),
+            " ".join(case.reference_prime),
+        ))
+
+    translations = map_distinct(
+        translator.translate, (s for x, _, x_prime, _ in texts for s in (x, x_prime)), jobs
+    )
+    scores = map_distinct(
+        lambda request: scorer.score(*request),
+        (
+            (source, translations[source], reference)
+            for x, r, x_prime, r_prime in texts
+            for source, reference in ((x, r), (x_prime, r_prime))
+            if not isinstance(translations[source], BackendError)
+        ),
+        jobs,
+    )
+
+    records = []
+    for case, (x, r, x_prime, r_prime) in zip(kept, texts):
+        record = TranslationRecord(case.case_id, system_id)
         try:
-            record.y = translator.translate(source)
-            record.y_prime = translator.translate(source_prime)
-            record.qual_y = scorer.score(source, record.y, reference)
-            record.qual_y_prime = scorer.score(source_prime, record.y_prime, reference_prime)
+            record.y = unwrap(translations[x])
+            record.y_prime = unwrap(translations[x_prime])
+            record.qual_y = unwrap(scores[(x, record.y, r)])
+            record.qual_y_prime = unwrap(scores[(x_prime, record.y_prime, r_prime)])
         except BackendError as exc:
             record.error = str(exc)
             record.error_kind = exc.error_kind
-        return record
-
-    return map_jobs(run, kept, jobs)
+        records.append(record)
+    return records
 
 
 def write_records(records: Iterable[TranslationRecord], path) -> None:

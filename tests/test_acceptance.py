@@ -487,16 +487,6 @@ def test_c08_sweep_monotonicity(capsys):
 
 def test_c09_quality_filter_boundary(capsys):
     with criterion(capsys, "C09", "quality-filter-boundary"):
-
-        class TableScorer:
-            """Reference-free stub scoring fixed values per (source, text)."""
-
-            def __init__(self, table):
-                self.table = table
-
-            def score(self, source, hypothesis, reference=None):
-                return self.table[(source, hypothesis)]
-
         # (q, q') per case; cases 2 and 3 sit on either side of beta = 0.05:
         # 0.85 - 0.80 = 0.04999999999999993 while 0.90 - 0.85 = 0.050000000000000044
         values = {
@@ -509,13 +499,11 @@ def test_c09_quality_filter_boundary(capsys):
         }
         expected_kept = {0: {1, 4}, 0.05: {1, 2, 4}, 1: {1, 2, 3, 4, 5, 6}}
 
+        # Reference-free scores per (source, text), as a scorer would return them.
         table = {}
-        pairs = {}
         for key, (q, q_prime) in values.items():
-            pairs[key] = make_pair(f"q{key}", f"s{key}", f"r{key}")
             table[(f"s{key}", f"r{key}")] = q
             table[(f"s{key} x", f"r{key} x")] = q_prime
-        scorer = TableScorer(table)
 
         for beta, wanted in expected_kept.items():
             kept = set()
@@ -528,7 +516,9 @@ def test_c09_quality_filter_boundary(capsys):
                     source_prime=(f"s{key}", "x"),
                     reference_prime=(f"r{key}", "x"),
                 )
-                status = quality_filter(case, pairs[key], scorer, beta)
+                status = quality_filter(
+                    case, table[(f"s{key}", f"r{key}")], table[(f"s{key} x", f"r{key} x")], beta
+                )
                 assert status in (STATUS_KEPT, STATUS_DROPPED_QUALITY)
                 if status == STATUS_KEPT:
                     kept.add(key)

@@ -29,6 +29,9 @@ from mtbehave.backends import (
     _extract_score,
     canonical_request_digest,
     chat_request,
+    map_distinct,
+    map_jobs,
+    unwrap,
 )
 
 from conftest import RecordingTransport, stub_backend, stub_spec
@@ -221,6 +224,67 @@ class TestBackendCaching:
         assert results == [0.5, 0.5]
         assert transport.call_count == 1
 
+    def test_in_flight_locks_are_released(self, response_cache):
+        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        backend = Backend(
+            stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
+        )
+        requests = [("a", str(i % 5)) for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_jobs(lambda request: backend.score(*request), requests, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [0.5] * 200
+        assert transport.call_count == 5
+        assert backend._in_flight == {}
+
+    def test_in_flight_lock_is_released_when_the_upstream_fails(self, response_cache):
+        def refuse(request, context):
+            raise HttpStatusError(400)
+
+        refuse_transport = RecordingTransport(refuse)
+        backend = Backend(
+            stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=refuse_transport
+        )
+        with pytest.raises(HttpStatusError):
+            backend.score("a", "b")
+        assert backend._in_flight == {}
+
+
+class TestMapDistinct:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_calls_once_per_distinct_key_and_stores_backend_errors(self, jobs):
+        calls = []
+
+        def shout(key):
+            calls.append(key)
+            if key == "bad":
+                raise HttpStatusError(400)
+            return key.upper()
+
+        results = map_distinct(shout, ["b", "a", "bad", "b", "bad", "a"], jobs)
+        assert list(results) == ["b", "a", "bad"]
+        assert sorted(calls) == ["a", "b", "bad"]
+        assert (results["a"], results["b"]) == ("A", "B")
+        assert isinstance(results["bad"], HttpStatusError)
+        assert unwrap(results["a"]) == "A"
+        with pytest.raises(HttpStatusError, match="HTTP 400"):
+            unwrap(results["bad"])
+
+    def test_keys_go_out_in_first_seen_order(self):
+        calls = []
+        map_distinct(calls.append, ["c", "a", "c", "b", "a"], jobs=1)
+        assert calls == ["c", "a", "b"]
+
+    def test_other_errors_propagate(self):
+        def broken(key):
+            raise ValueError(key)
+
+        with pytest.raises(ValueError, match="k"):
+            map_distinct(broken, ["k"], jobs=1)
+
 
 class FlakyTransport:
     """Fails with the queued errors, then succeeds forever."""
@@ -408,11 +472,15 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 def http_server():
     ScriptedHandler.state = {"calls": {}, "auth_headers": []}
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever's next poll; the default is 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def http_spec(base, path, kind="scorer_ref_free", **kwargs):

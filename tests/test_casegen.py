@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,15 +31,17 @@ from mtbehave.casegen import (
     write_cases,
 )
 from mtbehave.corpus import CorpusError
-from mtbehave.judge import JudgeConfig
+from mtbehave.judge import JudgeConfig, score_records
 from mtbehave.segmentation import Capability, EditableSegment, SelectionPlan
 
 from conftest import (
+    RecordingTransport,
     identity_links,
     make_annotation,
     make_corpus,
     make_pair,
     stub_backend,
+    stub_spec,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -248,16 +251,6 @@ class TestParseResponse:
         assert zh == tuple(zh_tokens)
 
 
-class FakeScorer:
-    """Stands in for a reference-free scorer; returns queued values."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def score(self, source, hypothesis, reference=None):
-        return self.values.pop(0)
-
-
 def pending_case(pair, source_prime, reference_prime):
     return Case(
         case_id=f"{pair.pair_id}-general-000",
@@ -285,7 +278,7 @@ class TestFilters:
         pair = make_pair("p1", "a b", "x y")
         case = pending_case(pair, "a c", "x z")
         # |0.60 - 0.57| = 0.03 <= 0.05
-        status = quality_filter(case, pair, FakeScorer(0.60, 0.57), beta=0.05)
+        status = quality_filter(case, 0.60, 0.57, beta=0.05)
         assert status == STATUS_KEPT
         assert case.score_diff == pytest.approx(0.03)
 
@@ -293,7 +286,7 @@ class TestFilters:
         pair = make_pair("p1", "a b", "x y")
         case = pending_case(pair, "a c", "x z")
         # |0.60 - 0.50| = 0.10 > 0.05
-        status = quality_filter(case, pair, FakeScorer(0.60, 0.50), beta=0.05)
+        status = quality_filter(case, 0.60, 0.50, beta=0.05)
         assert status == STATUS_DROPPED_QUALITY
         assert case.score_diff == pytest.approx(0.10)
 
@@ -301,7 +294,7 @@ class TestFilters:
         pair = make_pair("p1", "a b", "x y")
         case = pending_case(pair, "a c", "x z")
         # The diff equals beta exactly (0.25 is binary-exact), so it is kept.
-        status = quality_filter(case, pair, FakeScorer(1.0, 0.75), beta=0.25)
+        status = quality_filter(case, 1.0, 0.75, beta=0.25)
         assert status == STATUS_KEPT
 
 
@@ -388,8 +381,6 @@ class TestGenerateCases:
                     raise BackendError("upstream exploded")
                 return self.inner.send(request, context)
 
-        from conftest import stub_spec
-
         spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
         cases = generate_cases(
             generation_corpus(),
@@ -406,6 +397,36 @@ class TestGenerateCases:
         errored = next(case for case in cases if case.pair_id == "p1")
         assert errored.error_kind == "backend"
         assert "upstream exploded" in errored.error
+
+    def test_original_pair_qe_failure_marks_every_pending_case_of_the_pair(self):
+        p1_source = "the little shop closed early today"
+
+        def send(request, context=None):
+            if request["src"] == p1_source:
+                raise BackendError("original pair refused")
+            if request["src"].startswith("the little"):  # every edited p1 pair
+                raise BackendError("edited pair refused")
+            return {"score": 0.9}
+
+        qe = RecordingTransport(send)
+        scorer = Backend(stub_spec("qe-stub", "scorer_ref_free"), transport=qe)
+        infill, _ = generation_backends()
+        cases = generate_cases(
+            generation_corpus(), Capability.GENERAL, 2, infill, scorer, BETA, seed=7
+        )
+        p1_cases = [case for case in cases if case.pair_id == "p1"]
+        assert len(p1_cases) == 2
+        for case in p1_cases:
+            # The original pair is scored first, so its error is the case's.
+            assert case.filter_status == STATUS_ERROR
+            assert (case.error, case.error_kind) == ("original pair refused", "backend")
+            assert case.template_id == "general"
+            assert case.raw_response_digest is not None
+            assert case.source_prime is not None and case.reference_prime is not None
+            assert case.score_diff is None
+        assert {c.filter_status for c in cases if c.pair_id == "p2"} == {STATUS_KEPT}
+        originals = [r for r in qe.calls if r["src"] == p1_source]
+        assert len(originals) == 1
 
     def test_truncated_replay_entry_fails_only_its_case(self, response_cache):
         live = (
@@ -475,3 +496,45 @@ class TestCasesFile:
         )
         with pytest.raises(CorpusError, match="unknown filter status 'limbo'"):
             read_cases(path)
+
+
+def recorded_pipeline(jobs):
+    """generate_cases then score_records with no cache; each slot's transport records."""
+    transports = {}
+
+    def backend(backend_id, kind, **stub_params):
+        spec = stub_spec(backend_id, kind, **stub_params)
+        transports[kind] = RecordingTransport(_StubTransport(spec))
+        return Backend(spec, transport=transports[kind])
+
+    corpus = generation_corpus()
+    cases = generate_cases(
+        corpus,
+        Capability.GENERAL,
+        3,
+        backend("infill-stub", "infill", src="store", ref="门店"),
+        backend("qe-stub", "scorer_ref_free"),
+        BETA,
+        seed=7,
+        jobs=jobs,
+    )
+    records = score_records(
+        cases, corpus, backend("mt", "translator"), backend("f1", "scorer_ref_based"), jobs
+    )
+    return cases, records, transports
+
+
+class TestDistinctRequests:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_upstream_calls_equal_distinct_requests(self, jobs):
+        cases, records, transports = recorded_pipeline(jobs)
+        kept_per_pair = Counter(c.pair_id for c in cases if c.filter_status == STATUS_KEPT)
+        # Several kept cases share each base pair, so per-case work would repeat.
+        assert len(kept_per_pair) == 2 and min(kept_per_pair.values()) >= 2
+        assert len(records) == sum(kept_per_pair.values())
+        assert set(transports) == {"infill", "scorer_ref_free", "translator", "scorer_ref_based"}
+        for kind, transport in transports.items():
+            distinct = {json.dumps(request, sort_keys=True) for request in transport.calls}
+            assert transport.call_count == len(distinct), kind
+        assert (cases, records) == recorded_pipeline(1)[:2]
+

@@ -284,6 +284,58 @@ class TestScoreRecords:
         assert by_id["c3"].error_kind == "backend"
         assert by_id["c3"].qual_y is None
 
+    def sibling_cases(self):
+        """Two kept cases on p1, one on p2."""
+        return [
+            kept_case("c1", "p1", "the store closed", "门店 关门"),
+            kept_case("c2", "p1", "the shop opened", "商店 开门"),
+            kept_case("c3", "p2", "he walked home", "他 走了 回家"),
+        ]
+
+    @staticmethod
+    def refusing(text):
+        """Recorded chat upstream that answers 400 for one source text."""
+        table = {**TRANSLATIONS, "the shop opened": "商店 开门"}
+
+        def send(request, context=None):
+            source = request["messages"][-1]["content"]
+            if source == text:
+                raise HttpStatusError(400, "refused")
+            return {"choices": [{"message": {"content": table[source]}}]}
+
+        return RecordingTransport(send)
+
+    def test_base_translation_failure_marks_every_case_of_the_pair(self):
+        chat = self.refusing("the shop closed")
+        records = score_records(
+            self.sibling_cases(), scoring_corpus(), translator(chat), self.scorer(), jobs=4
+        )
+        by_id = {r.case_id: r for r in records}
+        for case_id in ("c1", "c2"):
+            failed = by_id[case_id]
+            assert (failed.error, failed.error_kind) == ("HTTP 400: refused", "backend")
+            assert failed.y is None and failed.y_prime is None
+            assert failed.qual_y is None and failed.qual_y_prime is None
+        assert by_id["c3"].error is None and by_id["c3"].qual_y == 1.0
+        sources = [request["messages"][-1]["content"] for request in chat.calls]
+        assert sources.count("the shop closed") == 1
+
+    def test_edited_translation_failure_keeps_the_base_translation(self):
+        records = score_records(
+            self.sibling_cases(),
+            scoring_corpus(),
+            translator(self.refusing("the store closed")),
+            self.scorer(),
+        )
+        by_id = {r.case_id: r for r in records}
+        failed = by_id["c1"]
+        assert failed.error == "HTTP 400: refused"
+        assert failed.y == "商店 关门"
+        assert (failed.y_prime, failed.qual_y, failed.qual_y_prime) == (None, None, None)
+        # The sibling case shares the base translation and is scored in full.
+        assert by_id["c2"].error is None
+        assert (by_id["c2"].y, by_id["c2"].qual_y) == ("商店 关门", 1.0)
+
     def test_unknown_pair_is_a_hard_error(self):
         orphan = [kept_case("c9", "ghost", "a b", "甲 乙")]
         with pytest.raises(ValueError, match="unknown pair 'ghost'"):
