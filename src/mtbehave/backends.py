@@ -4,9 +4,11 @@ A backend is declared by a :class:`BackendSpec` and reached through one of
 three transports: ``http`` (a chat-completion or scorer endpoint), ``stub``
 (deterministic local behavior for tests and dry runs), or ``replay_cache``
 (serve previously cached responses only). Every call goes through a
-content-addressed response cache when one is configured, so warm reruns never
-repeat an upstream request. Scores are returned exactly as the backend
-produced them; nothing is clamped or rounded here.
+content-addressed response cache when one is configured, so a warm rerun of
+the same spec never repeats an upstream request; a spec whose answers could
+differ (another endpoint, model or stub parameters) misses and refills.
+Scores are returned exactly as the backend produced them; nothing is clamped
+or rounded here.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ TRANSPORTS = ("http", "replay_cache", "stub")
 CHAT_SYSTEM_LINE = "You are a helpful assistant that translates English to Chinese."
 
 _BACKOFF_BASE_SECONDS = 0.25
+
+# The spec fields that can change an answer; timeout, retries and auth cannot.
+_ANSWER_FIELDS = ("kind", "transport", "endpoint", "model_name", "stub_params")
 
 
 class BackendError(Exception):
@@ -127,7 +132,11 @@ def canonical_request_digest(backend_id: str, request: Mapping[str, object]) -> 
 
 
 class ResponseCache:
-    """File-backed response cache: ``<root>/<backend_id>/<digest>.entry``."""
+    """File-backed response cache: ``<root>/<backend_id>/<digest>.entry``.
+
+    An entry stores the fingerprint of the spec that wrote it; an entry from an
+    older version has none and so misses for every live spec.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
@@ -135,21 +144,26 @@ class ResponseCache:
     def entry_path(self, backend_id: str, digest: str) -> Path:
         return self.root / backend_id / f"{digest}.entry"
 
-    def get(self, backend_id: str, digest: str) -> tuple[bool, object]:
-        """(hit, value); an absent, unreadable or malformed entry is a miss."""
+    def get(self, backend_id: str, digest: str,
+            fingerprint: str | None = None) -> tuple[bool, object]:
+        """(hit, value); an absent, unreadable or malformed entry is a miss, and so is
+        one stored under another ``fingerprint`` unless that is None."""
         try:
             with open(self.entry_path(backend_id, digest), encoding="utf-8") as handle:
-                return True, json.load(handle)["value"]
+                entry = json.load(handle)
+            if fingerprint is None or entry["fingerprint"] == fingerprint:
+                return True, entry["value"]
         except (OSError, ValueError, KeyError, TypeError):
-            return False, None
+            pass
+        return False, None
 
-    def put(
-        self, backend_id: str, digest: str, request: Mapping[str, object], value: object
-    ) -> None:
+    def put(self, backend_id: str, digest: str, request: Mapping[str, object], value: object,
+            fingerprint: str | None = None) -> None:
         path = self.entry_path(backend_id, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "digest": digest,
+            "fingerprint": fingerprint,
             "request": request,
             "value": value,
             "created_at": datetime.now(timezone.utc).isoformat(),
@@ -320,6 +334,12 @@ class Backend:
             if cache is None:
                 raise ValueError("replay_cache transport requires a response cache")
         self._transport = transport
+        # A cached answer serves only a spec with the same fingerprint. A replay
+        # spec has none: it serves whatever a live spec with its backend_id stored.
+        self.fingerprint = None
+        if spec.transport != "replay_cache":
+            answer_fields = {name: getattr(spec, name) for name in _ANSWER_FIELDS}
+            self.fingerprint = canonical_request_digest(spec.backend_id, answer_fields)
         self._sleep = time.sleep if sleep is None else sleep
         self._registry_lock = threading.Lock()
         # digest -> [lock, number of threads holding or waiting on it]
@@ -355,15 +375,15 @@ class Backend:
         digest = canonical_request_digest(self.spec.backend_id, request)
         if self.cache is None:
             return self._call_upstream(request, context, digest)
-        hit, value = self.cache.get(self.spec.backend_id, digest)
+        hit, value = self.cache.get(self.spec.backend_id, digest, self.fingerprint)
         if hit:
             return value
         with self._key_lock(digest):
-            hit, value = self.cache.get(self.spec.backend_id, digest)
+            hit, value = self.cache.get(self.spec.backend_id, digest, self.fingerprint)
             if hit:
                 return value
             value = self._call_upstream(request, context, digest)
-            self.cache.put(self.spec.backend_id, digest, request, value)
+            self.cache.put(self.spec.backend_id, digest, request, value, self.fingerprint)
             return value
 
     @contextmanager

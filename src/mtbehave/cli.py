@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 import click
 
 from . import __version__
-from .backends import Backend, BackendError, BackendSpec, ResponseCache
+from .backends import KINDS, Backend, BackendError, BackendSpec, ResponseCache
 from .casegen import (
     STATUS_DROPPED_IDENTICAL,
     STATUS_DROPPED_QUALITY,
@@ -69,41 +69,9 @@ EXIT_BACKEND = 3
 DEFAULT_SWEEP_ALPHAS = "0.5,0.6,0.7,0.8"
 DEFAULT_SWEEP_BETAS = "0.02,0.05,0.08,0.11"
 
-_CONFIG_KEYS = {
-    "corpus",
-    "capability",
-    "per_pair",
-    "seed",
-    "jobs",
-    "judge",
-    "cache_root",
-    "output_dir",
-    "backends",
-    "exclude_low_base",
-}
-
 
 class ConfigError(Exception):
     """The run config (file or flags) cannot be used."""
-
-
-@dataclass
-class RunConfig:
-    """A fully merged and validated run configuration."""
-
-    pairs_path: Path
-    alignments_path: Path
-    annotations_path: Path
-    capability: Capability | None = None
-    per_pair: int = 1
-    seed: int = 0
-    jobs: int = 1
-    judge: JudgeConfig = field(default_factory=JudgeConfig)
-    output_dir: Path = Path("out")
-    cache_root: Path | None = None
-    backend_specs: dict[str, BackendSpec] = field(default_factory=dict)
-    exclude_low_base: bool = False
-    config_digest: str = ""
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -111,112 +79,120 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _as_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _reject_unknown(section: dict, known: Iterable[str], path: Path, what: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    _expect(not unknown, f"{path}: unknown {what} keys: {unknown}")
+
+
+# Each reader is called as read(key, value, path) on a key's raw JSON value,
+# never None; path is the config file, or None for a flag's value. A path from
+# the file resolves against the file's directory; a flag's is used as given.
+
+
+def _read_int(low: int | None = None, high: int | None = None):
+    def read(key: str, value, path) -> int:
+        _expect(type(value) is int, f"{key} must be an integer, got {value!r}")
+        in_range = (low is None or value >= low) and (high is None or value <= high)
+        bounds = f"between {low} and {high}" if high is not None else f"at least {low}"
+        _expect(in_range, f"{key} must be {bounds}, got {value}")
+        return value
+
+    return read
+
+
+def _read_bool(key: str, value, path) -> bool:
+    _expect(isinstance(value, bool), f"{key} must be a boolean")
     return value
 
 
+def _read_path(key: str, value, path) -> Path:
+    return Path(str(value)) if path is None else path.parent / str(value)
+
+
+def _read_capability(key: str, value, path) -> Capability:
+    valid = [capability.value for capability in Capability]
+    _expect(str(value) in valid, f"unknown capability {value!r} (valid: {', '.join(valid)})")
+    return Capability(str(value))
+
+
+def _read_corpus(key: str, section, path) -> dict[str, Path]:
+    names = ("pairs", "alignments", "annotations")
+    _expect(
+        isinstance(section, dict) and all(section.get(name) is not None for name in names),
+        f"{path}: corpus section must name pairs, alignments, and annotations files",
+    )
+    _reject_unknown(section, names, path, "corpus")
+    return {name: _read_path(name, section[name], path) for name in names}
+
+
+def _read_judge(key: str, section, path) -> JudgeConfig:
+    _expect(isinstance(section, dict), f"{path}: judge section must be an object")
+    _reject_unknown(section, (item.name for item in fields(JudgeConfig)), path, "judge")
+    for name, value in section.items():
+        _expect(
+            value is None or type(value) in (int, float),
+            f"bad judge thresholds: {name} must be a number, got {value!r}",
+        )
+    try:
+        return JudgeConfig(**{name: float(value) for name, value in section.items() if value is not None})
+    except ValueError as exc:
+        raise ConfigError(f"bad judge thresholds: {exc}") from exc
+
+
+def _read_backends(key: str, section, path) -> dict:
+    _expect(isinstance(section, dict), f"{path}: backends section must be an object")
+    for slot in section:
+        _expect(slot in KINDS, f"backend {slot!r}: unknown backend kind {slot!r}")
+    return dict(section)
+
+
+@dataclass
+class RunConfig:
+    """A merged and validated run config.
+
+    Every field but the digest is a config key: its ``read`` checks the key's
+    value, and its ``default`` is the raw value that an absent key stands for.
+    """
+
+    corpus: dict[str, Path] = field(metadata={"read": _read_corpus, "default": {}})
+    capability: Capability | None = field(metadata={"read": _read_capability, "default": None})
+    per_pair: int = field(metadata={"read": _read_int(1, MAX_PLANS_PER_PAIR), "default": 1})
+    seed: int = field(metadata={"read": _read_int(), "default": 0})
+    jobs: int = field(metadata={"read": _read_int(1), "default": 1})
+    judge: JudgeConfig = field(metadata={"read": _read_judge, "default": {}})
+    cache_root: Path | None = field(metadata={"read": _read_path, "default": None})
+    output_dir: Path = field(metadata={"read": _read_path, "default": "out"})
+    backends: dict = field(metadata={"read": _read_backends, "default": {}})
+    exclude_low_base: bool = field(metadata={"read": _read_bool, "default": False})
+    config_digest: str = ""
+
+
 def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> RunConfig:
-    """Load the config file and apply non-None flag overrides on top."""
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    """Load the config file and apply non-None flag overrides on top; a JSON null
+    counts as absent, and ``alpha``/``beta`` override the judge section's keys."""
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     path = Path(config_path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    _expect(path.is_file(), f"config file not found: {path}")
     blob = path.read_bytes()
     try:
         data = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8 text
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     _expect(isinstance(data, dict), f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    _expect(not unknown, f"{path}: unknown config keys: {unknown}")
-    base = path.parent
-
-    corpus_section = data.get("corpus")
-    _expect(
-        isinstance(corpus_section, dict)
-        and {"pairs", "alignments", "annotations"} <= set(corpus_section),
-        f"{path}: corpus section must name pairs, alignments, and annotations files",
-    )
-    corpus_paths = {
-        name: base / str(corpus_section[name]) for name in ("pairs", "alignments", "annotations")
-    }
-
-    capability_value = overrides.get("capability", data.get("capability"))
-    capability = None
-    if capability_value is not None:
-        try:
-            capability = Capability(str(capability_value))
-        except ValueError:
-            valid = ", ".join(c.value for c in Capability)
-            raise ConfigError(f"unknown capability {capability_value!r} (valid: {valid})")
-
-    per_pair = _as_int(overrides.get("per_pair", data.get("per_pair", 1)), "per_pair")
-    _expect(
-        1 <= per_pair <= MAX_PLANS_PER_PAIR,
-        f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {per_pair}",
-    )
-    seed = _as_int(overrides.get("seed", data.get("seed", 0)), "seed")
-    jobs = _as_int(overrides.get("jobs", data.get("jobs", 1)), "jobs")
-    _expect(jobs >= 1, f"jobs must be at least 1, got {jobs}")
-
-    judge_section = data.get("judge", {})
-    _expect(isinstance(judge_section, dict), f"{path}: judge section must be an object")
-    alpha = overrides.get("alpha", judge_section.get("alpha", 0.8))
-    beta = overrides.get("beta", judge_section.get("beta", 0.05))
-    try:
-        judge_config = JudgeConfig(float(alpha), float(beta))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad judge thresholds: {exc}") from exc
-
-    backend_specs: dict[str, BackendSpec] = {}
-    backends_section = data.get("backends", {})
-    _expect(isinstance(backends_section, dict), f"{path}: backends section must be an object")
-    for slot, spec_data in backends_section.items():
-        _expect(isinstance(spec_data, dict), f"backend {slot!r} must be an object")
-        spec_data = dict(spec_data)
-        spec_data.setdefault("kind", slot)
-        _expect(
-            spec_data["kind"] == slot,
-            f"backend slot {slot!r} declares mismatched kind {spec_data['kind']!r}",
-        )
-        try:
-            backend_specs[slot] = BackendSpec.from_dict(spec_data)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"backend {slot!r}: {exc}") from exc
-
-    output_value = overrides.get("output_dir")
-    if output_value is not None:
-        output_dir = Path(str(output_value))
-    else:
-        output_dir = base / str(data.get("output_dir", "out"))
-    cache_value = overrides.get("cache_root")
-    if cache_value is not None:
-        cache_root = Path(str(cache_value))
-    elif data.get("cache_root") is not None:
-        cache_root = base / str(data["cache_root"])
-    else:
-        cache_root = None
-
-    exclude_low_base = overrides.get("exclude_low_base", data.get("exclude_low_base", False))
-    _expect(isinstance(exclude_low_base, bool), "exclude_low_base must be a boolean")
-
-    return RunConfig(
-        pairs_path=corpus_paths["pairs"],
-        alignments_path=corpus_paths["alignments"],
-        annotations_path=corpus_paths["annotations"],
-        capability=capability,
-        per_pair=per_pair,
-        seed=seed,
-        jobs=jobs,
-        judge=judge_config,
-        output_dir=output_dir,
-        cache_root=cache_root,
-        backend_specs=backend_specs,
-        exclude_low_base=exclude_low_base,
-        config_digest=hashlib.sha256(blob).hexdigest(),
-    )
+    keys = [item for item in fields(RunConfig) if "read" in item.metadata]
+    _reject_unknown(data, (item.name for item in keys), path, "config")
+    values = {}
+    for item in keys:
+        value, origin = flags.get(item.name), None
+        if value is None:
+            value, origin = data.get(item.name), path
+        if value is None:
+            value = item.metadata["default"]
+        values[item.name] = None if value is None else item.metadata["read"](item.name, value, origin)
+    judge_flags = {item.name: flags[item.name] for item in fields(JudgeConfig) if item.name in flags}
+    if judge_flags:
+        values["judge"] = _read_judge("judge", {**asdict(values["judge"]), **judge_flags}, path)
+    return RunConfig(**values, config_digest=hashlib.sha256(blob).hexdigest())
 
 
 def _file_digest(path: Path) -> str:
@@ -277,12 +253,9 @@ StageRunner = Callable[..., tuple[list[Path], list[Path], str]]
 
 
 def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *args) -> None:
-    try:
-        config = load_run_config(config_path, overrides)
-    except ConfigError as exc:
-        _die(EXIT_USAGE, str(exc))
     started_at = _now()
     try:
+        config = load_run_config(config_path, overrides)
         manifest = RunManifest.load(config.output_dir / "manifest.json")
         inputs, outputs, summary = runner(config, *args)
     except ConfigError as exc:
@@ -297,23 +270,24 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *a
 
 def _load_corpus(config: RunConfig) -> tuple[Corpus, list[Path]]:
     """The corpus and its three files; only the stages that read it check them."""
-    paths = [config.pairs_path, config.alignments_path, config.annotations_path]
-    for name, path in zip(("pairs", "alignments", "annotations"), paths):
+    for name, path in config.corpus.items():
         _expect(path.is_file(), f"corpus {name} file not found: {path}")
-    return load_corpus(*paths), paths
+    return load_corpus(*config.corpus.values()), list(config.corpus.values())
 
 
 def _build_backends(config: RunConfig, *slots: str) -> list[Backend]:
-    """The backends of the named slots, in slot order, sharing one cache."""
+    """The named slots' backends, in slot order, sharing one cache; only their specs are parsed."""
     cache = ResponseCache(config.cache_root) if config.cache_root is not None else None
     built = []
     for slot in slots:
-        spec = config.backend_specs.get(slot)
-        if spec is None:
-            raise ConfigError(f"config declares no {slot!r} backend")
+        spec = config.backends.get(slot)
+        _expect(spec is not None, f"config declares no {slot!r} backend")
+        _expect(isinstance(spec, dict), f"backend {slot!r} must be an object")
+        spec = {"kind": slot, **spec}
+        _expect(spec["kind"] == slot, f"backend slot {slot!r} declares mismatched kind {spec['kind']!r}")
         try:
-            built.append(Backend(spec, cache=cache))
-        except ValueError as exc:
+            built.append(Backend(BackendSpec.from_dict(spec), cache=cache))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {slot!r}: {exc}") from exc
     return built
 
@@ -328,8 +302,7 @@ def _fail_if_all_backend_errors(results: list, attempts: str) -> None:
 
 
 def _require_artifact(path: Path, producer: str) -> Path:
-    if not path.is_file():
-        raise ConfigError(f"{path} not found; run {producer} first")
+    _expect(path.is_file(), f"{path} not found; run {producer} first")
     return path
 
 
@@ -415,8 +388,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
             values.append(float(part))
         except ValueError:
             raise ConfigError(f"{name} must be comma-separated numbers, got {part!r}")
-    if not values:
-        raise ConfigError(f"{name} must list at least one value")
+    _expect(bool(values), f"{name} must list at least one value")
     return values
 
 
@@ -447,8 +419,7 @@ def _run_eval(config: RunConfig, gold_path: str):
     verdicts_path = _require_artifact(config.output_dir / "verdicts.jsonl", "judge")
     verdicts = read_verdicts(verdicts_path)
     gold_file = Path(gold_path)
-    if not gold_file.is_file():
-        raise ConfigError(f"gold file not found: {gold_file}")
+    _expect(gold_file.is_file(), f"gold file not found: {gold_file}")
     gold = load_gold(gold_file)
     result: dict[str, object] = {}
     undefined: dict[str, str] = {}
@@ -479,8 +450,7 @@ def _run_eval(config: RunConfig, gold_path: str):
 
 
 def _run_report(config: RunConfig, fmt: str):
-    if fmt not in REPORT_FORMATS:
-        raise ConfigError(f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
+    _expect(fmt in REPORT_FORMATS, f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
     verdicts_path = _require_artifact(config.output_dir / "verdicts.jsonl", "judge")
     cases_path = _require_artifact(config.output_dir / "cases.jsonl", "generate")
     verdicts = read_verdicts(verdicts_path)

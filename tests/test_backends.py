@@ -11,6 +11,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -190,6 +191,43 @@ class TestBackendCaching:
         again = Backend(spec, cache=response_cache, transport=transport)
         assert again.score("a", "b") == 0.5
         assert transport.call_count == 1
+
+    def test_a_reconfigured_spec_is_not_served_the_old_answer(self, response_cache):
+        old = stub_backend("qe", "scorer_ref_free", cache=response_cache, mode="constant", value=0.1)
+        assert old.score("a", "b") == 0.1
+        new = stub_backend("qe", "scorer_ref_free", cache=response_cache, mode="constant", value=0.9)
+        assert new.score("a", "b") == 0.9
+        replay = Backend(BackendSpec("qe", "scorer_ref_free", "replay_cache"), cache=response_cache)
+        assert replay.score("a", "b") == 0.9
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"endpoint": "http://other.invalid"}, {"model_name": "other"}, {"transport": "http"}],
+    )
+    def test_each_answer_field_changes_the_fingerprint(self, change):
+        spec = BackendSpec("mt", "translator", "stub", endpoint="http://one.invalid", model_name="m")
+        assert Backend(replace(spec, **change)).fingerprint != Backend(spec).fingerprint
+
+    def test_timeout_retries_and_auth_keep_the_fingerprint(self, response_cache):
+        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        spec = stub_spec("s", "scorer_ref_free")
+        Backend(spec, cache=response_cache, transport=transport).score("a", "b")
+        same = replace(spec, timeout=5.0, max_retries=0, auth_env_var="UNSET_KEY")
+        assert Backend(same, cache=response_cache, transport=transport).score("a", "b") == 0.5
+        assert transport.call_count == 1
+
+    def test_an_entry_without_a_fingerprint_is_refilled(self, response_cache):
+        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        backend = Backend(
+            stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
+        )
+        digest = canonical_request_digest("s", {"src": "a", "hyp": "b"})
+        response_cache.put("s", digest, {"src": "a", "hyp": "b"}, 0.3)
+        assert backend.score("a", "b") == 0.5
+        assert backend.score("a", "b") == 0.5
+        assert transport.call_count == 1
+        entry = json.loads(response_cache.entry_path("s", digest).read_text(encoding="utf-8"))
+        assert entry["fingerprint"] == backend.fingerprint
 
     def test_no_cache_means_every_call_goes_up(self):
         transport = RecordingTransport(lambda request, context: {"score": 0.5})

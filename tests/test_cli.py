@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from click.testing import CliRunner
 
 from mtbehave import __version__
 from mtbehave.casegen import STATUS_KEPT, read_cases
-from mtbehave.cli import main
+from mtbehave.cli import RunConfig, main
+from mtbehave.segmentation import MAX_PLANS_PER_PAIR
 
 from dumpers import load_report
 
@@ -95,7 +97,7 @@ def write_corpus(root: Path) -> None:
     )
 
 
-def write_config(root: Path, name="config.json", **changes) -> Path:
+def config_document(**changes) -> dict:
     config = {
         "corpus": {
             "pairs": "pairs.tsv",
@@ -111,9 +113,19 @@ def write_config(root: Path, name="config.json", **changes) -> Path:
         "backends": backend_section(),
     }
     config.update(changes)
-    path = root / name
-    path.write_text(json.dumps(config, ensure_ascii=False, indent=1), encoding="utf-8")
+    return config
+
+
+def write_document(path: Path, document: object) -> Path:
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(json.dumps(document, ensure_ascii=False, indent=1), encoding="utf-8")
     return path
+
+
+def write_config(root: Path, name="config.json", **changes) -> Path:
+    return write_document(root / name, config_document(**changes))
 
 
 def workspace(root: Path) -> Path:
@@ -454,6 +466,98 @@ class TestManifest:
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
 
+def with_slot(slot, spec):
+    return config_document(backends={**backend_section(), slot: spec})
+
+
+def with_corpus(**files):
+    return config_document(corpus=files)
+
+
+# (config document, error message): each config is wrong in one way, and
+# `generate`, which reads every key and builds the infill slot, exits 1 on it.
+# "{config}" stands for the config file's path.
+CONFIG_ERRORS = [
+    pytest.param(
+        config_document(per_pair=MAX_PLANS_PER_PAIR + 1),
+        f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {MAX_PLANS_PER_PAIR + 1}",
+        id="per_pair out of range",
+    ),
+    pytest.param(
+        config_document(per_pair="3"), "per_pair must be an integer, got '3'", id="per_pair string"
+    ),
+    pytest.param(config_document(jobs=0), "jobs must be at least 1, got 0", id="jobs 0"),
+    pytest.param(config_document(seed=1.5), "seed must be an integer, got 1.5", id="seed float"),
+    pytest.param(config_document(seed=True), "seed must be an integer, got True", id="seed bool"),
+    pytest.param(
+        config_document(judge=[0.8]), "{config}: judge section must be an object", id="judge list"
+    ),
+    pytest.param(
+        config_document(judge={"beta": -0.1}),
+        "bad judge thresholds: beta must not be negative",
+        id="negative beta",
+    ),
+    pytest.param(
+        config_document(backends=["infill"]),
+        "{config}: backends section must be an object",
+        id="backends list",
+    ),
+    pytest.param(with_slot("infill", "stub"), "backend 'infill' must be an object", id="slot string"),
+    pytest.param(
+        with_slot("infill", {"backend_id": "i", "transport": "pigeon"}),
+        "backend 'infill': unknown transport 'pigeon'",
+        id="unknown transport",
+    ),
+    pytest.param(
+        with_slot("infill", {"transport": "stub"}),
+        "backend 'infill': backend spec is missing 'backend_id'",
+        id="spec without backend_id",
+    ),
+    pytest.param(
+        config_document(exclude_low_base="yes"),
+        "exclude_low_base must be a boolean",
+        id="exclude_low_base string",
+    ),
+    pytest.param([config_document()], "{config}: config must be a JSON object", id="config list"),
+    pytest.param(
+        with_corpus(pairs="pairs.tsv", alignments="alignments.txt"),
+        "{config}: corpus section must name pairs, alignments, and annotations files",
+        id="corpus without annotations",
+    ),
+    pytest.param(
+        config_document(corpus="pairs.tsv"),
+        "{config}: corpus section must name pairs, alignments, and annotations files",
+        id="corpus string",
+    ),
+    pytest.param(
+        config_document(judge={"alpah": 0.7}),
+        "{config}: unknown judge keys: ['alpah']",
+        id="unknown judge key",
+    ),
+    pytest.param(
+        with_corpus(
+            pairs="pairs.tsv",
+            alignments="alignments.txt",
+            annotations="annotations.jsonl",
+            gold="gold.jsonl",
+        ),
+        "{config}: unknown corpus keys: ['gold']",
+        id="unknown corpus key",
+    ),
+    pytest.param(
+        config_document(judge={"alpha": True}),
+        "bad judge thresholds: alpha must be a number, got True",
+        id="bool alpha",
+    ),
+    pytest.param(
+        config_document(judge={"beta": "0.05"}),
+        "bad judge thresholds: beta must be a number, got '0.05'",
+        id="string beta",
+    ),
+    pytest.param(b'{"seed": "\xff"}', "{config}: not valid JSON", id="config not UTF-8"),
+]
+
+
 class TestConfigValidation:
     def test_unknown_keys_are_rejected(self, tmp_path):
         write_corpus(tmp_path)
@@ -487,6 +591,52 @@ class TestConfigValidation:
         assert result.exit_code == 1
         assert f"corpus alignments file not found: {tmp_path / 'alignments.txt'}" in result.output
 
+    @pytest.mark.parametrize("document, message", CONFIG_ERRORS)
+    def test_each_config_error_exits_1_with_its_message(self, tmp_path, document, message):
+        write_corpus(tmp_path)
+        config = write_document(tmp_path / "bad.json", document)
+        result = invoke("generate", "--config", config)
+        assert result.exit_code == 1
+        assert f"error: {message.format(config=config)}" in result.output
+
+    def test_null_reads_as_an_absent_key(self, tmp_path):
+        write_corpus(tmp_path)
+        nulls = dict.fromkeys(["output_dir", "cache_root", "per_pair", "seed", "jobs"])
+        config = write_config(tmp_path, "nulls.json", judge={"alpha": None}, **nulls)
+        result = run_ok("generate", "--config", config)
+        assert f"-> {tmp_path / 'out' / 'cases.jsonl'}" in result.output
+        result = run_ok("judge", "--config", config)
+        assert "(alpha=0.8, beta=0.05, errored 0)" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["out"]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest[0]["seed"] == 0
+
+    def test_a_flag_overrides_one_judge_key_and_keeps_the_other(self, tmp_path):
+        config = write_config(tmp_path, judge={"alpha": 0.5, "beta": 0.2})
+        write_corpus(tmp_path)
+        run_ok("generate", "--config", config)
+        result = run_ok("judge", "--config", config, "--beta", "0.1")
+        assert "(alpha=0.5, beta=0.1," in result.output
+        result = invoke("judge", "--config", config, "--beta", "-1")
+        assert result.exit_code == 1
+        assert "bad judge thresholds: beta must not be negative" in result.output
+
+    def test_a_bad_spec_fails_only_the_stage_that_builds_its_slot(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        run_ok("judge", "--config", config)
+        backends = backend_section()
+        backends["translator"]["transport"] = "nope"
+        config = write_config(tmp_path, backends=backends)
+        run_ok("extract", "--config", config)
+        run_ok("generate", "--config", config)
+        run_ok("sweep", "--config", config)
+        run_ok("eval", "--config", config, "--gold", write_gold(tmp_path, erroneous=True))
+        run_ok("report", "--config", config)
+        result = invoke("judge", "--config", config)
+        assert result.exit_code == 1
+        assert "error: backend 'translator': unknown transport 'nope'" in result.output
+
     def test_backend_slot_kind_mismatch_is_rejected(self, tmp_path):
         write_corpus(tmp_path)
         backends = backend_section()
@@ -495,6 +645,14 @@ class TestConfigValidation:
         result = invoke("generate", "--config", config)
         assert result.exit_code == 1
         assert "declares mismatched kind" in result.output
+
+
+def test_the_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Key | Type | Default | Flag | Read by |\n|---|---|---|---|---|\n")[1]
+    rows = table.split("\n\n")[0].splitlines()
+    listed = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert listed == [item.name for item in fields(RunConfig) if "read" in item.metadata]
 
 
 # The flags of each command besides --config and --output-dir: the config
