@@ -14,21 +14,16 @@ or rounded here.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .codec import write_text
 from .segmentation import MASK_TOKEN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,18 +89,30 @@ class BackendSpec:
     stub_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.backend_id, str):
+            raise ValueError(f"backend_id must be a string, got {self.backend_id!r}")
         if not self.backend_id:
             raise ValueError("backend_id must not be empty")
         if self.kind not in KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
+        for name in ("endpoint", "model_name", "auth_env_var"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.transport == "http" and not self.endpoint:
             raise ValueError("http transport requires an endpoint")
-        if self.timeout <= 0:
+        if type(self.timeout) not in (int, float):
+            raise ValueError(f"timeout must be a number, got {self.timeout!r}")
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
+        if type(self.max_retries) is not int:
+            raise ValueError(f"max_retries must be an integer, got {self.max_retries!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must not be negative")
+        if not isinstance(self.stub_params, Mapping):
+            raise ValueError(f"stub_params must be an object, got {self.stub_params!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "BackendSpec":
@@ -131,44 +138,106 @@ def canonical_request_digest(backend_id: str, request: Mapping[str, object]) -> 
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResponseCache:
-    """File-backed response cache: ``<root>/<backend_id>/<digest>.entry``.
+class CacheError(Exception):
+    """The response cache file cannot be opened, read or written."""
 
-    An entry stores the fingerprint of the spec that wrote it; an entry from an
-    older version has none and so misses for every live spec.
+
+# Buffered puts are committed in one transaction once this many are pending.
+_COMMIT_EVERY = 256
+# How long a write waits for another process's transaction before it fails.
+_BUSY_TIMEOUT_SECONDS = 60.0
+_CREATE_TABLE = (
+    "CREATE TABLE IF NOT EXISTS entries (backend_id TEXT NOT NULL, digest TEXT NOT NULL, "
+    "fingerprint TEXT, value TEXT, PRIMARY KEY (backend_id, digest)) WITHOUT ROWID"
+)
+_SELECT = "SELECT fingerprint, value FROM entries WHERE backend_id = ? AND digest = ?"
+
+
+class ResponseCache:
+    """Response cache in one SQLite file, ``<root>/cache.sqlite``.
+
+    A row per ``(backend_id, digest)`` holds the fingerprint of the spec that
+    wrote it and the answer as JSON text; an answer written later replaces it.
+    ``put`` buffers answers and commits them ``_COMMIT_EVERY`` at a time, and
+    ``close`` commits the rest. A run served wholly from the cache writes
+    nothing. The threads of one process share one connection behind a lock;
+    another process's writes are waited on, up to ``_BUSY_TIMEOUT_SECONDS``.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-
-    def entry_path(self, backend_id: str, digest: str) -> Path:
-        return self.root / backend_id / f"{digest}.entry"
+        self.path = self.root / "cache.sqlite"
+        self._lock = threading.Lock()
+        self._db = None
+        # (backend_id, digest) -> (fingerprint, value as JSON text), not yet committed
+        self._pending: dict[tuple[str, str], tuple[str | None, str]] = {}
 
     def get(self, backend_id: str, digest: str,
             fingerprint: str | None = None) -> tuple[bool, object]:
-        """(hit, value); an absent, unreadable or malformed entry is a miss, and so is
-        one stored under another ``fingerprint`` unless that is None."""
+        """(hit, value); an absent row, or one whose value is not JSON text, is a miss,
+        and so is one stored under another ``fingerprint`` unless that is None."""
+        key = (backend_id, digest)
+        with self._lock:
+            row = self._pending.get(key)
+            if row is None and (self._db is not None or self.path.exists()):
+                row = self._use(lambda db: db.execute(_SELECT, key).fetchone())
+        if row is None or not isinstance(row[1], str):
+            return False, None
+        if fingerprint is not None and row[0] != fingerprint:
+            return False, None
         try:
-            with open(self.entry_path(backend_id, digest), encoding="utf-8") as handle:
-                entry = json.load(handle)
-            if fingerprint is None or entry["fingerprint"] == fingerprint:
-                return True, entry["value"]
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        return False, None
+            return True, json.loads(row[1])
+        except ValueError:
+            return False, None
 
-    def put(self, backend_id: str, digest: str, request: Mapping[str, object], value: object,
+    def put(self, backend_id: str, digest: str, value: object,
             fingerprint: str | None = None) -> None:
-        path = self.entry_path(backend_id, digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "digest": digest,
-            "fingerprint": fingerprint,
-            "request": request,
-            "value": value,
-            "created_at": datetime.now(timezone.utc).isoformat(),
-        }
-        write_text(path, json.dumps(entry, ensure_ascii=False, indent=2))
+        text = json.dumps(value, ensure_ascii=False)
+        with self._lock:
+            self._pending[(backend_id, digest)] = (fingerprint, text)
+            if len(self._pending) >= _COMMIT_EVERY:
+                self._commit()
+
+    def close(self) -> None:
+        """Commit the buffered puts and close the file; a later call reopens it."""
+        with self._lock:
+            try:
+                if self._pending:
+                    self._commit()
+            finally:
+                if self._db is not None:
+                    self._db.close()
+                    self._db = None
+
+    def _commit(self) -> None:
+        rows = [key + row for key, row in self._pending.items()]
+
+        def write(db):
+            db.execute("BEGIN IMMEDIATE")  # wait for the write lock now, not mid-transaction
+            with db:  # commits, or rolls back on an error
+                db.executemany("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)", rows)
+
+        self._use(write)
+        self._pending.clear()
+
+    def _use(self, work: Callable):
+        """``work(connection)``, opening the file on first use; the caller holds the
+        lock. A SQLite failure becomes a ``CacheError`` that names the file."""
+        import sqlite3
+
+        try:
+            if self._db is None:
+                self.root.mkdir(parents=True, exist_ok=True)
+                self._db = sqlite3.connect(
+                    self.path,
+                    timeout=_BUSY_TIMEOUT_SECONDS,
+                    isolation_level=None,
+                    check_same_thread=False,
+                )
+                self._db.execute(_CREATE_TABLE)
+            return work(self._db)
+        except (OSError, sqlite3.Error) as exc:
+            raise CacheError(f"{self.path}: unusable response cache: {exc}") from exc
 
 
 def chat_request(model_name: str | None, user_content: str) -> dict:
@@ -197,6 +266,11 @@ class _HttpTransport:
             self._headers["Authorization"] = f"Bearer {key}"
 
     def send(self, request: Mapping[str, object], context=None) -> object:
+        # Imported here: a stage that builds no http transport never loads them.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         try:
             http_request = urllib.request.Request(
                 self.spec.endpoint,
@@ -383,7 +457,7 @@ class Backend:
             if hit:
                 return value
             value = self._call_upstream(request, context, digest)
-            self.cache.put(self.spec.backend_id, digest, request, value, self.fingerprint)
+            self.cache.put(self.spec.backend_id, digest, value, self.fingerprint)
             return value
 
     @contextmanager

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 import click
 
 from . import __version__
-from .backends import KINDS, Backend, BackendError, BackendSpec, ResponseCache
+from .backends import KINDS, Backend, BackendError, BackendSpec, CacheError, ResponseCache
 from .casegen import (
     STATUS_DROPPED_IDENTICAL,
     STATUS_DROPPED_QUALITY,
@@ -150,8 +150,9 @@ def _read_backends(key: str, section, path) -> dict:
 class RunConfig:
     """A merged and validated run config.
 
-    Every field but the digest is a config key: its ``read`` checks the key's
-    value, and its ``default`` is the raw value that an absent key stands for.
+    Every field but the digest and the cache is a config key: its ``read``
+    checks the key's value, and its ``default`` is the raw value that an absent
+    key stands for.
     """
 
     corpus: dict[str, Path] = field(metadata={"read": _read_corpus, "default": {}})
@@ -165,6 +166,8 @@ class RunConfig:
     backends: dict = field(metadata={"read": _read_backends, "default": {}})
     exclude_low_base: bool = field(metadata={"read": _read_bool, "default": False})
     config_digest: str = ""
+    # The response cache on cache_root, shared by the stage's backends.
+    cache: ResponseCache | None = None
 
 
 def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> RunConfig:
@@ -192,7 +195,8 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
     judge_flags = {item.name: flags[item.name] for item in fields(JudgeConfig) if item.name in flags}
     if judge_flags:
         values["judge"] = _read_judge("judge", {**asdict(values["judge"]), **judge_flags}, path)
-    return RunConfig(**values, config_digest=hashlib.sha256(blob).hexdigest())
+    cache = ResponseCache(values["cache_root"]) if values["cache_root"] is not None else None
+    return RunConfig(**values, config_digest=hashlib.sha256(blob).hexdigest(), cache=cache)
 
 
 def _file_digest(path: Path) -> str:
@@ -257,8 +261,12 @@ def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *a
     try:
         config = load_run_config(config_path, overrides)
         manifest = RunManifest.load(config.output_dir / "manifest.json")
-        inputs, outputs, summary = runner(config, *args)
-    except ConfigError as exc:
+        try:
+            inputs, outputs, summary = runner(config, *args)
+        finally:  # keep the answers already paid for, however the stage ends
+            if config.cache is not None:
+                config.cache.close()
+    except (ConfigError, CacheError) as exc:
         _die(EXIT_USAGE, str(exc))
     except ValueError as exc:  # every data error (CorpusError, MissingGold, ...) is one
         _die(EXIT_DATA, str(exc))
@@ -276,8 +284,7 @@ def _load_corpus(config: RunConfig) -> tuple[Corpus, list[Path]]:
 
 
 def _build_backends(config: RunConfig, *slots: str) -> list[Backend]:
-    """The named slots' backends, in slot order, sharing one cache; only their specs are parsed."""
-    cache = ResponseCache(config.cache_root) if config.cache_root is not None else None
+    """The named slots' backends, in slot order, sharing the config's cache; only their specs are parsed."""
     built = []
     for slot in slots:
         spec = config.backends.get(slot)
@@ -286,7 +293,7 @@ def _build_backends(config: RunConfig, *slots: str) -> list[Backend]:
         spec = {"kind": slot, **spec}
         _expect(spec["kind"] == slot, f"backend slot {slot!r} declares mismatched kind {spec['kind']!r}")
         try:
-            built.append(Backend(BackendSpec.from_dict(spec), cache=cache))
+            built.append(Backend(BackendSpec.from_dict(spec), cache=config.cache))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {slot!r}: {exc}") from exc
     return built

@@ -7,7 +7,9 @@ defaults (OTHER tags, no past perfect, no NE or phrase spans).
 
 from __future__ import annotations
 
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -103,3 +105,22 @@ class RecordingTransport:
 @pytest.fixture
 def response_cache(tmp_path):
     return ResponseCache(tmp_path / "cache")
+
+
+def cache_rows(cache: ResponseCache) -> dict:
+    """Commit the cache's buffered puts; then {(backend_id, digest): (fingerprint, value)}."""
+    cache.close()
+    with closing(sqlite3.connect(cache.path)) as db:
+        return {(b, d): (f, v) for b, d, f, v in db.execute("SELECT * FROM entries")}
+
+
+def damage_cache_row(cache: ResponseCache, backend_id: str, digest: str, **columns) -> None:
+    """Commit the cache's buffered puts, then overwrite columns of one committed row."""
+    cache.close()
+    assignments = ", ".join(f"{name} = ?" for name in columns)
+    with closing(sqlite3.connect(cache.path)) as db, db:
+        cursor = db.execute(
+            f"UPDATE entries SET {assignments} WHERE backend_id = ? AND digest = ?",
+            (*columns.values(), backend_id, digest),
+        )
+        assert cursor.rowcount == 1

@@ -18,6 +18,7 @@ import pytest
 
 import mtbehave
 from mtbehave.backends import (
+    _COMMIT_EVERY,
     Backend,
     BackendError,
     BackendSpec,
@@ -35,7 +36,11 @@ from mtbehave.backends import (
     unwrap,
 )
 
-from conftest import RecordingTransport, stub_backend, stub_spec
+from conftest import RecordingTransport, cache_rows, damage_cache_row, stub_backend, stub_spec
+
+
+def infill_spec(**fields):
+    return {"backend_id": "b", "kind": "infill", "transport": "stub", **fields}
 
 
 class TestBackendSpec:
@@ -54,6 +59,16 @@ class TestBackendSpec:
             (dict(backend_id="b", kind="infill", transport="http"), "requires an endpoint"),
             (dict(backend_id="b", kind="infill", transport="stub", timeout=0), "timeout"),
             (dict(backend_id="b", kind="infill", transport="stub", max_retries=-1), "max_retries"),
+            (infill_spec(backend_id=5), "backend_id must be a string, got 5"),
+            (infill_spec(transport="http", endpoint=5), "endpoint must be a string"),
+            (infill_spec(model_name=["m"]), "model_name must be a string"),
+            (infill_spec(auth_env_var=1), "auth_env_var must be a string"),
+            (infill_spec(timeout=True), "timeout must be a number, got True"),
+            (infill_spec(timeout="5"), "timeout must be a number, got '5'"),
+            (infill_spec(timeout=float("nan")), "timeout must be positive"),
+            (infill_spec(max_retries=1.5), "max_retries must be an integer, got 1.5"),
+            (infill_spec(max_retries=False), "max_retries must be an integer, got False"),
+            (infill_spec(stub_params=[1]), "stub_params must be an object"),
         ],
     )
     def test_validation(self, kwargs, pattern):
@@ -139,30 +154,70 @@ class TestStubChat:
 class TestResponseCache:
     def test_round_trip_and_layout(self, response_cache):
         digest = "ab" * 32
-        response_cache.put("b1", digest, {"q": 1}, {"answer": 42})
+        response_cache.put("b1", digest, {"answer": 42}, "fp")
         hit, value = response_cache.get("b1", digest)
         assert hit and value == {"answer": 42}
-        path = response_cache.entry_path("b1", digest)
-        assert path == response_cache.root / "b1" / f"{digest}.entry"
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        assert entry["digest"] == digest
-        assert entry["request"] == {"q": 1}
+        assert not response_cache.path.exists()  # buffered until committed
+        assert cache_rows(response_cache) == {("b1", digest): ("fp", '{"answer": 42}')}
+        assert [p.name for p in response_cache.root.iterdir()] == ["cache.sqlite"]
+        assert response_cache.get("b1", digest) == (True, {"answer": 42})
 
     def test_miss(self, response_cache):
         hit, value = response_cache.get("b1", "0" * 64)
         assert not hit and value is None
 
     @pytest.mark.parametrize(
-        "damage", [b'{"digest": "ab', b"", b"[1]", b'{"digest": "ab"}', b"\xff\xfe"]
+        "damage",
+        [
+            # bytes are stored as a BLOB, never the JSON text that put writes
+            b'{"digest": "ab', b"", b"[1]", b'{"digest": "ab"}', b"\xff\xfe",
+            pytest.param('{"digest": "ab', id="truncated JSON text"),
+            pytest.param("not json", id="text that is not JSON"),
+            pytest.param(None, id="NULL"),
+        ],
     )
     def test_malformed_entry_is_a_miss_until_rewritten(self, response_cache, damage):
         digest = "cd" * 32
-        response_cache.put("b1", digest, {"q": 1}, "first")
-        response_cache.entry_path("b1", digest).write_bytes(damage)
+        response_cache.put("b1", digest, "first")
+        damage_cache_row(response_cache, "b1", digest, value=damage)
         assert response_cache.get("b1", digest) == (False, None)
-        response_cache.put("b1", digest, {"q": 1}, "second")
+        response_cache.put("b1", digest, "second")
         assert response_cache.get("b1", digest) == (True, "second")
-        assert [p.name for p in (response_cache.root / "b1").iterdir()] == [f"{digest}.entry"]
+        assert cache_rows(response_cache) == {("b1", digest): (None, '"second"')}
+
+    def test_puts_are_committed_a_batch_at_a_time(self, response_cache):
+        other = ResponseCache(response_cache.root)
+        for i in range(_COMMIT_EVERY - 1):
+            response_cache.put("b1", str(i), i)
+        assert other.get("b1", "0") == (False, None)
+        response_cache.put("b1", "last", -1)
+        assert other.get("b1", "0") == (True, 0)
+        assert other.get("b1", "last") == (True, -1)
+
+    def test_two_caches_on_one_root_write_at_the_same_time(self, tmp_path):
+        caches = [ResponseCache(tmp_path / "cache") for _ in range(2)]
+        errors = []
+
+        def fill(index):
+            try:
+                for i in range(500):
+                    caches[index].put("b1", f"{index}-{i}", i)
+                caches[index].close()
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fill, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        reader = ResponseCache(tmp_path / "cache")
+        assert all(
+            reader.get("b1", f"{index}-{i}") == (True, i) for index in range(2) for i in range(500)
+        )
+        assert len(cache_rows(reader)) == 1000
 
 
 class TestBackendCaching:
@@ -222,12 +277,12 @@ class TestBackendCaching:
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
         )
         digest = canonical_request_digest("s", {"src": "a", "hyp": "b"})
-        response_cache.put("s", digest, {"src": "a", "hyp": "b"}, 0.3)
+        response_cache.put("s", digest, 0.3)
+        assert cache_rows(response_cache) == {("s", digest): (None, "0.3")}
         assert backend.score("a", "b") == 0.5
         assert backend.score("a", "b") == 0.5
         assert transport.call_count == 1
-        entry = json.loads(response_cache.entry_path("s", digest).read_text(encoding="utf-8"))
-        assert entry["fingerprint"] == backend.fingerprint
+        assert cache_rows(response_cache) == {("s", digest): (backend.fingerprint, "0.5")}
 
     def test_no_cache_means_every_call_goes_up(self):
         transport = RecordingTransport(lambda request, context: {"score": 0.5})
@@ -393,8 +448,9 @@ class TestReplayTransport:
     def test_truncated_entry_raises_cache_miss(self, response_cache):
         live = stub_backend("qe", "scorer_ref_free", cache=response_cache, mode="constant", value=0.7)
         live.score("a", "b")
-        (entry,) = (response_cache.root / "qe").iterdir()
-        entry.write_text(entry.read_text(encoding="utf-8")[:10], encoding="utf-8")
+        ((key, (_, value)),) = cache_rows(response_cache).items()
+        assert value == "0.7"
+        damage_cache_row(response_cache, *key, value="0.")  # truncated
         replay = Backend(
             BackendSpec("qe", "scorer_ref_free", "replay_cache"), cache=response_cache
         )
@@ -619,3 +675,14 @@ def test_cli_import_leaves_requests_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_transports_and_the_cache_store_unloaded():
+    src = os.path.dirname(os.path.dirname(mtbehave.__file__))
+    lazy = ["requests", "http.client", "urllib.request", "sqlite3"]
+    code = f"import sys, mtbehave.cli; print([name for name in {lazy!r} if name in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

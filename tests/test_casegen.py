@@ -36,6 +36,8 @@ from mtbehave.segmentation import Capability, EditableSegment, SelectionPlan
 
 from conftest import (
     RecordingTransport,
+    cache_rows,
+    damage_cache_row,
     identity_links,
     make_annotation,
     make_corpus,
@@ -434,10 +436,11 @@ class TestGenerateCases:
             stub_backend("qe-stub", "scorer_ref_free", response_cache, mode="constant", value=0.9),
         )
         generate_cases(generation_corpus(), Capability.GENERAL, 1, *live, BETA, seed=7)
-        for entry in (response_cache.root / "infill-stub").iterdir():
-            request = json.loads(entry.read_text(encoding="utf-8"))["request"]
-            if "today" in request["messages"][-1]["content"]:  # p1's prompt
-                entry.write_text('{"digest": ', encoding="utf-8")
+        rows = cache_rows(response_cache)
+        (p1_infill,) = [  # the reply to p1's prompt fills p1's source
+            key for key, (_, value) in rows.items() if key[0] == "infill-stub" and "today" in value
+        ]
+        damage_cache_row(response_cache, *p1_infill, value=rows[p1_infill][1][:10])
         replay = (
             Backend(BackendSpec("infill-stub", "infill", "replay_cache"), response_cache),
             Backend(BackendSpec("qe-stub", "scorer_ref_free", "replay_cache"), response_cache),

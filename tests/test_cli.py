@@ -11,10 +11,12 @@ import pytest
 from click.testing import CliRunner
 
 from mtbehave import __version__
+from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, read_cases
 from mtbehave.cli import RunConfig, main
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR
 
+from conftest import cache_rows, damage_cache_row
 from dumpers import load_report
 
 SENTENCES = {
@@ -217,11 +219,13 @@ class TestGenerate:
         config = workspace(tmp_path)
         run_ok("generate", "--config", config)
         cases = (tmp_path / "out" / "cases.jsonl").read_bytes()
-        (entry,) = (tmp_path / "cache" / "stub-infill").iterdir()
-        whole = entry.read_text(encoding="utf-8")
-        entry.write_text(whole[: len(whole) // 2], encoding="utf-8")
+        cache = ResponseCache(tmp_path / "cache")
+        rows = cache_rows(cache)
+        (key,) = [key for key in rows if key[0] == "stub-infill"]
+        whole = rows[key][1]
+        damage_cache_row(cache, *key, value=whole[: len(whole) // 2])
         run_ok("generate", "--config", config)
-        assert json.loads(entry.read_text(encoding="utf-8"))["value"]
+        assert cache_rows(cache)[key] == rows[key]
         assert (tmp_path / "out" / "cases.jsonl").read_bytes() == cases
 
     def test_missing_backend_is_a_usage_error(self, tmp_path):
@@ -466,6 +470,94 @@ class TestManifest:
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
 
+def file_states(root: Path) -> dict:
+    """Every file under ``root``: its size, modification time and content digest."""
+    return {
+        str(path.relative_to(root)): (
+            path.stat().st_size,
+            path.stat().st_mtime_ns,
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+        )
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestResponseCacheFile:
+    def test_a_warm_rerun_leaves_every_cache_file_alone(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        run_ok("judge", "--config", config)
+        before = file_states(tmp_path / "cache")
+        assert list(before) == ["cache.sqlite"]
+        run_ok("generate", "--config", config)
+        run_ok("judge", "--config", config)
+        assert file_states(tmp_path / "cache") == before
+
+    @pytest.mark.parametrize("stage", ["generate", "judge"])
+    def test_a_cache_file_that_is_not_a_database_exits_1(self, tmp_path, stage):
+        config = workspace(tmp_path)
+        if stage == "judge":
+            run_ok("generate", "--config", config)
+        path = tmp_path / "cache" / "cache.sqlite"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("these are not the answers you are looking for\n" * 20, encoding="utf-8")
+        out = tmp_path / "out"
+        before = file_states(out) if out.exists() else {}
+        result = invoke(stage, "--config", config)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: {path}: unusable response cache" in result.output
+        assert (file_states(out) if out.exists() else {}) == before
+
+    def test_a_rerun_after_exit_3_sends_only_the_unanswered_requests(self, tmp_path, monkeypatch):
+        backends = backend_section()
+        backends["scorer_ref_free"]["max_retries"] = 1
+        write_corpus(tmp_path)
+        config = write_config(tmp_path, backends=backends)
+        sent, refused = [], {SENTENCES["base"]}
+        stub_send = _StubTransport.send
+
+        def send(self, request, context=None):
+            sent.append((self.spec.kind, request.get("src")))
+            if request.get("src") in refused:  # the original pair's QE, on every attempt
+                raise HttpStatusError(503)
+            return stub_send(self, request, context)
+
+        monkeypatch.setattr(_StubTransport, "send", send)
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
+        result = invoke("generate", "--config", config)
+        assert result.exit_code == 3, result.output
+        assert "all 1 infill attempts failed" in result.output
+        assert sorted(sent) == [
+            ("infill", None),
+            ("scorer_ref_free", SENTENCES["base"]),
+            ("scorer_ref_free", SENTENCES["base"]),
+            ("scorer_ref_free", SENTENCES["edited"]),
+        ]
+        sent.clear()
+        refused.clear()
+        result = run_ok("generate", "--config", config)
+        assert "kept 1," in result.output
+        assert sent == [("scorer_ref_free", SENTENCES["base"])]
+
+    def test_ctrl_c_keeps_the_answers_already_received(self, tmp_path, monkeypatch):
+        config = workspace(tmp_path)
+        stub_send = _StubTransport.send
+
+        def send(self, request, context=None):
+            if self.spec.kind == "scorer_ref_free":
+                raise KeyboardInterrupt
+            return stub_send(self, request, context)
+
+        monkeypatch.setattr(_StubTransport, "send", send)
+        result = invoke("generate", "--config", config)
+        assert (result.exit_code, result.output.strip()) == (1, "Aborted!")
+        assert not (tmp_path / "out" / "cases.jsonl").exists()
+        rows = cache_rows(ResponseCache(tmp_path / "cache"))
+        assert [key[0] for key in rows] == ["stub-infill"]
+
+
 def with_slot(slot, spec):
     return config_document(backends={**backend_section(), slot: spec})
 
@@ -555,6 +647,26 @@ CONFIG_ERRORS = [
         id="string beta",
     ),
     pytest.param(b'{"seed": "\xff"}', "{config}: not valid JSON", id="config not UTF-8"),
+    pytest.param(
+        with_slot("infill", {"backend_id": 5, "transport": "stub"}),
+        "backend 'infill': backend_id must be a string, got 5",
+        id="backend_id number",
+    ),
+    pytest.param(
+        with_slot("infill", {"backend_id": "i", "transport": "stub", "timeout": True}),
+        "backend 'infill': timeout must be a number, got True",
+        id="timeout bool",
+    ),
+    pytest.param(
+        with_slot("infill", {"backend_id": "i", "transport": "stub", "timeout": "5"}),
+        "backend 'infill': timeout must be a number, got '5'",
+        id="timeout string",
+    ),
+    pytest.param(
+        with_slot("infill", {"backend_id": "i", "transport": "stub", "max_retries": 1.5}),
+        "backend 'infill': max_retries must be an integer, got 1.5",
+        id="max_retries float",
+    ),
 ]
 
 
