@@ -18,7 +18,6 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -39,6 +38,8 @@ _BACKOFF_BASE_SECONDS = 0.25
 
 # The spec fields that can change an answer; timeout, retries and auth cannot.
 _ANSWER_FIELDS = ("kind", "transport", "endpoint", "model_name", "stub_params")
+# Request digests encode with this one encoder; json.dumps would build one per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 class BackendError(Exception):
@@ -129,12 +130,7 @@ class BackendSpec:
 
 def canonical_request_digest(backend_id: str, request: Mapping[str, object]) -> str:
     """Content address of one request: sha256 over a canonical JSON encoding."""
-    blob = json.dumps(
-        {"backend_id": backend_id, "request": request},
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    blob = _CANONICAL_ENCODER.encode({"backend_id": backend_id, "request": request})
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -526,6 +522,8 @@ def map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
     """``[fn(item) for item in items]`` in order, on ``jobs`` threads when above one."""
     if jobs <= 1:
         return [fn(item) for item in items]
+    # Imported on use, so a stage at jobs = 1 loads neither it nor logging.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

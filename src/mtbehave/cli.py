@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -395,6 +396,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
             values.append(float(part))
         except ValueError:
             raise ConfigError(f"{name} must be comma-separated numbers, got {part!r}")
+        _expect(math.isfinite(values[-1]), f"{name} must be finite numbers, got {part!r}")
     _expect(bool(values), f"{name} must list at least one value")
     return values
 
@@ -402,6 +404,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
 def _run_sweep(config: RunConfig, alphas_text: str, betas_text: str):
     alphas = _parse_floats(alphas_text, "--alphas")
     betas = _parse_floats(betas_text, "--betas")
+    _expect(min(betas) >= 0, f"--betas must not be negative, got {min(betas):g}")
     records_path = _require_artifact(config.output_dir / "records.jsonl", "judge")
     records = read_records(records_path)
     grid = sweep(records, alphas, betas)

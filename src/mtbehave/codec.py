@@ -24,6 +24,8 @@ from typing import Iterable, get_type_hints
 
 from .corpus import CorpusError
 
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
 
 @contextmanager
 def _replacing(path):
@@ -53,8 +55,7 @@ def write_json(path, document: object) -> None:
 
 def write_jsonl(path, rows: Iterable[dict]) -> None:
     with _replacing(path) as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n")
+        handle.writelines(_ROW_ENCODER.encode(row) + "\n" for row in rows)
 
 
 @cache

@@ -58,9 +58,9 @@ class TranslationPair:
         for side, tokens in (("source", self.source), ("reference", self.reference)):
             if not tokens:
                 raise ValueError(f"{side} has no tokens")
-            for token in tokens:
-                if not token or any(ch.isspace() for ch in token):
-                    raise ValueError(f"{side} contains an empty or whitespace token")
+            # An empty token, or one holding whitespace, changes how the joined side splits.
+            if " ".join(tokens).split() != list(tokens):
+                raise ValueError(f"{side} contains an empty or whitespace token")
 
 
 @dataclass(frozen=True)

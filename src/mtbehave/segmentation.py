@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import Annotation, AlignmentSet, Span, TranslationPair, spans_overlap
+from .corpus import Annotation, AlignmentSet, Span, TranslationPair
 
 # Hard cap on masking plans per pair and the masked-token budget for the
 # General capability: the masked source tokens must total strictly less than
@@ -97,25 +97,18 @@ class SelectionPlan:
     seed: int
 
 
-def _head_index(span: Span, pos: tuple[str, ...]) -> int:
-    start, end = span
-    for index in range(end - 1, start - 1, -1):
-        if pos[index] in _CONTENT_TAGS:
-            return index
-    return end - 1
-
-
-def _segment_for(
-    src_span: Span,
-    pair: TranslationPair,
-    links: frozenset[tuple[int, int]],
-    annotation: Annotation,
-    ref_phrases: frozenset[Span],
-) -> EditableSegment | None:
+def _ref_span_for(
+    src_span: Span, ref_by_src: dict, src_by_ref: dict, ref_phrases: frozenset[Span]
+) -> Span | None:
+    """The reference span solely aligned with ``src_span``; None when it is not editable."""
     start, end = src_span
-    linked = [j for i, j in links if start <= i < end]
-    if not linked:
+    # Both boundary tokens of the source span must carry at least one link.
+    if start not in ref_by_src or end - 1 not in ref_by_src:
         return None
+    if end - start == 1:
+        linked = ref_by_src[start]
+    else:
+        linked = [j for i in range(start, end) for j in ref_by_src.get(i, ())]
     ref_span = (min(linked), max(linked) + 1)
     # The linked reference indices must form a unit: a single word or a listed
     # reference phrase. Interior tokens may be unaligned; the boundary tokens
@@ -125,25 +118,24 @@ def _segment_for(
     # Sole alignment: nothing outside the source span may link into ref_span.
     # The converse (no link from src_span escaping ref_span) holds because
     # ref_span covers every index linked from the span.
-    for i, j in links:
-        if ref_span[0] <= j < ref_span[1] and not (start <= i < end):
-            return None
-    # Both boundary tokens of the source span must carry at least one link.
-    if not any(i == start for i, _ in links):
-        return None
-    if end - start > 1 and not any(i == end - 1 for i, _ in links):
-        return None
+    for j in range(*ref_span):
+        for i in src_by_ref.get(j, ()):
+            if not start <= i < end:
+                return None
+    return ref_span
 
-    head = _head_index(src_span, annotation.pos)
-    pos_class = annotation.pos[head]
-    ne_type = None
-    for ne_start, ne_end, label in annotation.ne_spans:
-        if (ne_start, ne_end) == src_span:
-            ne_type = label
+
+def _segment(src_span: Span, ref_span: Span, annotation: Annotation, ne_types: dict) -> EditableSegment:
+    start, end = src_span
+    head = end - 1  # the rightmost content-tagged token, else the last one
+    for index in range(end - 1, start - 1, -1):
+        if annotation.pos[index] in _CONTENT_TAGS:
+            head = index
             break
+    pos_class = annotation.pos[head]
     tense_eligible = pos_class == "VERB" and not annotation.past_perfect[head]
     kind = "word" if end - start == 1 else "phrase"
-    return EditableSegment(src_span, ref_span, kind, pos_class, ne_type, tense_eligible)
+    return EditableSegment(src_span, ref_span, kind, pos_class, ne_types.get(src_span), tense_eligible)
 
 
 def extract_editable(
@@ -155,40 +147,48 @@ def extract_editable(
     phrases. A candidate survives when its linked reference indices form a
     consecutive unit (single word or listed reference phrase), the two spans
     are solely aligned with each other, and the source boundary tokens are
-    aligned. Overlapping survivors are resolved with :func:`resolve_overlaps`.
+    aligned. Overlapping survivors are resolved as by :func:`resolve_overlaps`.
     """
-    candidates: set[Span] = {(i, i + 1) for i in range(len(pair.source))}
-    candidates.update(annotation.phrase_spans_src)
+    ref_by_src: dict[int, list[int]] = {}  # source index -> its linked reference indices
+    src_by_ref: dict[int, list[int]] = {}  # and the converse
+    for i, j in alignment.links:
+        ref_by_src.setdefault(i, []).append(j)
+        src_by_ref.setdefault(j, []).append(i)
     ref_phrases = frozenset(annotation.phrase_spans_ref)
-    segments = []
-    for src_span in sorted(candidates):
-        segment = _segment_for(src_span, pair, alignment.links, annotation, ref_phrases)
-        if segment is not None:
-            segments.append(segment)
-    return resolve_overlaps(segments)
+    candidates = {(i, i + 1) for i in range(len(pair.source))}.union(annotation.phrase_spans_src)
+    span_pairs = [
+        (src, ref) for src in candidates
+        if (ref := _ref_span_for(src, ref_by_src, src_by_ref, ref_phrases)) is not None
+    ]
+    ne_types = {(s, e): label for s, e, label in reversed(annotation.ne_spans)}  # the first listed wins
+    return [_segment(src, ref, annotation, ne_types) for src, ref in _overlap_free(span_pairs)]
+
+
+def _overlap_free(span_pairs: list[tuple[Span, Span]]) -> list[tuple[Span, Span]]:
+    """The (src_span, ref_span) pairs overlapping no higher-priority pair, sorted."""
+    kept = []
+    src_taken = ref_taken = 0  # the indices already taken on each side, as bit sets
+    for src_span, ref_span in sorted(span_pairs, key=lambda p: (p[0][0] - p[0][1], p[0][0], p[1][0])):
+        src_bits = (1 << src_span[1]) - (1 << src_span[0])
+        ref_bits = (1 << ref_span[1]) - (1 << ref_span[0])
+        if not (src_taken & src_bits or ref_taken & ref_bits):
+            kept.append((src_span, ref_span))
+            src_taken |= src_bits
+            ref_taken |= ref_bits
+    return sorted(kept)
 
 
 def resolve_overlaps(segments: list[EditableSegment]) -> list[EditableSegment]:
     """Drop segments overlapping a higher-priority one on either side.
 
     Priority: longer source span first, then smaller source start, then smaller
-    reference start. The result is overlap-free on both sides and sorted by
-    source span. Idempotent.
+    reference start; among equal spans the first given wins. The result is
+    overlap-free on both sides and sorted by source span. Idempotent.
     """
-    ordered = sorted(
-        segments,
-        key=lambda seg: (-seg.src_len, seg.src_span[0], seg.ref_span[0]),
-    )
-    kept: list[EditableSegment] = []
-    for segment in ordered:
-        clashes = any(
-            spans_overlap(segment.src_span, other.src_span)
-            or spans_overlap(segment.ref_span, other.ref_span)
-            for other in kept
-        )
-        if not clashes:
-            kept.append(segment)
-    return sorted(kept, key=lambda seg: (seg.src_span, seg.ref_span))
+    by_spans: dict[tuple[Span, Span], EditableSegment] = {}
+    for segment in segments:
+        by_spans.setdefault((segment.src_span, segment.ref_span), segment)
+    return [by_spans[spans] for spans in _overlap_free(list(by_spans))]
 
 
 def filter_by_capability(
@@ -223,8 +223,11 @@ def plan_selection(
     capability except General a plan is one segment, sampled uniformly without
     replacement. General plans are budgeted subsets: a seeded shuffle is walked
     and every segment that keeps the masked-token total strictly under a fifth
-    of the source length is added. Fewer than ``count`` plans are returned when
-    fewer distinct ones exist, none for an empty pool.
+    of the source length is added, and a walk repeating an earlier plan is
+    dropped. Walks stop at ``count`` plans or after ``64 * count`` attempts, so
+    fewer than ``count`` plans are returned when fewer distinct ones turn up,
+    none for an empty pool. When the whole pool fits the budget every walk keeps
+    all of it, so that single plan is returned without a shuffle.
     """
     if count < 1 or count > MAX_PLANS_PER_PAIR:
         raise ValueError(f"count must be between 1 and {MAX_PLANS_PER_PAIR}, got {count}")
@@ -235,30 +238,25 @@ def plan_selection(
 
     if capability is not Capability.GENERAL:
         picks = rng.sample(pool, min(count, len(pool)))
-        return [
-            SelectionPlan(pair.pair_id, capability, (segment,), seed)
-            for segment in picks
-        ]
+        return [SelectionPlan(pair.pair_id, capability, (segment,), seed) for segment in picks]
 
     source_len = len(pair.source)
     if not any(_fits_budget(seg.src_len, source_len) for seg in pool):
         raise BudgetUnsatisfiable(pair.pair_id, source_len)
+    if _fits_budget(sum(seg.src_len for seg in pool), source_len):
+        return [SelectionPlan(pair.pair_id, capability, tuple(pool), seed)]
     plans: list[SelectionPlan] = []
-    seen: set[frozenset[Span]] = set()
-    attempts = 0
-    limit = 64 * count
-    while len(plans) < count and attempts < limit:
-        attempts += 1
+    for _ in range(64 * count):
         chosen: list[EditableSegment] = []
         total = 0
         for segment in rng.sample(pool, len(pool)):
             if _fits_budget(total + segment.src_len, source_len):
                 chosen.append(segment)
                 total += segment.src_len
-        key = frozenset(seg.src_span for seg in chosen)
-        if key in seen:
-            continue
-        seen.add(key)
         ordered = tuple(sorted(chosen, key=lambda seg: seg.src_span))
-        plans.append(SelectionPlan(pair.pair_id, capability, ordered, seed))
+        plan = SelectionPlan(pair.pair_id, capability, ordered, seed)
+        if plan not in plans:
+            plans.append(plan)
+            if len(plans) == count:
+                break
     return plans

@@ -6,6 +6,8 @@ exits, no shared state with the package code under test.
 
 from __future__ import annotations
 
+import random
+
 
 def oracle_span_pairs(pair, links, annotation):
     """All editable (src_span, ref_span) pairs after overlap resolution.
@@ -67,3 +69,62 @@ def oracle_span_pairs(pair, links, annotation):
         if not clash:
             kept.append(item)
     return sorted(kept)
+
+
+def oracle_segments(pair, links, annotation):
+    """``oracle_span_pairs`` with every field of the segment, as tuples of
+    (src_span, ref_span, kind, pos_class, ne_type, tense_eligible).
+
+    The head token is the rightmost NOUN/VERB/ADJ/ADV/ADP token of the source
+    span, or its last token when there is none; ``pos_class`` is its tag. The
+    NE type is the label of the first annotated NE span equal to the source
+    span. A segment is tense-eligible when its head is a verb that is not
+    already in the past perfect.
+    """
+    rows = []
+    for (start, end), ref_span in oracle_span_pairs(pair, links, annotation):
+        content = [
+            i for i in range(start, end)
+            if annotation.pos[i] in ("NOUN", "VERB", "ADJ", "ADV", "ADP")
+        ]
+        head = content[-1] if content else end - 1
+        labels = [label for s, e, label in annotation.ne_spans if (s, e) == (start, end)]
+        rows.append((
+            (start, end),
+            ref_span,
+            "word" if end - start == 1 else "phrase",
+            annotation.pos[head],
+            labels[0] if labels else None,
+            annotation.pos[head] == "VERB" and not annotation.past_perfect[head],
+        ))
+    return rows
+
+
+def oracle_plans(pair, segments, count, seed):
+    """General masking plans as segment tuples, by the plain seeded loop.
+
+    The pool is the distinct segments sorted by (src_span, ref_span). Each of
+    exactly 64 * count attempts walks one ``rng.sample`` shuffle of the pool and
+    keeps every segment that leaves five times the masked total strictly below
+    the source length; a walk whose source spans repeat an earlier plan is
+    dropped. The first ``count`` distinct plans are returned, each sorted by
+    source span. An empty pool has no plans.
+    """
+    pool = sorted(set(segments), key=lambda seg: (seg.src_span, seg.ref_span))
+    if not pool:
+        return []
+    rng = random.Random(seed)
+    plans = []
+    seen = []
+    for _ in range(64 * count):
+        chosen = []
+        total = 0
+        for segment in rng.sample(pool, len(pool)):
+            if 5 * (total + segment.src_len) < len(pair.source):
+                chosen.append(segment)
+                total += segment.src_len
+        key = {segment.src_span for segment in chosen}
+        if key not in seen:
+            seen.append(key)
+            plans.append(tuple(sorted(chosen, key=lambda seg: seg.src_span)))
+    return plans[:count]

@@ -98,6 +98,49 @@ class TestCanonicalDigest:
             "b2", request
         )
 
+    # Every cache row is keyed by these digests: a change of encoding would make
+    # each existing cache.sqlite miss, so the hex values are pinned.
+    @pytest.mark.parametrize(
+        "backend_id, request_, digest",
+        [
+            (
+                "qe",
+                {"src": "The cat sat.", "hyp": "cat sat", "ref": "the cat",
+                 "meta": {"b": 0.1, "a": [1, 2.5, {"z": None, "y": True}]}},
+                "d80c52014d3d8074614b1775b059773c7fe0afb13556a54402d7278d378710d1",
+            ),
+            (
+                "infill",
+                chat_request("gpt-x", "把这句话翻译成中文：The cat sat."),
+                "8718887d424ac2f438af6d6b3f09716222325ca51724edb3a3b7b4cd5e69d20c",
+            ),
+            (
+                "ref",
+                {"src": "他 昨天 去了 北京", "hyp": "他去了北京",
+                 "w": {"分数": 0.25, "nested": {"k": [1e-07, -3.0]}}},
+                "a65e294deeb2f749c32d826f8ebaa821c51179a0eb480895ad56beae29bc8fe8",
+            ),
+        ],
+    )
+    def test_pinned_digests(self, backend_id, request_, digest):
+        assert canonical_request_digest(backend_id, request_) == digest
+
+    def test_pinned_fingerprints(self):
+        stub = BackendSpec(
+            "qe", "scorer_ref_free", "stub",
+            stub_params={"mode": "constant", "value": 0.5, "table": {"猫": "cat", "x": {"y": 1.5}}},
+        )
+        http = BackendSpec(
+            "mt", "translator", "http", endpoint="http://localhost:9/v1/chat",
+            model_name="模型-1", timeout=2.5,
+        )
+        assert Backend(stub).fingerprint == (
+            "99958a7851726e5805e8f7291bf18d280561b15a65f80cf0ad8b0aae4d389414"
+        )
+        assert Backend(http).fingerprint == (
+            "ceffb9c94a4b943eda0ed92c01696782b9c42f8b1847bb458e55e8b81f2d6d74"
+        )
+
 
 class TestStubScorers:
     def test_unigram_f1(self):
@@ -365,6 +408,14 @@ class TestMapDistinct:
         assert unwrap(results["a"]) == "A"
         with pytest.raises(HttpStatusError, match="HTTP 400"):
             unwrap(results["bad"])
+
+    def test_map_jobs_keeps_input_order_on_threads(self):
+        # the first items sleep longest, so on four threads they finish last
+        def slow_square(n):
+            time.sleep(0.002 * (8 - n))
+            return n * n
+
+        assert map_jobs(slow_square, range(8), jobs=4) == [n * n for n in range(8)]
 
     def test_keys_go_out_in_first_seen_order(self):
         calls = []
@@ -679,7 +730,7 @@ def test_cli_import_leaves_requests_unloaded():
 
 def test_cli_import_leaves_the_transports_and_the_cache_store_unloaded():
     src = os.path.dirname(os.path.dirname(mtbehave.__file__))
-    lazy = ["requests", "http.client", "urllib.request", "sqlite3"]
+    lazy = ["requests", "http.client", "urllib.request", "sqlite3", "concurrent.futures", "logging"]
     code = f"import sys, mtbehave.cli; print([name for name in {lazy!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(

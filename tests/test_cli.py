@@ -749,6 +749,22 @@ class TestConfigValidation:
         assert result.exit_code == 1
         assert "error: backend 'translator': unknown transport 'nope'" in result.output
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alphas", "0.5,nan", "--alphas must be finite numbers, got 'nan'"),
+            ("--alphas", "inf", "--alphas must be finite numbers, got 'inf'"),
+            ("--betas", "nan", "--betas must be finite numbers, got 'nan'"),
+            ("--betas", "0.05,-0.1", "--betas must not be negative, got -0.1"),
+        ],
+    )
+    def test_a_bad_sweep_grid_value_names_its_flag(self, tmp_path, flag, value, message):
+        # checked before the records are read: no judge stage has run here
+        config = workspace(tmp_path)
+        result = invoke("sweep", "--config", config, f"{flag}={value}")
+        assert result.exit_code == 1
+        assert f"error: {message}" in result.output
+
     def test_backend_slot_kind_mismatch_is_rejected(self, tmp_path):
         write_corpus(tmp_path)
         backends = backend_section()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtbehave.corpus import AlignmentSet, Annotation, TranslationPair
 from mtbehave.segmentation import (
+    MAX_PLANS_PER_PAIR,
     BudgetUnsatisfiable,
     Capability,
     EditableSegment,
@@ -19,7 +20,7 @@ from mtbehave.segmentation import (
 )
 
 from conftest import identity_links, make_alignment, make_annotation, make_pair
-from oracles import oracle_span_pairs
+from oracles import oracle_plans, oracle_segments, oracle_span_pairs
 
 
 def extract(pair, links, annotation=None):
@@ -148,6 +149,12 @@ class TestExtractEditable:
         by_span = {s.src_span: s for s in segments}
         assert by_span[(0, 2)].ne_type == "GPE"
         assert by_span[(2, 3)].ne_type is None
+
+    def test_metadata_ne_type_is_the_first_listed_label(self):
+        pair = make_pair("p1", "Paris wins", "巴黎 赢")
+        annotation = make_annotation(pair, ne=((0, 1, "GPE"), (0, 1, "ORG")))
+        segments = extract(pair, identity_links(pair), annotation)
+        assert [s.ne_type for s in segments] == ["GPE", None]
 
     def test_metadata_tense_eligibility(self):
         pair = make_pair("p1", "he ran fast", "他 跑 很快")
@@ -291,6 +298,21 @@ class TestPlanSelection:
         plans = plan_selection(pair, [phrase], Capability.GENERAL, 1, seed=0)
         assert [p.segments for p in plans] == [(phrase,)]
 
+    def test_a_pool_that_fits_whole_draws_at_most_one_shuffle(self, monkeypatch):
+        pair, segments = self.pool(16)  # budget: masked total <= 3
+        pool = segments[:3]
+        calls = []
+        sample = random.Random.sample
+
+        def counting_sample(rng, population, k, **kwargs):
+            calls.append(k)
+            return sample(rng, population, k, **kwargs)
+
+        monkeypatch.setattr(random.Random, "sample", counting_sample)
+        plans = plan_selection(pair, pool, Capability.GENERAL, MAX_PLANS_PER_PAIR, seed=7)
+        assert [plan.segments for plan in plans] == [tuple(pool)]
+        assert len(calls) <= 1
+
     def test_general_plans_are_distinct_and_budgeted(self):
         pair, segments = self.pool(16)  # budget: masked total <= 3
         plans = plan_selection(pair, segments, Capability.GENERAL, 10, seed=5)
@@ -313,30 +335,51 @@ _pos_tag = st.sampled_from(["NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"])
 
 @st.composite
 def aligned_pairs(draw):
-    n_src = draw(st.integers(1, 10))
-    n_ref = draw(st.integers(1, 8))
+    n_src = draw(st.integers(1, 24))
+    n_ref = draw(st.integers(1, 16))
     pair = TranslationPair(
         "p1",
         tuple(f"s{i}" for i in range(n_src)),
         tuple(f"r{j}" for j in range(n_ref)),
     )
     all_links = [(i, j) for i in range(n_src) for j in range(n_ref)]
-    links = frozenset(draw(st.lists(st.sampled_from(all_links), max_size=12)))
+    links = frozenset(draw(st.lists(st.sampled_from(all_links), max_size=24)))
 
     def spans(limit):
         return st.tuples(st.integers(0, limit - 1), st.integers(1, limit)).filter(
             lambda span: span[0] < span[1]
         )
 
+    # Single words are drawn often too, so that two NE spans share a segment's span.
+    ne_spans = st.one_of(spans(n_src), st.integers(0, min(n_src, 3) - 1).map(lambda i: (i, i + 1)))
+    ne = draw(st.lists(st.tuples(ne_spans, st.sampled_from(["GPE", "PER", "ORG"])), max_size=3))
     annotation = Annotation(
         "p1",
         tuple(draw(st.lists(_pos_tag, min_size=n_src, max_size=n_src))),
         tuple(draw(st.lists(st.booleans(), min_size=n_src, max_size=n_src))),
-        (),
-        tuple(sorted(draw(st.lists(spans(n_src), max_size=3, unique=True)))),
-        tuple(sorted(draw(st.lists(spans(n_ref), max_size=3, unique=True)))),
+        tuple((start, end, label) for (start, end), label in ne),
+        tuple(sorted(draw(st.lists(spans(n_src), max_size=4, unique=True)))),
+        tuple(sorted(draw(st.lists(spans(n_ref), max_size=4, unique=True)))),
     )
     return pair, AlignmentSet("p1", links), annotation
+
+
+@st.composite
+def general_pools(draw):
+    """A pair and an overlap-free pool of General segments. The source length
+    lies near five times the pool's total, so pools that fit whole, pools one
+    token short of fitting and pools far over the budget are all drawn."""
+    segments = []
+    position = 0
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=8)):
+        start = position + gap
+        kind = "word" if length == 1 else "phrase"
+        segments.append(seg((start, start + length), (start, start + length), kind=kind))
+        position = start + length
+    total = sum(segment.src_len for segment in segments)
+    n_src = max(1, position, 5 * total + draw(st.integers(-12, 6)))
+    pair = TranslationPair("p1", tuple(f"s{i}" for i in range(n_src)), ("r",))
+    return pair, segments
 
 
 class TestExtractionProperties:
@@ -346,6 +389,17 @@ class TestExtractionProperties:
         pair, alignment, annotation = example
         segments = extract_editable(pair, alignment, annotation)
         assert span_pairs(segments) == oracle_span_pairs(pair, alignment.links, annotation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(aligned_pairs())
+    def test_every_field_matches_the_field_level_oracle(self, example):
+        pair, alignment, annotation = example
+        segments = extract_editable(pair, alignment, annotation)
+        fields = [
+            (s.src_span, s.ref_span, s.kind, s.pos_class, s.ne_type, s.tense_eligible)
+            for s in segments
+        ]
+        assert fields == oracle_segments(pair, alignment.links, annotation)
 
     @settings(max_examples=200, deadline=None)
     @given(aligned_pairs())
@@ -374,3 +428,17 @@ class TestExtractionProperties:
         pair, alignment, annotation = example
         segments = extract_editable(pair, alignment, annotation)
         assert resolve_overlaps(segments) == segments
+
+
+class TestPlanProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(general_pools(), st.integers(1, MAX_PLANS_PER_PAIR), st.integers(0, 2**32))
+    def test_general_plans_match_the_plain_loop(self, example, count, seed):
+        pair, segments = example
+        if segments and not any(5 * s.src_len < len(pair.source) for s in segments):
+            with pytest.raises(BudgetUnsatisfiable):
+                plan_selection(pair, segments, Capability.GENERAL, count, seed)
+            return
+        plans = plan_selection(pair, segments, Capability.GENERAL, count, seed)
+        assert [plan.segments for plan in plans] == oracle_plans(pair, segments, count, seed)
+        assert all(plan.seed == seed and plan.pair_id == "p1" for plan in plans)
