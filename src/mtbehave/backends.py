@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -147,6 +147,9 @@ _CREATE_TABLE = (
     "fingerprint TEXT, value TEXT, PRIMARY KEY (backend_id, digest)) WITHOUT ROWID"
 )
 _SELECT = "SELECT fingerprint, value FROM entries WHERE backend_id = ? AND digest = ?"
+# int() raises ValueError on NaN and the infinities, so a row that holds one (written
+# before scores had to be finite) reads as corrupt: a miss, never a score for the judge.
+_VALUE_DECODER = json.JSONDecoder(parse_constant=int)
 
 
 class ResponseCache:
@@ -174,7 +177,7 @@ class ResponseCache:
         and so is one stored under another ``fingerprint`` unless that is None."""
         key = (backend_id, digest)
         with self._lock:
-            row = self._pending.get(key)
+            row = self._pending.get(key)  # so a repeat before the commit is a hit
             if row is None and (self._db is not None or self.path.exists()):
                 row = self._use(lambda db: db.execute(_SELECT, key).fetchone())
         if row is None or not isinstance(row[1], str):
@@ -182,7 +185,7 @@ class ResponseCache:
         if fingerprint is not None and row[0] != fingerprint:
             return False, None
         try:
-            return True, json.loads(row[1])
+            return True, _VALUE_DECODER.decode(row[1])
         except ValueError:
             return False, None
 
@@ -385,7 +388,11 @@ def _length_ratio(hyp: list[str], ref: list[str]) -> float:
 
 
 class Backend:
-    """One callable backend with caching, retries, and in-flight deduplication.
+    """One callable backend with caching and retries.
+
+    Identical requests sent to one cached backend from several threads at
+    once may each go upstream, and the answer written last stays; the stages
+    send each distinct request once, through ``map_distinct``.
 
     ``transport`` may be injected for tests; anything with a
     ``send(request, context) -> parsed JSON`` method works. ``sleep`` is called
@@ -411,9 +418,6 @@ class Backend:
             answer_fields = {name: getattr(spec, name) for name in _ANSWER_FIELDS}
             self.fingerprint = canonical_request_digest(spec.backend_id, answer_fields)
         self._sleep = time.sleep if sleep is None else sleep
-        self._registry_lock = threading.Lock()
-        # digest -> [lock, number of threads holding or waiting on it]
-        self._in_flight: dict[str, list] = {}
 
     def infill(self, prompt: "PromptRequest") -> str:
         self._require_kind("infill")
@@ -446,30 +450,10 @@ class Backend:
         if self.cache is None:
             return self._call_upstream(request, context, digest)
         hit, value = self.cache.get(self.spec.backend_id, digest, self.fingerprint)
-        if hit:
-            return value
-        with self._key_lock(digest):
-            hit, value = self.cache.get(self.spec.backend_id, digest, self.fingerprint)
-            if hit:
-                return value
+        if not hit:
             value = self._call_upstream(request, context, digest)
             self.cache.put(self.spec.backend_id, digest, value, self.fingerprint)
-            return value
-
-    @contextmanager
-    def _key_lock(self, digest: str):
-        """Hold the digest's in-flight lock; the last thread out drops the entry."""
-        with self._registry_lock:
-            entry = self._in_flight.setdefault(digest, [threading.Lock(), 0])
-            entry[1] += 1
-        try:
-            with entry[0]:
-                yield
-        finally:
-            with self._registry_lock:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._in_flight[digest]
+        return value
 
     def _call_upstream(self, request: dict, context, digest: str) -> object:
         if self._transport is None:
@@ -506,16 +490,16 @@ def _extract_score(raw: object) -> float:
         if "score" not in raw:
             raise NonNumericReplyError(f"scorer reply has no score field: {raw!r}")
         value = raw["score"]
-    if isinstance(value, bool):
-        raise NonNumericReplyError(f"scorer reply is not numeric: {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    # NaN passes every judge comparison and is not valid JSON in records.jsonl.
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
-        except ValueError:
+            score = float(value)
+        except (ValueError, OverflowError):
             pass
-    raise NonNumericReplyError(f"scorer reply is not numeric: {value!r}")
+        else:
+            if math.isfinite(score):
+                return score
+    raise NonNumericReplyError(f"scorer reply is not a finite number: {value!r}")
 
 
 def map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable
 
-from .backends import Backend, BackendError, map_distinct, map_jobs, unwrap
+from .backends import Backend, BackendError, map_distinct, unwrap
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import Corpus, Span, TranslationPair
 from .segmentation import (
@@ -328,12 +328,14 @@ def generate_cases(
 
     Pairs without eligible segments (or without any budget-satisfiable segment
     for General) are skipped. A backend, parse, or prompt failure is recorded
-    on its case; the batch itself never aborts. ``scorer`` is the quality
-    filter's reference-free scorer; each distinct pair it rates is sent once,
-    so the original pair is scored once for all of its cases. Deterministic
-    for a fixed seed when the backends are (stub or warm replay cache).
+    on its case; the batch itself never aborts. Each distinct infill prompt
+    is sent once, and so is each distinct pair that ``scorer``, the quality
+    filter's reference-free scorer, rates: the original pair is scored once
+    for all of its cases, and a failed request fails every case that shares
+    it. Deterministic for a fixed seed when the backends are (stub or warm
+    replay cache).
     """
-    work: list[tuple[TestCase, TranslationPair, SelectionPlan]] = []
+    work: list[tuple[TestCase, TranslationPair, PromptRequest | None]] = []
     for pair, alignment, annotation in corpus.triples():
         segments = extract_editable(pair, alignment, annotation)
         eligible = filter_by_capability(segments, annotation, capability)
@@ -350,24 +352,33 @@ def generate_cases(
                 seed=pair_seed,
                 masked_ref_spans=tuple(sorted(seg.ref_span for seg in plan.segments)),
             )
-            work.append((case, pair, plan))
+            prompt = None
+            try:
+                prompt = render_prompt(mask_pair(pair, plan), capability)
+                case.template_id = prompt.template_id
+            except PromptMetadataError as exc:
+                _record_error(case, exc)
+            work.append((case, pair, prompt))
 
-    def run(item: tuple[TestCase, TranslationPair, SelectionPlan]) -> TestCase:
-        case, pair, plan = item
+    # The cache key is the chat request, built from the rendered text alone,
+    # so the first prompt with a given text stands for all that share it.
+    prompts: dict[str, PromptRequest] = {}
+    for _, _, prompt in work:
+        if prompt is not None:
+            prompts.setdefault(prompt.rendered_text, prompt)
+    replies = map_distinct(lambda text: infill.infill(prompts[text]), prompts, jobs)
+    for case, pair, prompt in work:
+        if prompt is None:
+            continue
         try:
-            masked = mask_pair(pair, plan)
-            prompt = render_prompt(masked, capability)
-            case.template_id = prompt.template_id
-            raw = infill.infill(prompt)
+            raw = unwrap(replies[prompt.rendered_text])
             case.raw_response = raw
             case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
             case.source_prime, case.reference_prime = parse_response(raw)
             case.filter_status = dedup(case, pair)
-        except (BackendError, ResponseParseError, PromptMetadataError) as exc:
+        except (BackendError, ResponseParseError) as exc:
             _record_error(case, exc)
-        return case
-
-    cases = map_jobs(run, work, jobs)
+    cases = [case for case, _, _ in work]
     # The quality filter's requests go out after every infill, each distinct
     # one once, so the cases of one pair share their original pair's score.
     pending = [

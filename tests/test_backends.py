@@ -327,6 +327,18 @@ class TestBackendCaching:
         assert transport.call_count == 1
         assert cache_rows(response_cache) == {("s", digest): (backend.fingerprint, "0.5")}
 
+    @pytest.mark.parametrize("stored", [float("nan"), float("inf")])
+    def test_a_cached_non_finite_score_is_refilled(self, response_cache, stored):
+        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        backend = Backend(
+            stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
+        )
+        digest = canonical_request_digest("s", {"src": "a", "hyp": "b"})
+        response_cache.put("s", digest, stored, backend.fingerprint)
+        assert backend.score("a", "b") == 0.5
+        assert transport.call_count == 1
+        assert cache_rows(response_cache) == {("s", digest): (backend.fingerprint, "0.5")}
+
     def test_no_cache_means_every_call_goes_up(self):
         transport = RecordingTransport(lambda request, context: {"score": 0.5})
         backend = Backend(stub_spec("s", "scorer_ref_free"), transport=transport)
@@ -334,33 +346,7 @@ class TestBackendCaching:
         backend.score("a", "b")
         assert transport.call_count == 2
 
-    def test_concurrent_identical_requests_deduplicate(self, response_cache):
-        entered = threading.Event()
-        release = threading.Event()
-
-        def slow_send(request, context):
-            entered.set()
-            assert release.wait(5)
-            return {"score": 0.5}
-
-        transport = RecordingTransport(slow_send)
-        backend = Backend(
-            stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
-        )
-        results = []
-        first = threading.Thread(target=lambda: results.append(backend.score("a", "b")))
-        second = threading.Thread(target=lambda: results.append(backend.score("a", "b")))
-        first.start()
-        assert entered.wait(5)
-        second.start()
-        time.sleep(0.05)  # let the second thread reach the in-flight lock
-        release.set()
-        first.join()
-        second.join()
-        assert results == [0.5, 0.5]
-        assert transport.call_count == 1
-
-    def test_in_flight_locks_are_released(self, response_cache):
+    def test_concurrent_cached_requests_all_get_the_answer(self, response_cache):
         transport = RecordingTransport(lambda request, context: {"score": 0.5})
         backend = Backend(
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
@@ -373,20 +359,7 @@ class TestBackendCaching:
         finally:
             sys.setswitchinterval(interval)
         assert results == [0.5] * 200
-        assert transport.call_count == 5
-        assert backend._in_flight == {}
-
-    def test_in_flight_lock_is_released_when_the_upstream_fails(self, response_cache):
-        def refuse(request, context):
-            raise HttpStatusError(400)
-
-        refuse_transport = RecordingTransport(refuse)
-        backend = Backend(
-            stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=refuse_transport
-        )
-        with pytest.raises(HttpStatusError):
-            backend.score("a", "b")
-        assert backend._in_flight == {}
+        assert len(cache_rows(response_cache)) == 5
 
 
 class TestMapDistinct:
@@ -534,7 +507,13 @@ class TestReplyExtraction:
     def test_score_shapes(self, raw, expected):
         assert _extract_score(raw) == expected
 
-    @pytest.mark.parametrize("raw", [True, {"value": 1}, "not a number", None, [0.5]])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            True, {"value": 1}, "not a number", None, [0.5],
+            float("nan"), "NaN", "inf", {"score": float("-inf")},
+        ],
+    )
     def test_non_numeric_scores_raise(self, raw):
         with pytest.raises(NonNumericReplyError):
             _extract_score(raw)

@@ -501,7 +501,7 @@ class TestCasesFile:
             read_cases(path)
 
 
-def recorded_pipeline(jobs):
+def recorded_pipeline(jobs, corpus=None):
     """generate_cases then score_records with no cache; each slot's transport records."""
     transports = {}
 
@@ -510,7 +510,7 @@ def recorded_pipeline(jobs):
         transports[kind] = RecordingTransport(_StubTransport(spec))
         return Backend(spec, transport=transports[kind])
 
-    corpus = generation_corpus()
+    corpus = corpus or generation_corpus()
     cases = generate_cases(
         corpus,
         Capability.GENERAL,
@@ -541,3 +541,27 @@ class TestDistinctRequests:
             assert transport.call_count == len(distinct), kind
         assert (cases, records) == recorded_pipeline(1)[:2]
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_pairs_with_the_same_text_share_one_infill_request(self, jobs):
+        twins = [make_pair(pair_id, "he ran home fast just now", "他 跑了 回家 很快")
+                 for pair_id in ("twin-a", "twin-b")]
+        pos = ("OTHER", "VERB", "OTHER", "ADV", "OTHER", "OTHER")
+        corpus = make_corpus(*(
+            (pair, {(0, 0), (1, 1), (2, 2), (3, 3)}, make_annotation(pair, pos=pos))
+            for pair in twins
+        ))
+        cases, _, transports = recorded_pipeline(jobs, corpus)
+        # Each twin's three plans mask the same three words, so six cases
+        # need three distinct prompts.
+        assert len(cases) == 6
+        infill = transports["infill"]
+        distinct = {json.dumps(request, sort_keys=True) for request in infill.calls}
+        assert infill.call_count == len(distinct) == 3
+        by_spans = {}
+        for case in cases:
+            by_spans.setdefault(case.masked_ref_spans, []).append(case)
+        for first, second in by_spans.values():
+            assert (first.pair_id, second.pair_id) == ("twin-a", "twin-b")
+            assert first.filter_status == second.filter_status == STATUS_KEPT
+            assert first.source_prime == second.source_prime
+            assert first.reference_prime == second.reference_prime

@@ -336,6 +336,17 @@ class TestScoreRecords:
         assert by_id["c2"].error is None
         assert (by_id["c2"].y, by_id["c2"].qual_y) == ("商店 关门", 1.0)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_a_non_finite_score_errors_the_record_instead_of_judging_it(self, value):
+        scorer = stub_backend("f1", "scorer_ref_based", mode="constant", value=value)
+        records = score_records(self.cases(), scoring_corpus(), translator(), scorer)
+        assert len(records) == 2
+        for failed in records:
+            assert failed.error_kind == "backend"
+            assert "not a finite number" in failed.error
+            assert failed.qual_y is None and failed.qual_y_prime is None
+        assert judge_records(records, JudgeConfig()) == []
+
     def test_unknown_pair_is_a_hard_error(self):
         orphan = [kept_case("c9", "ghost", "a b", "甲 乙")]
         with pytest.raises(ValueError, match="unknown pair 'ghost'"):
