@@ -303,12 +303,26 @@ class _StubTransport:
     strings to outputs, identity otherwise. Scorers: ``mode`` is one of
     ``unigram_f1`` (default for scorer_ref_based), ``length_ratio`` (default
     for scorer_ref_free), ``token_overlap``, ``digest``, or ``constant`` with
-    ``value``.
+    ``value``. The parameters are checked when the transport is built.
     """
 
     def __init__(self, spec: BackendSpec):
         self.spec = spec
         self.params = dict(spec.stub_params)
+        if spec.kind == "translator" and not isinstance(self.params.get("table") or {}, dict):
+            raise ValueError(f"stub 'table' must be an object, got {self.params['table']!r}")
+        if spec.kind.startswith("scorer_"):
+            default = "unigram_f1" if spec.kind == "scorer_ref_based" else "length_ratio"
+            self.mode = self.params.get("mode", default)
+            if self.mode not in ("constant", "digest", *_STUB_SCORERS):
+                raise ValueError(f"unknown stub scorer mode {self.mode!r}")
+            if self.mode == "constant":
+                try:
+                    self.value = float(self.params["value"])
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    raise ValueError(
+                        f"stub scorer mode 'constant' needs a numeric 'value', got {self.params.get('value')!r}"
+                    ) from None
 
     def send(self, request: Mapping[str, object], context=None) -> object:
         kind = self.spec.kind
@@ -333,22 +347,14 @@ class _StubTransport:
         src = str(request.get("src", ""))
         hyp = str(request.get("hyp", ""))
         ref = request.get("ref")
-        default = "unigram_f1" if self.spec.kind == "scorer_ref_based" else "length_ratio"
-        mode = self.params.get("mode", default)
-        if mode == "constant":
-            return float(self.params["value"])
-        if mode == "digest":
+        if self.mode == "constant":
+            return self.value
+        if self.mode == "digest":
             blob = "\x00".join([src, hyp, str(ref)])
             prefix = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
             return int(prefix, 16) / 2**32
         other = str(ref) if ref is not None else src
-        if mode == "unigram_f1":
-            return _unigram_f1(hyp.split(), other.split())
-        if mode == "token_overlap":
-            return _token_overlap(hyp.split(), other.split())
-        if mode == "length_ratio":
-            return _length_ratio(hyp.split(), other.split())
-        raise BackendError(f"unknown stub scorer mode {mode!r}")
+        return _STUB_SCORERS[self.mode](hyp.split(), other.split())
 
 
 def _chat_shape(content: str) -> dict:
@@ -385,6 +391,9 @@ def _length_ratio(hyp: list[str], ref: list[str]) -> float:
         return 1.0
     longer = max(len(hyp), len(ref))
     return min(len(hyp), len(ref)) / longer if longer else 1.0
+
+
+_STUB_SCORERS = {"unigram_f1": _unigram_f1, "token_overlap": _token_overlap, "length_ratio": _length_ratio}
 
 
 class Backend:

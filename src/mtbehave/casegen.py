@@ -167,7 +167,7 @@ class TestCase:
     """One generated perturbation and its journey through the filters.
 
     The fields after ``capability`` are keyword-only so that the field order
-    can be the cases file's key order. The raw response is not stored there.
+    can be the cases file's key order.
     """
 
     case_id: str
@@ -179,7 +179,6 @@ class TestCase:
     filter_status: str = STATUS_PENDING
     seed: int
     template_id: str | None = None
-    raw_response: str | None = field(default=None, metadata={"key": None})
     raw_response_digest: str | None = None
     score_diff: float | None = None
     error: str | None = None
@@ -227,8 +226,6 @@ def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
     metadata: dict = {
         "masked_source": " ".join(masked.masked_source),
         "masked_reference": " ".join(masked.masked_reference),
-        "original_source_segments": list(masked.src_segments),
-        "original_reference_segments": list(masked.ref_segments),
     }
     if capability is Capability.GENERAL:
         template_id, text = "general", GENERAL_TEMPLATE
@@ -372,7 +369,6 @@ def generate_cases(
             continue
         try:
             raw = unwrap(replies[prompt.rendered_text])
-            case.raw_response = raw
             case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
             case.source_prime, case.reference_prime = parse_response(raw)
             case.filter_status = dedup(case, pair)

@@ -3,8 +3,8 @@
 Every command takes a JSON run config (--config), --output-dir, and flags for
 the config values it reads; flags beat the file, the file beats built-in
 defaults. Relative paths inside the config resolve against the config file's
-directory. Each successful stage appends an entry to manifest.json in the
-output directory with digests of the files it read and wrote.
+directory. Each successful stage records in manifest.json the digests of the
+files it read and wrote, and drops the entries whose outputs it all rewrote.
 
 Exit codes: 0 success, 1 usage or config error, 2 data validation error,
 3 backend exhaustion.
@@ -210,7 +210,7 @@ def _now() -> str:
 
 @dataclass
 class RunManifest:
-    """Append-only record of the stages run into one output directory."""
+    """One entry per stage run whose outputs in this directory no later run all rewrote."""
 
     path: Path
     entries: list[dict] = field(default_factory=list)
@@ -221,8 +221,10 @@ class RunManifest:
             entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
         except (OSError, ValueError) as exc:
             raise CorpusError(f"{path}: unreadable manifest: {exc}") from exc
-        if not isinstance(entries, list):
-            raise CorpusError(f"{path}: the manifest is not a JSON list")
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("outputs"), dict) for entry in entries
+        ):
+            raise CorpusError(f"{path}: the manifest is not a JSON list of stage entries")
         return cls(path, entries)
 
     def record_stage(
@@ -234,18 +236,18 @@ class RunManifest:
         started_at: str,
         finished_at: str,
     ) -> None:
-        self.entries.append(
-            {
-                "stage": stage,
-                "tool_version": __version__,
-                "config_digest": config.config_digest,
-                "seed": config.seed,
-                "inputs": {str(p): _file_digest(p) for p in inputs},
-                "outputs": {str(p): _file_digest(p) for p in outputs},
-                "started_at": started_at,
-                "finished_at": finished_at,
-            }
-        )
+        entry = {
+            "stage": stage,
+            "tool_version": __version__,
+            "config_digest": config.config_digest,
+            "seed": config.seed,
+            "inputs": {str(p): _file_digest(p) for p in inputs},
+            "outputs": {str(p): _file_digest(p) for p in outputs},
+            "started_at": started_at,
+            "finished_at": finished_at,
+        }
+        self.entries = [old for old in self.entries if not old["outputs"].keys() <= entry["outputs"].keys()]
+        self.entries.append(entry)
         write_json(self.path, self.entries)
 
 

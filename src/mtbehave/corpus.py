@@ -169,7 +169,7 @@ def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Ali
         links: set[tuple[int, int]] = set()
         for item in line.split():
             left, sep, right = item.partition("-")
-            if not sep or not left.isdigit() or not right.isdigit():
+            if not sep or not item.isascii() or not left.isdigit() or not right.isdigit():
                 _fail(path, lineno, f"malformed link {item!r}")
             i, j = int(left), int(right)
             if i >= len(pair.source):

@@ -176,9 +176,8 @@ class TestStubScorers:
         assert scorer.score("a", "c") != first
 
     def test_unknown_mode_fails(self):
-        scorer = stub_backend("s", "scorer_ref_free", mode="vibes")
-        with pytest.raises(BackendError, match="unknown stub scorer mode"):
-            scorer.score("a", "b")
+        with pytest.raises(ValueError, match="unknown stub scorer mode 'vibes'"):
+            stub_backend("s", "scorer_ref_free", mode="vibes")
 
 
 class TestStubChat:

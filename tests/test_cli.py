@@ -469,6 +469,76 @@ class TestManifest:
         assert f"error: {manifest}: unreadable manifest" in result.output
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
+    def test_reruns_keep_one_entry_per_file_and_every_output_digest_current(self, tmp_path):
+        config = workspace(tmp_path)
+        for _ in range(3):
+            run_full_pipeline(tmp_path, config)
+        run_ok("report", "--config", config, "--format", "csv")
+        run_ok("report", "--config", config, "--format", "json")
+        manifest = read_manifest(tmp_path)
+        assert [entry["stage"] for entry in manifest] == [*FULL_PIPELINE, "report", "report"]
+        assert stale_outputs(manifest) == []
+
+    def test_rerunning_generate_and_judge_leaves_no_stale_output_digest(self, tmp_path):
+        config = workspace(tmp_path)
+        run_full_pipeline(tmp_path, config)
+        run_ok("generate", "--config", config, "--seed", "8")
+        run_ok("judge", "--config", config)
+        manifest = read_manifest(tmp_path)
+        assert [entry["stage"] for entry in manifest] == ["extract", "sweep", "eval", "report", "generate", "judge"]
+        assert stale_outputs(manifest) == []
+
+    def test_an_old_manifest_collapses_to_one_entry_per_stage(self, tmp_path):
+        config = workspace(tmp_path)
+        run_full_pipeline(tmp_path, config)
+        path = tmp_path / "out" / "manifest.json"
+        path.write_text(json.dumps(read_manifest(tmp_path) * 60), encoding="utf-8")
+        run_full_pipeline(tmp_path, config)
+        manifest = read_manifest(tmp_path)
+        assert [entry["stage"] for entry in manifest] == FULL_PIPELINE
+        assert stale_outputs(manifest) == []
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1], [["outputs"]], [{"stage": "generate"}], [{"stage": "generate", "outputs": []}]],
+        ids=["number", "list", "no outputs", "outputs list"],
+    )
+    def test_a_manifest_of_other_items_is_a_data_error_before_any_write(self, tmp_path, entries):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        out = tmp_path / "out"
+        manifest = out / "manifest.json"
+        manifest.write_text(json.dumps(entries), encoding="utf-8")
+        before = file_states(tmp_path)
+        result = invoke("judge", "--config", config)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: {manifest}: the manifest is not a JSON list of stage entries" in result.output
+        assert file_states(tmp_path) == before
+
+
+FULL_PIPELINE = ["extract", "generate", "judge", "sweep", "eval", "report"]
+
+
+def run_full_pipeline(root: Path, config: Path) -> None:
+    gold = write_gold(root, erroneous=True)
+    for stage in FULL_PIPELINE:
+        run_ok(stage, "--config", config, *(["--gold", gold] if stage == "eval" else []))
+
+
+def read_manifest(root: Path) -> list:
+    return json.loads((root / "out" / "manifest.json").read_text(encoding="utf-8"))
+
+
+def stale_outputs(manifest: list) -> list:
+    """(stage, file) for each output whose recorded digest is not the file's."""
+    return [
+        (entry["stage"], name)
+        for entry in manifest
+        for name, digest in entry["outputs"].items()
+        if not Path(name).is_file() or hashlib.sha256(Path(name).read_bytes()).hexdigest() != digest
+    ]
+
 
 def file_states(root: Path) -> dict:
     """Every file under ``root``: its size, modification time and content digest."""
@@ -764,6 +834,32 @@ class TestConfigValidation:
         result = invoke("sweep", "--config", config, f"{flag}={value}")
         assert result.exit_code == 1
         assert f"error: {message}" in result.output
+
+    @pytest.mark.parametrize(
+        "slot, stub_params, message",
+        [
+            ("scorer_ref_free", {"mode": "constant"}, "stub scorer mode 'constant' needs a numeric 'value', got None"),
+            (
+                "scorer_ref_free",
+                {"mode": "constant", "value": "abc"},
+                "stub scorer mode 'constant' needs a numeric 'value', got 'abc'",
+            ),
+            ("scorer_ref_free", {"mode": "bogus"}, "unknown stub scorer mode 'bogus'"),
+            ("translator", {"table": ["x"]}, "stub 'table' must be an object, got ['x']"),
+        ],
+        ids=["constant without value", "constant value abc", "unknown mode", "table list"],
+    )
+    def test_bad_stub_params_exit_1_when_the_backend_is_built(self, tmp_path, slot, stub_params, message):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        spec = {**backend_section()[slot], "stub_params": stub_params}
+        bad = write_document(tmp_path / "bad.json", with_slot(slot, spec))
+        before = file_states(tmp_path)
+        result = invoke("judge" if slot == "translator" else "generate", "--config", bad)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: backend {slot!r}: {message}" in result.output
+        assert file_states(tmp_path) == before
 
     def test_backend_slot_kind_mismatch_is_rejected(self, tmp_path):
         write_corpus(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -139,9 +140,11 @@ class TestLoadAlignments:
 
     def test_rejects_malformed_link(self, tmp_path):
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta\tx"))
-        path = write_lines(tmp_path / "align.txt", "0-x")
-        with pytest.raises(CorpusError, match="malformed link '0-x'"):
-            load_alignments(path, pairs)
+        # int() rejects the superscript two and reads the Arabic-Indic zero as 0
+        for link in ("0-x", "0-²", "٠-0"):
+            path = write_lines(tmp_path / "align.txt", link)
+            with pytest.raises(CorpusError, match=re.escape(f"{path}:1: malformed link '{link}'")):
+                load_alignments(path, pairs)
 
     def test_rejects_out_of_range_src_index(self, tmp_path):
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b c\tx y"))
