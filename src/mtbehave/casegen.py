@@ -140,16 +140,15 @@ class PromptMetadataError(Exception):
 class MaskedPair:
     """A pair with mask placeholders plus the surfaces that were masked out.
 
-    ``src_segments`` and ``ref_segments`` hold the original surface of each
-    masked span in sentence order on their own side, tokens joined by single
-    spaces; substituting them back for the mask tokens restores the pair.
+    ``src_segments`` holds the original surface of each masked source span in
+    sentence order, tokens joined by single spaces; substituting them back for
+    the mask tokens restores the source.
     """
 
     pair_id: str
     masked_source: tuple[str, ...]
     masked_reference: tuple[str, ...]
     src_segments: tuple[str, ...]
-    ref_segments: tuple[str, ...]
     plan: SelectionPlan
 
 
@@ -203,7 +202,6 @@ def mask_pair(pair: TranslationPair, plan: SelectionPlan) -> MaskedPair:
     src_spans = sorted(seg.src_span for seg in plan.segments)
     ref_spans = sorted(seg.ref_span for seg in plan.segments)
     src_segments = tuple(" ".join(pair.source[s:e]) for s, e in src_spans)
-    ref_segments = tuple(" ".join(pair.reference[s:e]) for s, e in ref_spans)
     masked_source = list(pair.source)
     masked_reference = list(pair.reference)
     # Right to left so earlier span indices stay valid while splicing.
@@ -216,7 +214,6 @@ def mask_pair(pair: TranslationPair, plan: SelectionPlan) -> MaskedPair:
         tuple(masked_source),
         tuple(masked_reference),
         src_segments,
-        ref_segments,
         plan,
     )
 

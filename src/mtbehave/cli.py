@@ -3,8 +3,8 @@
 Every command takes a JSON run config (--config), --output-dir, and flags for
 the config values it reads; flags beat the file, the file beats built-in
 defaults. Relative paths inside the config resolve against the config file's
-directory. Each successful stage records in manifest.json the digests of the
-files it read and wrote, and drops the entries whose outputs it all rewrote.
+directory. A stage that succeeds, or exits 3 after writing files, records in
+manifest.json the digests of the files it read and wrote.
 
 Exit codes: 0 success, 1 usage or config error, 2 data validation error,
 3 backend exhaustion.
@@ -151,9 +151,8 @@ def _read_backends(key: str, section, path) -> dict:
 class RunConfig:
     """A merged and validated run config.
 
-    Every field but the digest and the cache is a config key: its ``read``
-    checks the key's value, and its ``default`` is the raw value that an absent
-    key stands for.
+    Every field but the digest is a config key: its ``read`` checks the key's
+    value, and its ``default`` is the raw value that an absent key stands for.
     """
 
     corpus: dict[str, Path] = field(metadata={"read": _read_corpus, "default": {}})
@@ -167,8 +166,6 @@ class RunConfig:
     backends: dict = field(metadata={"read": _read_backends, "default": {}})
     exclude_low_base: bool = field(metadata={"read": _read_bool, "default": False})
     config_digest: str = ""
-    # The response cache on cache_root, shared by the stage's backends.
-    cache: ResponseCache | None = None
 
 
 def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> RunConfig:
@@ -196,8 +193,7 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
     judge_flags = {item.name: flags[item.name] for item in fields(JudgeConfig) if item.name in flags}
     if judge_flags:
         values["judge"] = _read_judge("judge", {**asdict(values["judge"]), **judge_flags}, path)
-    cache = ResponseCache(values["cache_root"]) if values["cache_root"] is not None else None
-    return RunConfig(**values, config_digest=hashlib.sha256(blob).hexdigest(), cache=cache)
+    return RunConfig(**values, config_digest=hashlib.sha256(blob).hexdigest())
 
 
 def _file_digest(path: Path) -> str:
@@ -210,7 +206,7 @@ def _now() -> str:
 
 @dataclass
 class RunManifest:
-    """One entry per stage run whose outputs in this directory no later run all rewrote."""
+    """One entry per stage run that was the last to write one of this directory's files."""
 
     path: Path
     entries: list[dict] = field(default_factory=list)
@@ -246,8 +242,9 @@ class RunManifest:
             "started_at": started_at,
             "finished_at": finished_at,
         }
-        self.entries = [old for old in self.entries if not old["outputs"].keys() <= entry["outputs"].keys()]
-        self.entries.append(entry)
+        for old in self.entries:
+            old["outputs"] = {k: v for k, v in old["outputs"].items() if k not in entry["outputs"]}
+        self.entries = [old for old in self.entries if old["outputs"]] + [entry]
         write_json(self.path, self.entries)
 
 
@@ -256,50 +253,77 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
-StageRunner = Callable[..., tuple[list[Path], list[Path], str]]
+class Stage:
+    """One stage run: its config, the response cache its backends share, and in
+    ``inputs`` and ``outputs`` each file it checked or handed out: its manifest entry."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.cache = ResponseCache(config.cache_root) if config.cache_root is not None else None
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+
+    def corpus(self) -> Corpus:
+        """The corpus; only the stages that read it check its three files."""
+        for name, path in self.config.corpus.items():
+            _expect(path.is_file(), f"corpus {name} file not found: {path}")
+        self.inputs += self.config.corpus.values()
+        return load_corpus(*self.config.corpus.values())
+
+    def backends(self, *slots: str) -> list[Backend]:
+        """The named slots' backends, in slot order; only their specs are parsed."""
+        built = []
+        for slot in slots:
+            spec = self.config.backends.get(slot)
+            _expect(spec is not None, f"config declares no {slot!r} backend")
+            _expect(isinstance(spec, dict), f"backend {slot!r} must be an object")
+            spec = {"kind": slot, **spec}
+            _expect(spec["kind"] == slot, f"backend slot {slot!r} declares mismatched kind {spec['kind']!r}")
+            try:
+                built.append(Backend(BackendSpec.from_dict(spec), cache=self.cache))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"backend {slot!r}: {exc}") from exc
+        return built
+
+    def read(self, path: Path, missing_message: str) -> Path:
+        _expect(path.is_file(), missing_message)
+        self.inputs.append(path)
+        return path
+
+    def artifact(self, name: str, producer: str) -> Path:
+        """An earlier stage's output file in the output directory."""
+        path = self.config.output_dir / name
+        return self.read(path, f"{path} not found; run {producer} first")
+
+    def output(self, name: str) -> Path:
+        self.config.output_dir.mkdir(parents=True, exist_ok=True)
+        path = self.config.output_dir / name
+        self.outputs.append(path)
+        return path
 
 
-def _run_stage(stage: str, config_path, overrides: dict, runner: StageRunner, *args) -> None:
+def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., str], *args) -> None:
+    """Run ``runner(stage, *args)``, which returns the stage's summary line."""
     started_at = _now()
     try:
         config = load_run_config(config_path, overrides)
         manifest = RunManifest.load(config.output_dir / "manifest.json")
+        stage = Stage(config)
         try:
-            inputs, outputs, summary = runner(config, *args)
+            summary = runner(stage, *args)
         finally:  # keep the answers already paid for, however the stage ends
-            if config.cache is not None:
-                config.cache.close()
+            if stage.cache is not None:
+                stage.cache.close()
     except (ConfigError, CacheError) as exc:
         _die(EXIT_USAGE, str(exc))
     except ValueError as exc:  # every data error (CorpusError, MissingGold, ...) is one
         _die(EXIT_DATA, str(exc))
     except BackendError as exc:
+        if stage.outputs:  # so the manifest still describes the files it wrote
+            manifest.record_stage(name, config, stage.inputs, stage.outputs, started_at, _now())
         _die(EXIT_BACKEND, str(exc))
-    manifest.record_stage(stage, config, inputs, outputs, started_at, _now())
+    manifest.record_stage(name, config, stage.inputs, stage.outputs, started_at, _now())
     click.echo(summary)
-
-
-def _load_corpus(config: RunConfig) -> tuple[Corpus, list[Path]]:
-    """The corpus and its three files; only the stages that read it check them."""
-    for name, path in config.corpus.items():
-        _expect(path.is_file(), f"corpus {name} file not found: {path}")
-    return load_corpus(*config.corpus.values()), list(config.corpus.values())
-
-
-def _build_backends(config: RunConfig, *slots: str) -> list[Backend]:
-    """The named slots' backends, in slot order, sharing the config's cache; only their specs are parsed."""
-    built = []
-    for slot in slots:
-        spec = config.backends.get(slot)
-        _expect(spec is not None, f"config declares no {slot!r} backend")
-        _expect(isinstance(spec, dict), f"backend {slot!r} must be an object")
-        spec = {"kind": slot, **spec}
-        _expect(spec["kind"] == slot, f"backend slot {slot!r} declares mismatched kind {spec['kind']!r}")
-        try:
-            built.append(Backend(BackendSpec.from_dict(spec), cache=config.cache))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"backend {slot!r}: {exc}") from exc
-    return built
 
 
 def _fail_if_all_backend_errors(results: list, attempts: str) -> None:
@@ -311,29 +335,23 @@ def _fail_if_all_backend_errors(results: list, attempts: str) -> None:
         )
 
 
-def _require_artifact(path: Path, producer: str) -> Path:
-    _expect(path.is_file(), f"{path} not found; run {producer} first")
-    return path
-
-
-def _run_extract(config: RunConfig) -> tuple[list[Path], list[Path], str]:
-    corpus, corpus_paths = _load_corpus(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.output_dir / "segments.jsonl"
+def _run_extract(stage: Stage) -> str:
+    corpus = stage.corpus()
+    out_path = stage.output("segments.jsonl")
     segments = [
         (pair.pair_id, segment)
         for pair, alignment, annotation in corpus.triples()
         for segment in extract_editable(pair, alignment, annotation)
     ]
     write_jsonl(out_path, ({"pair_id": pair_id, **to_row(seg)} for pair_id, seg in segments))
-    summary = f"extracted {len(segments)} editable segments from {len(corpus)} pairs -> {out_path}"
-    return corpus_paths, [out_path], summary
+    return f"extracted {len(segments)} editable segments from {len(corpus)} pairs -> {out_path}"
 
 
-def _run_generate(config: RunConfig) -> tuple[list[Path], list[Path], str]:
+def _run_generate(stage: Stage) -> str:
+    config = stage.config
     _expect(config.capability is not None, "a capability is required (config or --capability)")
-    corpus, corpus_paths = _load_corpus(config)
-    infill, scorer = _build_backends(config, "infill", "scorer_ref_free")
+    corpus = stage.corpus()
+    infill, scorer = stage.backends("infill", "scorer_ref_free")
     cases = generate_cases(
         corpus,
         config.capability,
@@ -344,33 +362,30 @@ def _run_generate(config: RunConfig) -> tuple[list[Path], list[Path], str]:
         config.seed,
         config.jobs,
     )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.output_dir / "cases.jsonl"
+    out_path = stage.output("cases.jsonl")
     write_cases(cases, out_path)
     _fail_if_all_backend_errors(cases, "infill")
     counts = Counter(case.filter_status for case in cases)
-    summary = (
+    return (
         f"generated {len(cases)} cases for {config.capability.value} "
         f"(kept {counts[STATUS_KEPT]}, identical {counts[STATUS_DROPPED_IDENTICAL]}, "
         f"quality-dropped {counts[STATUS_DROPPED_QUALITY]}, errors {counts[STATUS_ERROR]}) "
         f"-> {out_path}"
     )
-    return corpus_paths, [out_path], summary
 
 
-def _run_judge(config: RunConfig) -> tuple[list[Path], list[Path], str]:
-    corpus, corpus_paths = _load_corpus(config)
-    cases_path = _require_artifact(config.output_dir / "cases.jsonl", "generate")
-    cases = read_cases(cases_path)
-    translator, scorer = _build_backends(config, "translator", "scorer_ref_based")
+def _run_judge(stage: Stage) -> str:
+    config = stage.config
+    corpus = stage.corpus()
+    cases = read_cases(stage.artifact("cases.jsonl", "generate"))
+    translator, scorer = stage.backends("translator", "scorer_ref_based")
     records = score_records(cases, corpus, translator, scorer, config.jobs)
-    records_path = config.output_dir / "records.jsonl"
-    write_records(records, records_path)
+    write_records(records, stage.output("records.jsonl"))
     _fail_if_all_backend_errors(records, "translation")
     verdicts = judge_records(records, config.judge)
     if not verdicts:
         raise EmptyVerdictSet("no scored records to judge")
-    verdicts_path = config.output_dir / "verdicts.jsonl"
+    verdicts_path = stage.output("verdicts.jsonl")
     write_verdicts(verdicts, verdicts_path)
     rated = [
         verdict
@@ -380,12 +395,11 @@ def _run_judge(config: RunConfig) -> tuple[list[Path], list[Path], str]:
     rate = pass_rate(rated)
     errored = sum(1 for record in records if record.error is not None)
     system_id = records[0].system_id if records else "?"
-    summary = (
+    return (
         f"judged {len(rated)} cases for {system_id}: pass rate {rate:.2f} "
         f"(alpha={config.judge.alpha:g}, beta={config.judge.beta:g}, "
         f"errored {errored}) -> {verdicts_path}"
     )
-    return corpus_paths + [cases_path], [records_path, verdicts_path], summary
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
@@ -403,14 +417,13 @@ def _parse_floats(text: str, name: str) -> list[float]:
     return values
 
 
-def _run_sweep(config: RunConfig, alphas_text: str, betas_text: str):
+def _run_sweep(stage: Stage, alphas_text: str, betas_text: str) -> str:
     alphas = _parse_floats(alphas_text, "--alphas")
     betas = _parse_floats(betas_text, "--betas")
     _expect(min(betas) >= 0, f"--betas must not be negative, got {min(betas):g}")
-    records_path = _require_artifact(config.output_dir / "records.jsonl", "judge")
-    records = read_records(records_path)
+    records = read_records(stage.artifact("records.jsonl", "judge"))
     grid = sweep(records, alphas, betas)
-    json_path = config.output_dir / "sweep.json"
+    json_path = stage.output("sweep.json")
     payload = {
         "alphas": alphas,
         "betas": betas,
@@ -421,18 +434,14 @@ def _run_sweep(config: RunConfig, alphas_text: str, betas_text: str):
         ],
     }
     write_json(json_path, payload)
-    md_path = config.output_dir / "sweep.md"
-    write_text(md_path, sweep_markdown(grid))
-    summary = f"swept {len(grid)} threshold cells -> {json_path}"
-    return [records_path], [json_path, md_path], summary
+    write_text(stage.output("sweep.md"), sweep_markdown(grid))
+    return f"swept {len(grid)} threshold cells -> {json_path}"
 
 
-def _run_eval(config: RunConfig, gold_path: str):
-    verdicts_path = _require_artifact(config.output_dir / "verdicts.jsonl", "judge")
-    verdicts = read_verdicts(verdicts_path)
+def _run_eval(stage: Stage, gold_path: str) -> str:
+    verdicts = read_verdicts(stage.artifact("verdicts.jsonl", "judge"))
     gold_file = Path(gold_path)
-    _expect(gold_file.is_file(), f"gold file not found: {gold_file}")
-    gold = load_gold(gold_file)
+    gold = load_gold(stage.read(gold_file, f"gold file not found: {gold_file}"))
     result: dict[str, object] = {}
     undefined: dict[str, str] = {}
     lines = []
@@ -455,26 +464,23 @@ def _run_eval(config: RunConfig, gold_path: str):
         undefined["error_position"] = f"{type(exc).__name__}: {exc}"
         lines.append(f"error-position analysis undefined ({type(exc).__name__}: {exc})")
     result["undefined"] = undefined
-    out_path = config.output_dir / "eval.json"
+    out_path = stage.output("eval.json")
     write_json(out_path, result)
-    summary = "\n".join(lines + [f"evaluation -> {out_path}"])
-    return [verdicts_path, gold_file], [out_path], summary
+    return "\n".join(lines + [f"evaluation -> {out_path}"])
 
 
-def _run_report(config: RunConfig, fmt: str):
+def _run_report(stage: Stage, fmt: str) -> str:
     _expect(fmt in REPORT_FORMATS, f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
-    verdicts_path = _require_artifact(config.output_dir / "verdicts.jsonl", "judge")
-    cases_path = _require_artifact(config.output_dir / "cases.jsonl", "generate")
+    verdicts_path = stage.artifact("verdicts.jsonl", "judge")
+    cases_path = stage.artifact("cases.jsonl", "generate")
     verdicts = read_verdicts(verdicts_path)
     if not verdicts:
         raise EmptyVerdictSet("the verdicts file is empty; nothing to report")
-    cases = read_cases(cases_path)
-    rows = capability_table(verdicts, cases)
+    rows = capability_table(verdicts, read_cases(cases_path))
     extension, _ = REPORT_FORMATS[fmt]
-    out_path = config.output_dir / f"report.{extension}"
+    out_path = stage.output(f"report.{extension}")
     emit_report(rows, fmt, out_path)
-    summary = f"wrote {len(rows)} report rows -> {out_path}"
-    return [verdicts_path, cases_path], [out_path], summary
+    return f"wrote {len(rows)} report rows -> {out_path}"
 
 
 # The flag overrides, keyed by the load_run_config override each one sets.

@@ -2,9 +2,9 @@
 
 Row artifacts (segments, cases, records, verdicts, gold rows) are JSON Lines;
 documents (manifest, sweep, eval, report) are indented JSON. A dataclass's
-fields give its row's keys in order: ``metadata={"key": ...}`` renames a key,
-and ``None`` there leaves the field out. Reading turns lists into tuples and
-enum values into members; a missing key takes the field's default.
+fields give its row's keys in order: ``metadata={"key": ...}`` renames a key.
+Reading turns lists into tuples and enum values into members; a missing key
+takes the field's default.
 
 Every write fills a temporary file beside the target and renames it over the
 target, so an interrupted stage leaves the previous file, never half of one.
@@ -60,16 +60,14 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
 
 @cache
 def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool], ...]:
-    """(attribute, key, enum class or None, required) per stored field of ``cls``."""
+    """(attribute, key, enum class or None, required) per field of ``cls``."""
     hints = get_type_hints(cls)
     plan = []
     for item in fields(cls):
-        key = item.metadata.get("key", item.name)
-        if key is not None:
-            hint = hints[item.name]
-            enum = hint if isinstance(hint, type) and issubclass(hint, Enum) else None
-            required = item.default is MISSING and item.default_factory is MISSING
-            plan.append((item.name, key, enum, required))
+        hint = hints[item.name]
+        enum = hint if isinstance(hint, type) and issubclass(hint, Enum) else None
+        required = item.default is MISSING and item.default_factory is MISSING
+        plan.append((item.name, item.metadata.get("key", item.name), enum, required))
     return tuple(plan)
 
 

@@ -61,8 +61,6 @@ class BudgetUnsatisfiable(Exception):
             f"pair {pair_id!r}: no eligible segment fits the budget "
             f"(source length {source_len})"
         )
-        self.pair_id = pair_id
-        self.source_len = source_len
 
 
 @dataclass(frozen=True)

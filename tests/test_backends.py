@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -388,6 +389,56 @@ class TestMapDistinct:
             return n * n
 
         assert map_jobs(slow_square, range(8), jobs=4) == [n * n for n in range(8)]
+
+    def test_ctrl_c_starts_no_queued_item(self, monkeypatch):
+        # SIGINT reaches the main thread while it waits on the first result
+        # and both workers hold an item. The workers are let go only when the
+        # pool shuts down, which is after the interrupt has left the result
+        # iterator, so an item that starts then was queued and not cancelled.
+        from concurrent.futures import ThreadPoolExecutor
+
+        started, submitted = [], threading.Event()
+        release, interrupted = threading.Event(), threading.Event()
+        shutdown = ThreadPoolExecutor.shutdown
+
+        def release_then_shutdown(pool, *args, **kwargs):
+            release.set()
+            return shutdown(pool, *args, **kwargs)
+
+        def items():
+            yield from range(10)
+            submitted.set()
+
+        def work(item):
+            started.append(item)
+            release.wait(10)
+            return item
+
+        def on_sigint(signum, frame):
+            if not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        def interrupt():
+            submitted.wait(10)
+            while len(started) < 2:
+                time.sleep(0.001)
+            # A signal that lands just before the main thread blocks on its
+            # lock waits until the lock is released, so send until one is seen.
+            while not interrupted.wait(0.05):
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", release_then_shutdown)
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        interrupter = threading.Thread(target=interrupt)
+        try:
+            interrupter.start()
+            with pytest.raises(KeyboardInterrupt):
+                map_jobs(work, items(), jobs=2)
+        finally:
+            interrupter.join()
+            signal.signal(signal.SIGINT, previous)
+        assert sorted(started) == [0, 1]
 
     def test_keys_go_out_in_first_seen_order(self):
         calls = []

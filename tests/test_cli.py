@@ -498,6 +498,25 @@ class TestManifest:
         assert [entry["stage"] for entry in manifest] == FULL_PIPELINE
         assert stale_outputs(manifest) == []
 
+    @pytest.mark.parametrize("stage, slot", [("generate", "infill"), ("judge", "translator")])
+    def test_a_stage_that_exits_3_records_the_files_it_wrote(self, tmp_path, monkeypatch, stage, slot):
+        config = workspace(tmp_path)
+        run_full_pipeline(tmp_path, config)
+        stub_send = _StubTransport.send
+
+        def send(self, request, context=None):
+            if self.spec.kind == slot:
+                raise HttpStatusError(503)
+            return stub_send(self, request, context)
+
+        monkeypatch.setattr(_StubTransport, "send", send)
+        monkeypatch.setattr("time.sleep", lambda seconds: None)
+        cold_cache = tmp_path / "cold_cache"
+        cold_cache.mkdir()
+        result = invoke(stage, "--config", config, "--cache-root", cold_cache)
+        assert result.exit_code == 3, result.output
+        assert stale_outputs(read_manifest(tmp_path)) == []
+
     @pytest.mark.parametrize(
         "entries",
         [[1], [["outputs"]], [{"stage": "generate"}], [{"stage": "generate", "outputs": []}]],

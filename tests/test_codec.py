@@ -21,7 +21,6 @@ class Row:
     name: str
     shade: Shade
     spans: tuple[tuple[int, int], ...] = field(default=(), metadata={"key": "marks"})
-    note: str | None = field(default=None, metadata={"key": None})
 
 
 class TestWrites:
@@ -52,8 +51,8 @@ class TestWrites:
 
 
 class TestRows:
-    def test_keys_follow_fields_with_renames_and_omissions(self):
-        row = Row("a", Shade.DARK, ((0, 1),), note="not stored")
+    def test_keys_follow_fields_with_renames(self):
+        row = Row("a", Shade.DARK, ((0, 1),))
         assert codec.to_row(row) == {"name": "a", "shade": "dark", "marks": ((0, 1),)}
 
     def test_round_trip_restores_tuples_and_enum_members(self, tmp_path):
