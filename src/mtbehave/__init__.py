@@ -34,7 +34,6 @@ from .segmentation import (
     extract_editable,
     filter_by_capability,
     plan_selection,
-    resolve_overlaps,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "extract_editable",
     "filter_by_capability",
     "plan_selection",
-    "resolve_overlaps",
 ]

@@ -36,6 +36,10 @@ CHAT_SYSTEM_LINE = "You are a helpful assistant that translates English to Chine
 
 _BACKOFF_BASE_SECONDS = 0.25
 
+# Every infill template ends with the masked sentences after these two anchors.
+_EN_ANCHOR = "English Sentence: "
+_ZH_ANCHOR = ". \\n Chinese Translation: "
+
 # The spec fields that can change an answer; timeout, retries and auth cannot.
 _ANSWER_FIELDS = ("kind", "transport", "endpoint", "model_name", "stub_params")
 # Request digests encode with this one encoder; json.dumps would build one per call.
@@ -264,7 +268,7 @@ class _HttpTransport:
                 )
             self._headers["Authorization"] = f"Bearer {key}"
 
-    def send(self, request: Mapping[str, object], context=None) -> object:
+    def send(self, request: Mapping[str, object]) -> object:
         # Imported here: a stage that builds no http transport never loads them.
         import http.client
         import urllib.error
@@ -299,8 +303,9 @@ class _StubTransport:
     """Deterministic local stand-in for an upstream model.
 
     ``stub_params`` configure it. Infill: ``src``/``ref`` are the fill strings
-    substituted for each mask. Translator: optional ``table`` maps exact source
-    strings to outputs, identity otherwise. Scorers: ``mode`` is one of
+    substituted for each mask in the two masked sentences that end the prompt.
+    Translator: optional ``table`` maps exact source strings to outputs,
+    identity otherwise. Scorers: ``mode`` is one of
     ``unigram_f1`` (default for scorer_ref_based), ``length_ratio`` (default
     for scorer_ref_free), ``token_overlap``, ``digest``, or ``constant`` with
     ``value``. The parameters are checked when the transport is built.
@@ -324,23 +329,25 @@ class _StubTransport:
                         f"stub scorer mode 'constant' needs a numeric 'value', got {self.params.get('value')!r}"
                     ) from None
 
-    def send(self, request: Mapping[str, object], context=None) -> object:
+    def send(self, request: Mapping[str, object]) -> object:
         kind = self.spec.kind
         if kind == "infill":
-            return _chat_shape(self._infill_reply(context))
+            return _chat_shape(self._infill_reply(request["messages"][-1]["content"]))
         if kind == "translator":
             user = request["messages"][-1]["content"]
             table = self.params.get("table") or {}
             return _chat_shape(table.get(user, user))
         return {"score": self._score(request)}
 
-    def _infill_reply(self, context) -> str:
-        if not context or "masked_source" not in context:
-            raise BackendError("stub infill requires prompt metadata")
+    def _infill_reply(self, prompt: str) -> str:
+        start = prompt.rfind(_EN_ANCHOR)
+        split = prompt.rfind(_ZH_ANCHOR)
+        if start < 0 or split < start:
+            raise BackendError("stub infill prompt lacks the masked sentences")
         src_fill = str(self.params.get("src", "thing"))
         ref_fill = str(self.params.get("ref", "东西"))
-        filled_src = context["masked_source"].replace(MASK_TOKEN, src_fill)
-        filled_ref = context["masked_reference"].replace(MASK_TOKEN, ref_fill)
+        filled_src = prompt[start + len(_EN_ANCHOR) : split].replace(MASK_TOKEN, src_fill)
+        filled_ref = prompt[split + len(_ZH_ANCHOR) :].replace(MASK_TOKEN, ref_fill)
         return f"Filled English: {filled_src}\nFilled Chinese: {filled_ref}"
 
     def _score(self, request: Mapping[str, object]) -> float:
@@ -404,7 +411,7 @@ class Backend:
     send each distinct request once, through ``map_distinct``.
 
     ``transport`` may be injected for tests; anything with a
-    ``send(request, context) -> parsed JSON`` method works. ``sleep`` is called
+    ``send(request) -> parsed JSON`` method works. ``sleep`` is called
     with the backoff delay between retries and defaults to ``time.sleep``.
     """
 
@@ -431,7 +438,7 @@ class Backend:
     def infill(self, prompt: "PromptRequest") -> str:
         self._require_kind("infill")
         request = chat_request(self.spec.model_name, prompt.rendered_text)
-        return self._request(request, context=prompt.metadata)
+        return self._request(request)
 
     def translate(self, source_text: str) -> str:
         self._require_kind("translator")
@@ -454,17 +461,17 @@ class Backend:
                 f"this call needs {kind!r}"
             )
 
-    def _request(self, request: dict, context=None) -> object:
+    def _request(self, request: dict) -> object:
         digest = canonical_request_digest(self.spec.backend_id, request)
         if self.cache is None:
-            return self._call_upstream(request, context, digest)
+            return self._call_upstream(request, digest)
         hit, value = self.cache.get(self.spec.backend_id, digest, self.fingerprint)
         if not hit:
-            value = self._call_upstream(request, context, digest)
+            value = self._call_upstream(request, digest)
             self.cache.put(self.spec.backend_id, digest, value, self.fingerprint)
         return value
 
-    def _call_upstream(self, request: dict, context, digest: str) -> object:
+    def _call_upstream(self, request: dict, digest: str) -> object:
         if self._transport is None:
             raise CacheMissError(
                 f"backend {self.spec.backend_id!r}: no cached response for request "
@@ -473,7 +480,7 @@ class Backend:
         attempt = 0
         while True:
             try:
-                raw = self._transport.send(request, context)
+                raw = self._transport.send(request)
                 return self._extract(raw)
             except BackendError as exc:
                 if not exc.retryable or attempt >= self.spec.max_retries:

@@ -154,11 +154,10 @@ class MaskedPair:
 
 @dataclass(frozen=True)
 class PromptRequest:
-    """A rendered infill prompt; ``metadata`` carries the slot values used."""
+    """A rendered infill prompt: the request text and the template it came from."""
 
     template_id: str
     rendered_text: str
-    metadata: dict
 
 
 @dataclass
@@ -220,10 +219,6 @@ def mask_pair(pair: TranslationPair, plan: SelectionPlan) -> MaskedPair:
 
 def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
     """Fill the capability's template with this masked pair's slot values."""
-    metadata: dict = {
-        "masked_source": " ".join(masked.masked_source),
-        "masked_reference": " ".join(masked.masked_reference),
-    }
     if capability is Capability.GENERAL:
         template_id, text = "general", GENERAL_TEMPLATE
     elif capability is Capability.TENSE:
@@ -234,24 +229,18 @@ def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
             raise PromptMetadataError(
                 f"pair {masked.pair_id!r}: NER prompt needs an entity type"
             )
-        original = masked.src_segments[0]
-        metadata["ne_type"] = segment.ne_type
-        metadata["original_entity"] = original
         text = NER_TEMPLATE.replace("{named entity type}", segment.ne_type)
-        text = text.replace("{the original named entity}", original)
+        text = text.replace("{the original named entity}", masked.src_segments[0])
         template_id = "ner"
     else:
         segment = masked.plan.segments[0]
         descriptor = f"{POS_SLOT_WORDS[segment.pos_class]} {segment.kind}"
-        original = masked.src_segments[0]
-        metadata["pos_descriptor"] = descriptor
-        metadata["original_segment"] = original
         text = POS_TEMPLATE.replace("{POS word/phrase}", descriptor)
-        text = text.replace("{the original POS word/phrase}", original)
+        text = text.replace("{the original POS word/phrase}", masked.src_segments[0])
         template_id = "pos"
-    text = text.replace("[MASKED ENGLISH]", metadata["masked_source"])
-    text = text.replace("[MASKED CHINESE]", metadata["masked_reference"])
-    return PromptRequest(template_id, text, metadata)
+    text = text.replace("[MASKED ENGLISH]", " ".join(masked.masked_source))
+    text = text.replace("[MASKED CHINESE]", " ".join(masked.masked_reference))
+    return PromptRequest(template_id, text)
 
 
 def _clean_fill(text: str) -> str:
@@ -354,18 +343,12 @@ def generate_cases(
                 _record_error(case, exc)
             work.append((case, pair, prompt))
 
-    # The cache key is the chat request, built from the rendered text alone,
-    # so the first prompt with a given text stands for all that share it.
-    prompts: dict[str, PromptRequest] = {}
-    for _, _, prompt in work:
-        if prompt is not None:
-            prompts.setdefault(prompt.rendered_text, prompt)
-    replies = map_distinct(lambda text: infill.infill(prompts[text]), prompts, jobs)
+    replies = map_distinct(infill.infill, (prompt for _, _, prompt in work if prompt is not None), jobs)
     for case, pair, prompt in work:
         if prompt is None:
             continue
         try:
-            raw = unwrap(replies[prompt.rendered_text])
+            raw = unwrap(replies[prompt])
             case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
             case.source_prime, case.reference_prime = parse_response(raw)
             case.filter_status = dedup(case, pair)

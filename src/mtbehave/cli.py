@@ -3,11 +3,11 @@
 Every command takes a JSON run config (--config), --output-dir, and flags for
 the config values it reads; flags beat the file, the file beats built-in
 defaults. Relative paths inside the config resolve against the config file's
-directory. A stage that succeeds, or exits 3 after writing files, records in
-manifest.json the digests of the files it read and wrote.
+directory. A stage that succeeds, or exits 2 or 3 after writing files, records
+in manifest.json the digests of the files it read and wrote.
 
 Exit codes: 0 success, 1 usage or config error, 2 data validation error,
-3 backend exhaustion.
+3 backend exhaustion, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .segmentation import MAX_PLANS_PER_PAIR, Capability, extract_editable
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's convention
 
 DEFAULT_SWEEP_ALPHAS = "0.5,0.6,0.7,0.8"
 DEFAULT_SWEEP_BETAS = "0.02,0.05,0.08,0.11"
@@ -305,6 +306,7 @@ class Stage:
 def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., str], *args) -> None:
     """Run ``runner(stage, *args)``, which returns the stage's summary line."""
     started_at = _now()
+    stage = None
     try:
         config = load_run_config(config_path, overrides)
         manifest = RunManifest.load(config.output_dir / "manifest.json")
@@ -314,14 +316,14 @@ def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., st
         finally:  # keep the answers already paid for, however the stage ends
             if stage.cache is not None:
                 stage.cache.close()
+    except KeyboardInterrupt:  # no manifest entry; the cache keeps the answers received
+        _die(EXIT_INTERRUPTED, "interrupted")
     except (ConfigError, CacheError) as exc:
         _die(EXIT_USAGE, str(exc))
-    except ValueError as exc:  # every data error (CorpusError, MissingGold, ...) is one
-        _die(EXIT_DATA, str(exc))
-    except BackendError as exc:
-        if stage.outputs:  # so the manifest still describes the files it wrote
+    except (ValueError, BackendError) as exc:  # every data error (CorpusError, ...) is a ValueError
+        if stage is not None and stage.outputs:  # so the manifest describes the files it wrote
             manifest.record_stage(name, config, stage.inputs, stage.outputs, started_at, _now())
-        _die(EXIT_BACKEND, str(exc))
+        _die(EXIT_BACKEND if isinstance(exc, BackendError) else EXIT_DATA, str(exc))
     manifest.record_stage(name, config, stage.inputs, stage.outputs, started_at, _now())
     click.echo(summary)
 

@@ -33,7 +33,7 @@ def _fail(path: object, lineno: int, message: str) -> None:
     raise CorpusError(f"{path}:{lineno}: {message}")
 
 
-def _check_span(span: Span, what: str) -> None:
+def check_span(span: Span, what: str) -> None:
     start, end = span
     if start < 0 or end <= start:
         raise ValueError(f"{what} ({start}, {end}) is not a valid span")
@@ -94,13 +94,13 @@ class Annotation:
         if len(self.past_perfect) != len(self.pos):
             raise ValueError("past_perfect length differs from pos length")
         for start, end, label in self.ne_spans:
-            _check_span((start, end), "NE span")
+            check_span((start, end), "NE span")
             if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
                 raise ValueError(f"invalid NE type {label!r}")
         for span in self.phrase_spans_src:
-            _check_span(span, "source phrase span")
+            check_span(span, "source phrase span")
         for span in self.phrase_spans_ref:
-            _check_span(span, "reference phrase span")
+            check_span(span, "reference phrase span")
 
 
 @dataclass(frozen=True)

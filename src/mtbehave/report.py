@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .casegen import STATUS_KEPT, TestCase
 from .codec import json_text, read_jsonl, to_row, write_text
-from .corpus import CorpusError, Span, spans_overlap
+from .corpus import CorpusError, Span, check_span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
 
@@ -71,11 +71,8 @@ class GoldErrorAnnotation:
             raise ValueError(
                 f"case {self.case_id!r}: error spans on a non-erroneous translation"
             )
-        for start, end in self.error_spans + self.edited_spans:
-            if start < 0 or end <= start:
-                raise ValueError(
-                    f"case {self.case_id!r}: ({start}, {end}) is not a valid span"
-                )
+        for span in self.error_spans + self.edited_spans:
+            check_span(span, f"case {self.case_id!r}:")
 
 
 @dataclass(frozen=True)

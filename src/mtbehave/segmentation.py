@@ -145,7 +145,7 @@ def extract_editable(
     phrases. A candidate survives when its linked reference indices form a
     consecutive unit (single word or listed reference phrase), the two spans
     are solely aligned with each other, and the source boundary tokens are
-    aligned. Overlapping survivors are resolved as by :func:`resolve_overlaps`.
+    aligned. Overlapping survivors are resolved by :func:`_overlap_free`.
     """
     ref_by_src: dict[int, list[int]] = {}  # source index -> its linked reference indices
     src_by_ref: dict[int, list[int]] = {}  # and the converse
@@ -163,7 +163,12 @@ def extract_editable(
 
 
 def _overlap_free(span_pairs: list[tuple[Span, Span]]) -> list[tuple[Span, Span]]:
-    """The (src_span, ref_span) pairs overlapping no higher-priority pair, sorted."""
+    """The (src_span, ref_span) pairs overlapping no higher-priority pair on either side.
+
+    Priority: longer source span first, then smaller source start, then smaller
+    reference start; among equal pairs the first given wins. The result is
+    sorted by source span. Idempotent.
+    """
     kept = []
     src_taken = ref_taken = 0  # the indices already taken on each side, as bit sets
     for src_span, ref_span in sorted(span_pairs, key=lambda p: (p[0][0] - p[0][1], p[0][0], p[1][0])):
@@ -174,19 +179,6 @@ def _overlap_free(span_pairs: list[tuple[Span, Span]]) -> list[tuple[Span, Span]
             src_taken |= src_bits
             ref_taken |= ref_bits
     return sorted(kept)
-
-
-def resolve_overlaps(segments: list[EditableSegment]) -> list[EditableSegment]:
-    """Drop segments overlapping a higher-priority one on either side.
-
-    Priority: longer source span first, then smaller source start, then smaller
-    reference start; among equal spans the first given wins. The result is
-    overlap-free on both sides and sorted by source span. Idempotent.
-    """
-    by_spans: dict[tuple[Span, Span], EditableSegment] = {}
-    for segment in segments:
-        by_spans.setdefault((segment.src_span, segment.ref_span), segment)
-    return [by_spans[spans] for spans in _overlap_free(list(by_spans))]
 
 
 def filter_by_capability(

@@ -82,7 +82,7 @@ class RecordingTransport:
     """Transport wrapper that counts upstream calls; thread-safe.
 
     ``inner`` may be another transport or a plain callable
-    ``(request, context) -> parsed reply``.
+    ``request -> parsed reply``.
     """
 
     def __init__(self, inner):
@@ -90,12 +90,12 @@ class RecordingTransport:
         self._lock = threading.Lock()
         self.calls = []
 
-    def send(self, request, context=None):
+    def send(self, request):
         with self._lock:
             self.calls.append(request)
         if hasattr(self._inner, "send"):
-            return self._inner.send(request, context)
-        return self._inner(request, context)
+            return self._inner.send(request)
+        return self._inner(request)
 
     @property
     def call_count(self):

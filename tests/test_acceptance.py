@@ -594,12 +594,12 @@ def test_c11_cache_idempotence(capsys, tmp_path):
             ),
         ]
 
-        def echo_chat(request, context=None):
+        def echo_chat(request):
             return {"choices": [{"message": {"content": request["messages"][-1]["content"]}}]}
 
         cache = ResponseCache(tmp_path / "cache")
         chat = RecordingTransport(echo_chat)
-        rate = RecordingTransport(lambda request, context: {"score": 0.9})
+        rate = RecordingTransport(lambda request: {"score": 0.9})
         translator = Backend(
             BackendSpec("mt", "translator", "stub"), cache=cache, transport=chat
         )

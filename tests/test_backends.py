@@ -29,6 +29,7 @@ from mtbehave.backends import (
     MalformedReplyError,
     NonNumericReplyError,
     ResponseCache,
+    _StubTransport,
     _extract_score,
     canonical_request_digest,
     chat_request,
@@ -36,8 +37,10 @@ from mtbehave.backends import (
     map_jobs,
     unwrap,
 )
+from mtbehave.casegen import PromptRequest, mask_pair, parse_response, render_prompt
+from mtbehave.segmentation import Capability, EditableSegment, SelectionPlan
 
-from conftest import RecordingTransport, cache_rows, damage_cache_row, stub_backend, stub_spec
+from conftest import RecordingTransport, cache_rows, damage_cache_row, make_pair, stub_backend, stub_spec
 
 
 def infill_spec(**fields):
@@ -187,6 +190,33 @@ class TestStubChat:
         table = {"hello": "你好"}
         assert stub_backend("t", "translator", table=table).translate("hello") == "你好"
 
+    @pytest.mark.parametrize(
+        "capability", [Capability.NOUN, Capability.TENSE, Capability.NER, Capability.GENERAL]
+    )
+    def test_infill_fills_the_masked_sentences_that_end_the_prompt(self, capability):
+        pair = make_pair("p1", "Alice closed the shop early", "爱丽丝 很早 关了 商店")
+        segments = (
+            EditableSegment((0, 1), (0, 1), "word", "NOUN", "PERSON", False),
+            EditableSegment((2, 4), (3, 4), "phrase", "NOUN", None, False),
+        )
+        if capability is not Capability.GENERAL:
+            segments = segments[:1]
+        masked = mask_pair(pair, SelectionPlan("p1", capability, segments, 7))
+        prompt = render_prompt(masked, capability)
+        reply = stub_backend("fill", "infill", src="Bob", ref="鲍勃").infill(prompt)
+        filled_src = " ".join(masked.masked_source).replace("<mask>", "Bob")
+        filled_ref = " ".join(masked.masked_reference).replace("<mask>", "鲍勃")
+        assert parse_response(reply) == (tuple(filled_src.split()), tuple(filled_ref.split()))
+
+    def test_infill_prompt_without_the_masked_sentences_fails_without_retry(self):
+        transport = RecordingTransport(_StubTransport(stub_spec("fill", "infill")))
+        backend = Backend(stub_spec("fill", "infill"), transport=transport)
+        prompt = PromptRequest("general", "fill in the <mask> please")
+        with pytest.raises(BackendError, match="lacks the masked sentences") as raised:
+            backend.infill(prompt)
+        assert not raised.value.retryable
+        assert transport.call_count == 1
+
     def test_kind_is_enforced(self):
         with pytest.raises(ValueError, match="has kind 'translator'"):
             stub_backend("t", "translator").score("a", "b")
@@ -265,7 +295,7 @@ class TestResponseCache:
 
 class TestBackendCaching:
     def test_identical_requests_hit_upstream_once(self, response_cache):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
         )
@@ -274,7 +304,7 @@ class TestBackendCaching:
         assert transport.call_count == 1
 
     def test_distinct_requests_are_distinct_entries(self, response_cache):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
         )
@@ -283,7 +313,7 @@ class TestBackendCaching:
         assert transport.call_count == 2
 
     def test_cache_survives_new_backend_instances(self, response_cache):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         spec = stub_spec("s", "scorer_ref_free")
         Backend(spec, cache=response_cache, transport=transport).score("a", "b")
         again = Backend(spec, cache=response_cache, transport=transport)
@@ -307,7 +337,7 @@ class TestBackendCaching:
         assert Backend(replace(spec, **change)).fingerprint != Backend(spec).fingerprint
 
     def test_timeout_retries_and_auth_keep_the_fingerprint(self, response_cache):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         spec = stub_spec("s", "scorer_ref_free")
         Backend(spec, cache=response_cache, transport=transport).score("a", "b")
         same = replace(spec, timeout=5.0, max_retries=0, auth_env_var="UNSET_KEY")
@@ -315,7 +345,7 @@ class TestBackendCaching:
         assert transport.call_count == 1
 
     def test_an_entry_without_a_fingerprint_is_refilled(self, response_cache):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
         )
@@ -329,7 +359,7 @@ class TestBackendCaching:
 
     @pytest.mark.parametrize("stored", [float("nan"), float("inf")])
     def test_a_cached_non_finite_score_is_refilled(self, response_cache, stored):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
         )
@@ -340,14 +370,14 @@ class TestBackendCaching:
         assert cache_rows(response_cache) == {("s", digest): (backend.fingerprint, "0.5")}
 
     def test_no_cache_means_every_call_goes_up(self):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(stub_spec("s", "scorer_ref_free"), transport=transport)
         backend.score("a", "b")
         backend.score("a", "b")
         assert transport.call_count == 2
 
     def test_concurrent_cached_requests_all_get_the_answer(self, response_cache):
-        transport = RecordingTransport(lambda request, context: {"score": 0.5})
+        transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(
             stub_spec("s", "scorer_ref_free"), cache=response_cache, transport=transport
         )
@@ -461,7 +491,7 @@ class FlakyTransport:
         self.value = value if value is not None else {"score": 1.0}
         self.calls = 0
 
-    def send(self, request, context=None):
+    def send(self, request):
         self.calls += 1
         if self.errors:
             raise self.errors.pop(0)

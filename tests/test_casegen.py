@@ -179,14 +179,16 @@ class TestRenderPrompt:
         with pytest.raises(PromptMetadataError):
             render_prompt(masked, Capability.NER)
 
-    def test_metadata_carries_masked_texts(self):
+    def test_rendered_text_carries_slot_values_and_masked_tail(self):
         pair = make_pair("p1", "a b", "x y")
         masked = mask_pair(pair, plan_for(pair, Capability.NOUN, word_segment(0, 0, "NOUN")))
         prompt = render_prompt(masked, Capability.NOUN)
-        assert prompt.metadata["masked_source"] == "<mask> b"
-        assert prompt.metadata["masked_reference"] == "<mask> y"
-        assert prompt.metadata["pos_descriptor"] == "noun word"
-        assert prompt.metadata["original_segment"] == "a"
+        assert prompt.template_id == "pos"
+        assert "an noun word has been masked" in prompt.rendered_text
+        assert "using an noun word other than a without" in prompt.rendered_text
+        assert prompt.rendered_text.endswith(
+            "English Sentence: <mask> b. \\n Chinese Translation: <mask> y"
+        )
 
 
 class TestParseResponse:
@@ -371,15 +373,15 @@ class TestGenerateCases:
     def test_backend_failure_is_isolated_to_its_case(self):
         class FailOnToday:
             """Raise for p1 only: 'today' is unaligned, so it is never masked
-            and always present in p1's masked source."""
+            and always present in p1's prompt."""
 
             def __init__(self, spec):
                 self.inner = _StubTransport(spec)
 
-            def send(self, request, context=None):
-                if context and "today" in context["masked_source"]:
+            def send(self, request):
+                if "today" in request["messages"][-1]["content"]:
                     raise BackendError("upstream exploded")
-                return self.inner.send(request, context)
+                return self.inner.send(request)
 
         spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
         cases = generate_cases(
@@ -401,7 +403,7 @@ class TestGenerateCases:
     def test_original_pair_qe_failure_marks_every_pending_case_of_the_pair(self):
         p1_source = "the little shop closed early today"
 
-        def send(request, context=None):
+        def send(request):
             if request["src"] == p1_source:
                 raise BackendError("original pair refused")
             if request["src"].startswith("the little"):  # every edited p1 pair

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mtbehave
 from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, read_cases
@@ -504,10 +510,10 @@ class TestManifest:
         run_full_pipeline(tmp_path, config)
         stub_send = _StubTransport.send
 
-        def send(self, request, context=None):
+        def send(self, request):
             if self.spec.kind == slot:
                 raise HttpStatusError(503)
-            return stub_send(self, request, context)
+            return stub_send(self, request)
 
         monkeypatch.setattr(_StubTransport, "send", send)
         monkeypatch.setattr("time.sleep", lambda seconds: None)
@@ -515,6 +521,14 @@ class TestManifest:
         cold_cache.mkdir()
         result = invoke(stage, "--config", config, "--cache-root", cold_cache)
         assert result.exit_code == 3, result.output
+        assert stale_outputs(read_manifest(tmp_path)) == []
+
+    def test_a_stage_that_exits_2_records_the_files_it_wrote(self, tmp_path):
+        config = workspace(tmp_path)
+        run_full_pipeline(tmp_path, config)
+        # judge writes records.jsonl and verdicts.jsonl, then finds no verdict to rate
+        result = invoke("judge", "--config", config, "--alpha", "1.5", "--exclude-low-base")
+        assert (result.exit_code, result.output.strip()) == (2, "error: no verdicts to aggregate")
         assert stale_outputs(read_manifest(tmp_path)) == []
 
     @pytest.mark.parametrize(
@@ -607,11 +621,11 @@ class TestResponseCacheFile:
         sent, refused = [], {SENTENCES["base"]}
         stub_send = _StubTransport.send
 
-        def send(self, request, context=None):
+        def send(self, request):
             sent.append((self.spec.kind, request.get("src")))
             if request.get("src") in refused:  # the original pair's QE, on every attempt
                 raise HttpStatusError(503)
-            return stub_send(self, request, context)
+            return stub_send(self, request)
 
         monkeypatch.setattr(_StubTransport, "send", send)
         monkeypatch.setattr("time.sleep", lambda seconds: None)
@@ -634,17 +648,54 @@ class TestResponseCacheFile:
         config = workspace(tmp_path)
         stub_send = _StubTransport.send
 
-        def send(self, request, context=None):
+        def send(self, request):
             if self.spec.kind == "scorer_ref_free":
                 raise KeyboardInterrupt
-            return stub_send(self, request, context)
+            return stub_send(self, request)
 
         monkeypatch.setattr(_StubTransport, "send", send)
         result = invoke("generate", "--config", config)
-        assert (result.exit_code, result.output.strip()) == (1, "Aborted!")
+        assert (result.exit_code, result.output.strip()) == (130, "error: interrupted")
         assert not (tmp_path / "out" / "cases.jsonl").exists()
         rows = cache_rows(ResponseCache(tmp_path / "cache"))
         assert [key[0] for key in rows] == ["stub-infill"]
+
+    def test_sigint_during_a_request_exits_130_and_leaves_the_artifacts(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        before = file_states(tmp_path / "out")
+        with socket.socket() as listener:  # accepts a connection and never answers
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(30)
+            backends = backend_section()
+            backends["infill"] = {
+                "backend_id": "http-infill",
+                "transport": "http",
+                "endpoint": f"http://127.0.0.1:{listener.getsockname()[1]}/infill",
+                "timeout": 30,
+                "max_retries": 0,
+            }
+            http_config = write_config(tmp_path, name="http.json", backends=backends)
+            src = os.path.dirname(os.path.dirname(mtbehave.__file__))
+            process = subprocess.Popen(
+                [sys.executable, "-m", "mtbehave.cli", "generate", "--config", str(http_config)],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            try:
+                connection, _ = listener.accept()
+                with connection:
+                    process.send_signal(signal.SIGINT)
+                    _, stderr = process.communicate(timeout=10)
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+        assert (process.returncode, stderr.strip()) == (130, "error: interrupted")
+        assert file_states(tmp_path / "out") == before
 
 
 def with_slot(slot, spec):

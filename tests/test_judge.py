@@ -197,7 +197,7 @@ class TestSweep:
 def chat_upstream(table):
     """Fake chat endpoint that translates via an exact-match table."""
 
-    def send(request, context=None):
+    def send(request):
         text = request["messages"][-1]["content"]
         return {"choices": [{"message": {"content": table[text]}}]}
 
@@ -272,7 +272,7 @@ class TestScoreRecords:
         assert [r.qual_y_prime for r in parallel] == [r.qual_y_prime for r in sequential]
 
     def test_backend_failure_is_recorded_not_raised(self):
-        def send(request, context=None):
+        def send(request):
             text = request["messages"][-1]["content"]
             if "ran" in text:
                 raise HttpStatusError(400)
@@ -297,7 +297,7 @@ class TestScoreRecords:
         """Recorded chat upstream that answers 400 for one source text."""
         table = {**TRANSLATIONS, "the shop opened": "商店 开门"}
 
-        def send(request, context=None):
+        def send(request):
             source = request["messages"][-1]["content"]
             if source == text:
                 raise HttpStatusError(400, "refused")
@@ -359,7 +359,7 @@ class TestScoreRecords:
 
     def test_warm_cache_never_calls_upstream_again(self, response_cache):
         chat = RecordingTransport(chat_upstream(TRANSLATIONS))
-        rate = RecordingTransport(lambda request, context: {"score": 0.9})
+        rate = RecordingTransport(lambda request: {"score": 0.9})
         mt = translator(chat, cache=response_cache)
         scorer = Backend(
             BackendSpec("qe", "scorer_ref_based", "stub"),

@@ -15,8 +15,8 @@ from mtbehave.segmentation import (
     EditableSegment,
     extract_editable,
     filter_by_capability,
+    _overlap_free,
     plan_selection,
-    resolve_overlaps,
 )
 
 from conftest import identity_links, make_alignment, make_annotation, make_pair
@@ -172,37 +172,35 @@ class TestExtractEditable:
 
 
 class TestResolveOverlaps:
+    """The priority rule of ``_overlap_free`` on (src_span, ref_span) pairs."""
+
     def test_longer_source_span_wins(self):
-        phrase = seg((0, 2), (0, 2), kind="phrase")
-        word = seg((1, 2), (2, 3))
-        assert resolve_overlaps([word, phrase]) == [phrase]
+        phrase = ((0, 2), (0, 2))
+        word = ((1, 2), (2, 3))
+        assert _overlap_free([word, phrase]) == [phrase]
 
     def test_tie_breaks_on_smaller_source_start(self):
-        left = seg((0, 1), (0, 1))
-        right = seg((0, 1), (1, 2))
+        left = ((0, 1), (0, 1))
+        right = ((0, 1), (1, 2))
         # Same source span twice: same length and start, so the smaller
         # reference start survives.
-        assert resolve_overlaps([right, left]) == [left]
+        assert _overlap_free([right, left]) == [left]
 
     def test_reference_side_overlap_also_resolved(self):
-        a = seg((0, 1), (0, 2))
-        b = seg((2, 3), (1, 3))  # disjoint in source, overlapping in reference
-        kept = resolve_overlaps([a, b])
+        a = ((0, 1), (0, 2))
+        b = ((2, 3), (1, 3))  # disjoint in source, overlapping in reference
+        kept = _overlap_free([a, b])
         assert kept == [a]  # same length, smaller source start wins
 
     def test_disjoint_segments_all_kept_and_sorted(self):
-        a = seg((2, 3), (0, 1))
-        b = seg((0, 1), (2, 3))
-        assert resolve_overlaps([a, b]) == [b, a]
+        a = ((2, 3), (0, 1))
+        b = ((0, 1), (2, 3))
+        assert _overlap_free([a, b]) == [b, a]
 
     def test_idempotent(self):
-        segments = [
-            seg((0, 2), (0, 2), kind="phrase"),
-            seg((1, 2), (2, 3)),
-            seg((3, 4), (3, 4)),
-        ]
-        once = resolve_overlaps(segments)
-        assert resolve_overlaps(once) == once
+        pairs = [((0, 2), (0, 2)), ((1, 2), (2, 3)), ((3, 4), (3, 4))]
+        once = _overlap_free(pairs)
+        assert _overlap_free(once) == once
 
 
 class TestFilterByCapability:
@@ -426,8 +424,8 @@ class TestExtractionProperties:
     @given(aligned_pairs())
     def test_resolution_is_idempotent(self, example):
         pair, alignment, annotation = example
-        segments = extract_editable(pair, alignment, annotation)
-        assert resolve_overlaps(segments) == segments
+        span_pairs = [(s.src_span, s.ref_span) for s in extract_editable(pair, alignment, annotation)]
+        assert _overlap_free(span_pairs) == span_pairs
 
 
 class TestPlanProperties:
