@@ -30,7 +30,6 @@ from .report import (
 from .segmentation import (
     Capability,
     EditableSegment,
-    SelectionPlan,
     extract_editable,
     filter_by_capability,
     plan_selection,
@@ -62,7 +61,6 @@ __all__ = [
     "precision_recall",
     "Capability",
     "EditableSegment",
-    "SelectionPlan",
     "extract_editable",
     "filter_by_capability",
     "plan_selection",

@@ -307,8 +307,7 @@ class _StubTransport:
     Translator: optional ``table`` maps exact source strings to outputs,
     identity otherwise. Scorers: ``mode`` is one of
     ``unigram_f1`` (default for scorer_ref_based), ``length_ratio`` (default
-    for scorer_ref_free), ``token_overlap``, ``digest``, or ``constant`` with
-    ``value``. The parameters are checked when the transport is built.
+    for scorer_ref_free), or ``constant`` with ``value``. The parameters are checked when the transport is built.
     """
 
     def __init__(self, spec: BackendSpec):
@@ -319,7 +318,7 @@ class _StubTransport:
         if spec.kind.startswith("scorer_"):
             default = "unigram_f1" if spec.kind == "scorer_ref_based" else "length_ratio"
             self.mode = self.params.get("mode", default)
-            if self.mode not in ("constant", "digest", *_STUB_SCORERS):
+            if self.mode not in ("constant", *_STUB_SCORERS):
                 raise ValueError(f"unknown stub scorer mode {self.mode!r}")
             if self.mode == "constant":
                 try:
@@ -351,17 +350,11 @@ class _StubTransport:
         return f"Filled English: {filled_src}\nFilled Chinese: {filled_ref}"
 
     def _score(self, request: Mapping[str, object]) -> float:
-        src = str(request.get("src", ""))
-        hyp = str(request.get("hyp", ""))
-        ref = request.get("ref")
         if self.mode == "constant":
             return self.value
-        if self.mode == "digest":
-            blob = "\x00".join([src, hyp, str(ref)])
-            prefix = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:8]
-            return int(prefix, 16) / 2**32
-        other = str(ref) if ref is not None else src
-        return _STUB_SCORERS[self.mode](hyp.split(), other.split())
+        ref = request.get("ref")
+        other = str(ref) if ref is not None else str(request.get("src", ""))
+        return _STUB_SCORERS[self.mode](str(request.get("hyp", "")).split(), other.split())
 
 
 def _chat_shape(content: str) -> dict:
@@ -387,12 +380,6 @@ def _unigram_f1(hyp: list[str], ref: list[str]) -> float:
     return 2 * overlap / (len(hyp) + len(ref))
 
 
-def _token_overlap(hyp: list[str], ref: list[str]) -> float:
-    if not hyp and not ref:
-        return 1.0
-    return _overlap_count(hyp, ref) / max(len(hyp), len(ref))
-
-
 def _length_ratio(hyp: list[str], ref: list[str]) -> float:
     if not hyp and not ref:
         return 1.0
@@ -400,7 +387,7 @@ def _length_ratio(hyp: list[str], ref: list[str]) -> float:
     return min(len(hyp), len(ref)) / longer if longer else 1.0
 
 
-_STUB_SCORERS = {"unigram_f1": _unigram_f1, "token_overlap": _token_overlap, "length_ratio": _length_ratio}
+_STUB_SCORERS = {"unigram_f1": _unigram_f1, "length_ratio": _length_ratio}
 
 
 class Backend:

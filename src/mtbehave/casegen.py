@@ -19,8 +19,7 @@ from .corpus import Corpus, Span, TranslationPair
 from .segmentation import (
     MASK_TOKEN,
     Capability,
-    BudgetUnsatisfiable,
-    SelectionPlan,
+    EditableSegment,
     extract_editable,
     filter_by_capability,
     plan_selection,
@@ -130,26 +129,20 @@ class EmptyFill(ResponseParseError):
     pass
 
 
-class PromptMetadataError(Exception):
-    """A template slot has no value (e.g. NER plan without an NE type)."""
-
-    error_kind = "prompt"
-
-
 @dataclass(frozen=True)
 class MaskedPair:
     """A pair with mask placeholders plus the surfaces that were masked out.
 
     ``src_segments`` holds the original surface of each masked source span in
     sentence order, tokens joined by single spaces; substituting them back for
-    the mask tokens restores the source.
+    the mask tokens restores the source. ``segments`` is the plan that was
+    masked; the prompt reads its slot values from them.
     """
 
-    pair_id: str
     masked_source: tuple[str, ...]
     masked_reference: tuple[str, ...]
     src_segments: tuple[str, ...]
-    plan: SelectionPlan
+    segments: tuple[EditableSegment, ...]
 
 
 @dataclass(frozen=True)
@@ -194,12 +187,10 @@ def derive_seed(master_seed: int, pair_id: str) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-def mask_pair(pair: TranslationPair, plan: SelectionPlan) -> MaskedPair:
+def mask_pair(pair: TranslationPair, segments: tuple[EditableSegment, ...]) -> MaskedPair:
     """Replace each planned segment with the mask token on both sides."""
-    if pair.pair_id != plan.pair_id:
-        raise ValueError(f"plan for {plan.pair_id!r} applied to pair {pair.pair_id!r}")
-    src_spans = sorted(seg.src_span for seg in plan.segments)
-    ref_spans = sorted(seg.ref_span for seg in plan.segments)
+    src_spans = sorted(seg.src_span for seg in segments)
+    ref_spans = sorted(seg.ref_span for seg in segments)
     src_segments = tuple(" ".join(pair.source[s:e]) for s, e in src_spans)
     masked_source = list(pair.source)
     masked_reference = list(pair.reference)
@@ -208,13 +199,7 @@ def mask_pair(pair: TranslationPair, plan: SelectionPlan) -> MaskedPair:
         masked_source[start:end] = [MASK_TOKEN]
     for start, end in reversed(ref_spans):
         masked_reference[start:end] = [MASK_TOKEN]
-    return MaskedPair(
-        pair.pair_id,
-        tuple(masked_source),
-        tuple(masked_reference),
-        src_segments,
-        plan,
-    )
+    return MaskedPair(tuple(masked_source), tuple(masked_reference), src_segments, segments)
 
 
 def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
@@ -224,16 +209,11 @@ def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
     elif capability is Capability.TENSE:
         template_id, text = "tense", TENSE_TEMPLATE
     elif capability is Capability.NER:
-        segment = masked.plan.segments[0]
-        if segment.ne_type is None:
-            raise PromptMetadataError(
-                f"pair {masked.pair_id!r}: NER prompt needs an entity type"
-            )
-        text = NER_TEMPLATE.replace("{named entity type}", segment.ne_type)
+        text = NER_TEMPLATE.replace("{named entity type}", masked.segments[0].ne_type)
         text = text.replace("{the original named entity}", masked.src_segments[0])
         template_id = "ner"
     else:
-        segment = masked.plan.segments[0]
+        segment = masked.segments[0]
         descriptor = f"{POS_SLOT_WORDS[segment.pos_class]} {segment.kind}"
         text = POS_TEMPLATE.replace("{POS word/phrase}", descriptor)
         text = text.replace("{the original POS word/phrase}", masked.src_segments[0])
@@ -310,43 +290,32 @@ def generate_cases(
     """Generate test cases for one capability over the whole corpus.
 
     Pairs without eligible segments (or without any budget-satisfiable segment
-    for General) are skipped. A backend, parse, or prompt failure is recorded
-    on its case; the batch itself never aborts. Each distinct infill prompt
+    for General) are skipped. A backend or parse failure is recorded on its
+    case; the batch itself never aborts. Each distinct infill prompt
     is sent once, and so is each distinct pair that ``scorer``, the quality
     filter's reference-free scorer, rates: the original pair is scored once
     for all of its cases, and a failed request fails every case that shares
     it. Deterministic for a fixed seed when the backends are (stub or warm
     replay cache).
     """
-    work: list[tuple[TestCase, TranslationPair, PromptRequest | None]] = []
+    work: list[tuple[TestCase, TranslationPair, PromptRequest]] = []
     for pair, alignment, annotation in corpus.triples():
-        segments = extract_editable(pair, alignment, annotation)
-        eligible = filter_by_capability(segments, annotation, capability)
+        eligible = filter_by_capability(extract_editable(pair, alignment, annotation), capability)
         pair_seed = derive_seed(seed, pair.pair_id)
-        try:
-            plans = plan_selection(pair, eligible, capability, per_pair, pair_seed)
-        except BudgetUnsatisfiable:
-            continue
-        for index, plan in enumerate(plans):
+        for index, plan in enumerate(plan_selection(pair, eligible, capability, per_pair, pair_seed)):
+            prompt = render_prompt(mask_pair(pair, plan), capability)
             case = TestCase(
                 case_id=f"{pair.pair_id}-{capability.value}-{index:03d}",
                 pair_id=pair.pair_id,
                 capability=capability,
                 seed=pair_seed,
-                masked_ref_spans=tuple(sorted(seg.ref_span for seg in plan.segments)),
+                template_id=prompt.template_id,
+                masked_ref_spans=tuple(sorted(seg.ref_span for seg in plan)),
             )
-            prompt = None
-            try:
-                prompt = render_prompt(mask_pair(pair, plan), capability)
-                case.template_id = prompt.template_id
-            except PromptMetadataError as exc:
-                _record_error(case, exc)
             work.append((case, pair, prompt))
 
-    replies = map_distinct(infill.infill, (prompt for _, _, prompt in work if prompt is not None), jobs)
+    replies = map_distinct(infill.infill, (prompt for _, _, prompt in work), jobs)
     for case, pair, prompt in work:
-        if prompt is None:
-            continue
         try:
             raw = unwrap(replies[prompt])
             case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()

@@ -255,14 +255,19 @@ def _die(code: int, message: str) -> None:
 
 
 class Stage:
-    """One stage run: its config, the response cache its backends share, and in
-    ``inputs`` and ``outputs`` each file it checked or handed out: its manifest entry."""
+    """One stage run: its config, the response cache its backends share, and
+    the files it checked (``inputs``) and finished writing: its manifest entry."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.cache = ResponseCache(config.cache_root) if config.cache_root is not None else None
         self.inputs: list[Path] = []
-        self.outputs: list[Path] = []
+        self._outputs: dict[Path, int | None] = {}  # each output handed out -> its inode then
+
+    def finished_outputs(self) -> list[Path]:
+        """The outputs written since they were handed out. Every write renames a
+        new file over its target, so a finished one has another inode."""
+        return [path for path, inode in self._outputs.items() if _inode(path) != inode]
 
     def corpus(self) -> Corpus:
         """The corpus; only the stages that read it check its three files."""
@@ -299,32 +304,37 @@ class Stage:
     def output(self, name: str) -> Path:
         self.config.output_dir.mkdir(parents=True, exist_ok=True)
         path = self.config.output_dir / name
-        self.outputs.append(path)
+        self._outputs[path] = _inode(path)
         return path
+
+
+def _inode(path: Path) -> int | None:
+    try:
+        return path.stat().st_ino
+    except FileNotFoundError:
+        return None
 
 
 def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., str], *args) -> None:
     """Run ``runner(stage, *args)``, which returns the stage's summary line."""
     started_at = _now()
-    stage = None
     try:
         config = load_run_config(config_path, overrides)
         manifest = RunManifest.load(config.output_dir / "manifest.json")
         stage = Stage(config)
         try:
             summary = runner(stage, *args)
-        finally:  # keep the answers already paid for, however the stage ends
+        finally:  # however the stage ends, keep the answers already paid for
             if stage.cache is not None:
                 stage.cache.close()
-    except KeyboardInterrupt:  # no manifest entry; the cache keeps the answers received
+            if outputs := stage.finished_outputs():  # and describe the files it wrote
+                manifest.record_stage(name, config, stage.inputs, outputs, started_at, _now())
+    except KeyboardInterrupt:
         _die(EXIT_INTERRUPTED, "interrupted")
     except (ConfigError, CacheError) as exc:
         _die(EXIT_USAGE, str(exc))
     except (ValueError, BackendError) as exc:  # every data error (CorpusError, ...) is a ValueError
-        if stage is not None and stage.outputs:  # so the manifest describes the files it wrote
-            manifest.record_stage(name, config, stage.inputs, stage.outputs, started_at, _now())
         _die(EXIT_BACKEND if isinstance(exc, BackendError) else EXIT_DATA, str(exc))
-    manifest.record_stage(name, config, stage.inputs, stage.outputs, started_at, _now())
     click.echo(summary)
 
 

@@ -53,16 +53,6 @@ POS_CAPABILITY_TAGS = {
 }
 
 
-class BudgetUnsatisfiable(Exception):
-    """No single eligible segment fits the masked-token budget."""
-
-    def __init__(self, pair_id: str, source_len: int):
-        super().__init__(
-            f"pair {pair_id!r}: no eligible segment fits the budget "
-            f"(source length {source_len})"
-        )
-
-
 @dataclass(frozen=True)
 class EditableSegment:
     """A maskable source span and the reference span solely aligned with it.
@@ -83,16 +73,6 @@ class EditableSegment:
     @property
     def src_len(self) -> int:
         return self.src_span[1] - self.src_span[0]
-
-
-@dataclass(frozen=True)
-class SelectionPlan:
-    """One masking plan: pairwise-disjoint segments chosen for a single case."""
-
-    pair_id: str
-    capability: Capability
-    segments: tuple[EditableSegment, ...]
-    seed: int
 
 
 def _ref_span_for(
@@ -181,17 +161,14 @@ def _overlap_free(span_pairs: list[tuple[Span, Span]]) -> list[tuple[Span, Span]
     return sorted(kept)
 
 
-def filter_by_capability(
-    segments: list[EditableSegment], annotation: Annotation, capability: Capability
-) -> list[EditableSegment]:
+def filter_by_capability(segments: list[EditableSegment], capability: Capability) -> list[EditableSegment]:
     """Keep the segments a capability may mask."""
     if capability is Capability.GENERAL:
         return list(segments)
     if capability is Capability.TENSE:
         return [seg for seg in segments if seg.tense_eligible]
     if capability is Capability.NER:
-        ne_spans = {(start, end) for start, end, _ in annotation.ne_spans}
-        return [seg for seg in segments if seg.src_span in ne_spans]
+        return [seg for seg in segments if seg.ne_type is not None]
     tag = POS_CAPABILITY_TAGS[capability]
     return [seg for seg in segments if seg.pos_class == tag]
 
@@ -206,18 +183,21 @@ def plan_selection(
     capability: Capability,
     count: int,
     seed: int,
-) -> list[SelectionPlan]:
+) -> list[tuple[EditableSegment, ...]]:
     """Choose up to ``count`` distinct masking plans, deterministically per seed.
 
-    ``segments`` must already be capability-filtered and overlap-free. For every
-    capability except General a plan is one segment, sampled uniformly without
-    replacement. General plans are budgeted subsets: a seeded shuffle is walked
-    and every segment that keeps the masked-token total strictly under a fifth
-    of the source length is added, and a walk repeating an earlier plan is
-    dropped. Walks stop at ``count`` plans or after ``64 * count`` attempts, so
-    fewer than ``count`` plans are returned when fewer distinct ones turn up,
-    none for an empty pool. When the whole pool fits the budget every walk keeps
-    all of it, so that single plan is returned without a shuffle.
+    A plan is the pairwise-disjoint segments masked for one case, sorted by
+    source span. ``segments`` must already be capability-filtered and
+    overlap-free. For every capability except General a plan is one segment,
+    sampled uniformly without replacement. General plans are budgeted subsets:
+    a seeded shuffle is walked and every segment that keeps the masked-token
+    total strictly under a fifth of the source length is added, and a walk
+    repeating an earlier plan is dropped. Walks stop at ``count`` plans or
+    after ``64 * count`` attempts, so fewer than ``count`` plans are returned
+    when fewer distinct ones turn up. There are none for an empty pool, nor
+    for General when no segment fits the budget on its own. When the whole
+    pool fits the budget every walk keeps all of it, so that single plan is
+    returned without a shuffle.
     """
     if count < 1 or count > MAX_PLANS_PER_PAIR:
         raise ValueError(f"count must be between 1 and {MAX_PLANS_PER_PAIR}, got {count}")
@@ -227,15 +207,14 @@ def plan_selection(
     rng = random.Random(seed)
 
     if capability is not Capability.GENERAL:
-        picks = rng.sample(pool, min(count, len(pool)))
-        return [SelectionPlan(pair.pair_id, capability, (segment,), seed) for segment in picks]
+        return [(segment,) for segment in rng.sample(pool, min(count, len(pool)))]
 
     source_len = len(pair.source)
     if not any(_fits_budget(seg.src_len, source_len) for seg in pool):
-        raise BudgetUnsatisfiable(pair.pair_id, source_len)
+        return []
     if _fits_budget(sum(seg.src_len for seg in pool), source_len):
-        return [SelectionPlan(pair.pair_id, capability, tuple(pool), seed)]
-    plans: list[SelectionPlan] = []
+        return [tuple(pool)]
+    plans: list[tuple[EditableSegment, ...]] = []
     for _ in range(64 * count):
         chosen: list[EditableSegment] = []
         total = 0
@@ -243,8 +222,7 @@ def plan_selection(
             if _fits_budget(total + segment.src_len, source_len):
                 chosen.append(segment)
                 total += segment.src_len
-        ordered = tuple(sorted(chosen, key=lambda seg: seg.src_span))
-        plan = SelectionPlan(pair.pair_id, capability, ordered, seed)
+        plan = tuple(sorted(chosen, key=lambda seg: seg.src_span))
         if plan not in plans:
             plans.append(plan)
             if len(plans) == count:

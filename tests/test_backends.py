@@ -38,7 +38,7 @@ from mtbehave.backends import (
     unwrap,
 )
 from mtbehave.casegen import PromptRequest, mask_pair, parse_response, render_prompt
-from mtbehave.segmentation import Capability, EditableSegment, SelectionPlan
+from mtbehave.segmentation import Capability, EditableSegment
 
 from conftest import RecordingTransport, cache_rows, damage_cache_row, make_pair, stub_backend, stub_spec
 
@@ -158,11 +158,6 @@ class TestStubScorers:
         # "a a" vs "a": one 'a' matches; F1 = 2*1 / (2+1) = 2/3
         assert scorer.score("src", "a a", "a") == 2 / 3
 
-    def test_token_overlap(self):
-        scorer = stub_backend("s", "scorer_ref_based", mode="token_overlap")
-        # overlap 2 over max(2, 3) = 2/3
-        assert scorer.score("src", "a b", "a b c") == 2 / 3
-
     def test_length_ratio_is_the_ref_free_default(self):
         scorer = stub_backend("s", "scorer_ref_free")
         # ref-free scoring compares hyp against src: 2 tokens vs 3
@@ -171,13 +166,6 @@ class TestStubScorers:
     def test_constant(self):
         scorer = stub_backend("s", "scorer_ref_free", mode="constant", value=0.73)
         assert scorer.score("anything", "at all") == 0.73
-
-    def test_digest_mode_is_deterministic_and_bounded(self):
-        scorer = stub_backend("s", "scorer_ref_free", mode="digest")
-        first = scorer.score("a", "b")
-        assert 0.0 <= first < 1.0
-        assert scorer.score("a", "b") == first
-        assert scorer.score("a", "c") != first
 
     def test_unknown_mode_fails(self):
         with pytest.raises(ValueError, match="unknown stub scorer mode 'vibes'"):
@@ -201,7 +189,7 @@ class TestStubChat:
         )
         if capability is not Capability.GENERAL:
             segments = segments[:1]
-        masked = mask_pair(pair, SelectionPlan("p1", capability, segments, 7))
+        masked = mask_pair(pair, segments)
         prompt = render_prompt(masked, capability)
         reply = stub_backend("fill", "infill", src="Bob", ref="鲍勃").infill(prompt)
         filled_src = " ".join(masked.masked_source).replace("<mask>", "Bob")

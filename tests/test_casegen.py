@@ -18,7 +18,6 @@ from mtbehave.casegen import (
     STATUS_PENDING,
     EmptyFill,
     MissingMarker,
-    PromptMetadataError,
     TestCase as Case,  # aliased so pytest does not try to collect it
     dedup,
     derive_seed,
@@ -32,7 +31,7 @@ from mtbehave.casegen import (
 )
 from mtbehave.corpus import CorpusError
 from mtbehave.judge import JudgeConfig, score_records
-from mtbehave.segmentation import Capability, EditableSegment, SelectionPlan
+from mtbehave.segmentation import Capability, EditableSegment, extract_editable
 
 from conftest import (
     RecordingTransport,
@@ -49,8 +48,8 @@ from conftest import (
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
-def plan_for(pair, capability, *segments, seed=7):
-    return SelectionPlan(pair.pair_id, capability, tuple(segments), seed)
+def plan_for(pair, capability, *segments):
+    return tuple(segments)
 
 
 def word_segment(i, j, pos_class="OTHER", ne_type=None, tense=False):
@@ -87,12 +86,6 @@ class TestMaskPair:
         assert masked.masked_source == ("a", "<mask>", "d", "<mask>")
         assert masked.masked_reference == ("v", "<mask>", "y", "<mask>")
         assert masked.src_segments == ("b c", "e")
-
-    def test_plan_for_other_pair_is_rejected(self):
-        pair = make_pair("p1", "a", "b")
-        plan = plan_for(make_pair("p2", "a", "b"), Capability.GENERAL, word_segment(0, 0))
-        with pytest.raises(ValueError, match="plan for 'p2'"):
-            mask_pair(pair, plan)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -170,14 +163,6 @@ class TestRenderPrompt:
         text = render_prompt(masked, Capability.NOUN).rendered_text
         assert "\n" not in text
         assert "\\n" in text
-
-    def test_ner_without_entity_type_fails(self):
-        pair = make_pair("p1", "a b", "x y")
-        masked = mask_pair(
-            pair, plan_for(pair, Capability.NER, word_segment(0, 0, pos_class="NOUN"))
-        )
-        with pytest.raises(PromptMetadataError):
-            render_prompt(masked, Capability.NER)
 
     def test_rendered_text_carries_slot_values_and_masked_tail(self):
         pair = make_pair("p1", "a b", "x y")
@@ -369,6 +354,37 @@ class TestGenerateCases:
         assert set(by_pair) == {"p1", "p2"}
         for pair_id, ids in by_pair.items():
             assert ids == [f"{pair_id}-general-{i:03d}" for i in range(len(ids))]
+
+    def test_ner_gives_each_typed_segment_a_case_whose_prompt_carries_the_type(self):
+        pair = make_pair("p1", "Alice met Bob in Paris today", "爱丽丝 今天 在 巴黎 见了 鲍勃")
+        # "in" is annotated but unaligned, so it is no segment and gets no case.
+        annotation = make_annotation(pair, ne=((0, 1, "PERSON"), (3, 4, "ORG"), (4, 5, "GPE")))
+        corpus = make_corpus((pair, {(0, 0), (1, 4), (2, 5), (4, 3), (5, 1)}, annotation))
+        spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
+        transport = RecordingTransport(_StubTransport(spec))
+        _, scorer = generation_backends()
+        cases = generate_cases(corpus, Capability.NER, 5, Backend(spec, transport=transport), scorer, BETA, seed=7)
+        assert [case.case_id for case in cases] == ["p1-ner-000", "p1-ner-001"]
+        assert [case.template_id for case in cases] == ["ner", "ner"]
+        assert sorted(case.masked_ref_spans for case in cases) == [((0, 1),), ((3, 4),)]
+        prompts = [request["messages"][-1]["content"] for request in transport.calls]
+        assert len(prompts) == 2
+        for ne_type, original in (("PERSON", "Alice"), ("GPE", "Paris")):
+            assert [
+                f"an {ne_type} has been masked" in prompt and f"an {ne_type} other than {original} without" in prompt
+                for prompt in prompts
+            ].count(True) == 1
+
+    def test_general_skips_a_pair_whose_only_segment_breaks_the_budget(self):
+        # p0's one segment masks 1 of 5 source tokens: 5 * 1 is not below 5.
+        p0 = make_pair("p0", "one two three four five", "一 二 三 四 五")
+        corpus = make_corpus((p0, {(0, 0)}, None), *generation_corpus().triples())
+        assert len(extract_editable(p0, corpus.alignments["p0"], corpus.annotations["p0"])) == 1
+        cases = generate_cases(corpus, Capability.GENERAL, 3, *generation_backends(), BETA, seed=7)
+        assert {case.pair_id for case in cases} == {"p1", "p2"}
+        assert cases == generate_cases(
+            generation_corpus(), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7
+        )
 
     def test_backend_failure_is_isolated_to_its_case(self):
         class FailOnToday:

@@ -20,6 +20,7 @@ from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, read_cases
 from mtbehave.cli import RunConfig, main
+from mtbehave.codec import to_row, write_jsonl
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR
 
 from conftest import cache_rows, damage_cache_row
@@ -530,6 +531,44 @@ class TestManifest:
         result = invoke("judge", "--config", config, "--alpha", "1.5", "--exclude-low-base")
         assert (result.exit_code, result.output.strip()) == (2, "error: no verdicts to aggregate")
         assert stale_outputs(read_manifest(tmp_path)) == []
+
+    def test_ctrl_c_after_a_rewritten_output_records_that_file_alone(self, tmp_path, monkeypatch):
+        config = workspace(tmp_path)
+        run_full_pipeline(tmp_path, config)
+        backends = backend_section()
+        backends["translator"]["stub_params"] = {"table": {}}  # records.jsonl changes
+        other = write_config(tmp_path, name="other.json", backends=backends)
+
+        def interrupt(records, judge_config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("mtbehave.cli.judge_records", interrupt)
+        result = invoke("judge", "--config", other)
+        assert (result.exit_code, result.output.strip()) == (130, "error: interrupted")
+        manifest = read_manifest(tmp_path)
+        assert stale_outputs(manifest) == []
+        assert manifest[-1]["stage"] == "judge"
+        assert list(manifest[-1]["outputs"]) == [str(tmp_path / "out" / "records.jsonl")]
+
+    def test_ctrl_c_inside_a_write_leaves_that_file_out_of_the_entry(self, tmp_path, monkeypatch):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+
+        def rows_then_interrupt(verdicts):
+            yield from map(to_row, verdicts[:1])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            "mtbehave.cli.write_verdicts", lambda verdicts, path: write_jsonl(path, rows_then_interrupt(verdicts))
+        )
+        result = invoke("judge", "--config", config)
+        assert (result.exit_code, result.stdout, result.stderr) == (130, "", "error: interrupted\n")
+        out = tmp_path / "out"
+        assert sorted(path.name for path in out.iterdir()) == ["cases.jsonl", "manifest.json", "records.jsonl"]
+        manifest = read_manifest(tmp_path)
+        assert [entry["stage"] for entry in manifest] == ["generate", "judge"]
+        assert list(manifest[-1]["outputs"]) == [str(out / "records.jsonl")]
+        assert stale_outputs(manifest) == []
 
     @pytest.mark.parametrize(
         "entries",
