@@ -395,7 +395,7 @@ class Backend:
 
     Identical requests sent to one cached backend from several threads at
     once may each go upstream, and the answer written last stays; the stages
-    send each distinct request once, through ``map_distinct``.
+    send each distinct request once, through ``pipeline``.
 
     ``transport`` may be injected for tests; anything with a
     ``send(request) -> parsed JSON`` method works. ``sleep`` is called
@@ -505,39 +505,82 @@ def _extract_score(raw: object) -> float:
     raise NonNumericReplyError(f"scorer reply is not a finite number: {value!r}")
 
 
-def map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
-    """``[fn(item) for item in items]`` in order, on ``jobs`` threads when above one."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    # Imported on use, so a stage at jobs = 1 loads neither it nor logging.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: Callable,
+             jobs: int) -> tuple[dict, dict]:
+    """A stage's two dependent slots: ``first(key)`` for each ``(key, item)`` of
+    ``work``, then ``second(request)`` for each request that ``follow(item, answer)``
+    returns once the item's first answer has arrived.
 
+    Returns ``({key: answer}, {request: answer})``, keys in first-seen order.
+    Each distinct key and each distinct request is sent once. A ``BackendError``
+    becomes the answer instead of propagating; ``unwrap`` raises it again where
+    the answer is read. An item whose first answer is an error is not followed.
+    ``follow`` always runs on the calling thread.
 
-def map_distinct(fn: Callable, keys: Iterable, jobs: int) -> dict:
-    """``{key: fn(key)}`` with ``fn`` called once per distinct key, via ``map_jobs``.
-
-    Keys are dispatched in first-seen order. A ``BackendError`` raised for a
-    key becomes that key's value instead of propagating; ``unwrap`` raises it
-    again where the value is read. A stage gathers the requests of all its
-    cases and passes them here together: a memo shared by per-case workers
-    would leave the cases of one pair waiting on each other's request instead
-    of keeping ``jobs`` distinct requests in flight.
+    At ``jobs`` 1 everything runs inline: every first request, then ``follow``
+    for each item in order, then every second request. Above one, each slot
+    keeps up to ``jobs`` requests in flight on its own threads, and an item's
+    second requests are queued the moment its first answer arrives. On any
+    exception, Ctrl-C included, no queued request of either slot starts.
     """
+    work = list(work)
+    firsts = dict.fromkeys(key for key, _ in work)
+    seconds: dict = {}
+    if jobs <= 1:
+        for key in firsts:
+            firsts[key] = _answer(first, key)
+        for key, item in work:
+            if not isinstance(firsts[key], BackendError):
+                seconds.update(dict.fromkeys(follow(item, firsts[key])))
+        for request in seconds:
+            seconds[request] = _answer(second, request)
+        return firsts, seconds
+    # Imported on use, so a stage at jobs = 1 loads neither them nor logging.
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
 
-    def call(key):
+    items: dict = {}
+    for key, item in work:
+        items.setdefault(key, []).append(item)
+    arrived = queue.SimpleQueue()  # (answers, key, future) as each request ends
+
+    def submit(pool, fn, answers: dict, key) -> None:
+        future = pool.submit(_answer, fn, key)
+        future.add_done_callback(lambda done: arrived.put((answers, key, done)))
+
+    with ThreadPoolExecutor(jobs) as first_pool, ThreadPoolExecutor(jobs) as second_pool:
         try:
-            return fn(key)
-        except BackendError as exc:
-            return exc
+            for key in firsts:
+                submit(first_pool, first, firsts, key)
+            outstanding = len(firsts)
+            while outstanding:
+                answers, key, future = arrived.get()
+                outstanding -= 1
+                answer = answers[key] = future.result()
+                if answers is not firsts or isinstance(answer, BackendError):
+                    continue
+                for item in items[key]:
+                    for request in follow(item, answer):
+                        if request not in seconds:
+                            seconds[request] = None
+                            submit(second_pool, second, seconds, request)
+                            outstanding += 1
+        except BaseException:  # cancel what is queued before the with waits for what runs
+            for pool in (first_pool, second_pool):
+                pool.shutdown(wait=False, cancel_futures=True)
+            raise
+    return firsts, seconds
 
-    distinct = list(dict.fromkeys(keys))
-    return dict(zip(distinct, map_jobs(call, distinct, jobs)))
+
+def _answer(fn: Callable, key) -> object:
+    try:
+        return fn(key)
+    except BackendError as exc:
+        return exc
 
 
 def unwrap(value: object) -> object:
-    """A ``map_distinct`` value, raising it if it is a stored ``BackendError``."""
+    """A ``pipeline`` answer, raising it if it is a stored ``BackendError``."""
     if isinstance(value, BackendError):
         raise value
     return value

@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable
 
-from .backends import Backend, BackendError, map_distinct, unwrap
+from .backends import Backend, BackendError, pipeline, unwrap
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import Corpus, Span, TranslationPair
 from .segmentation import (
@@ -294,11 +294,12 @@ def generate_cases(
     case; the batch itself never aborts. Each distinct infill prompt
     is sent once, and so is each distinct pair that ``scorer``, the quality
     filter's reference-free scorer, rates: the original pair is scored once
-    for all of its cases, and a failed request fails every case that shares
-    it. Deterministic for a fixed seed when the backends are (stub or warm
-    replay cache).
+    for all of its cases that reach the filter, and a failed request fails
+    every case that shares it. A case's two quality requests leave as soon as
+    its infill reply has passed parsing and dedup. Deterministic for a fixed
+    seed when the backends are (stub or warm replay cache).
     """
-    work: list[tuple[TestCase, TranslationPair, PromptRequest]] = []
+    work: list[tuple[PromptRequest, tuple[TestCase, TranslationPair]]] = []
     for pair, alignment, annotation in corpus.triples():
         eligible = filter_by_capability(extract_editable(pair, alignment, annotation), capability)
         pair_seed = derive_seed(seed, pair.pair_id)
@@ -312,43 +313,40 @@ def generate_cases(
                 template_id=prompt.template_id,
                 masked_ref_spans=tuple(sorted(seg.ref_span for seg in plan)),
             )
-            work.append((case, pair, prompt))
+            work.append((prompt, (case, pair)))
 
-    replies = map_distinct(infill.infill, (prompt for _, _, prompt in work), jobs)
-    for case, pair, prompt in work:
+    def filter_requests(entry: tuple[TestCase, TranslationPair], raw: str):
+        """Parse and dedup the case's reply; the quality filter's requests if it passes."""
+        case, pair = entry
+        case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
         try:
-            raw = unwrap(replies[prompt])
-            case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
             case.source_prime, case.reference_prime = parse_response(raw)
-            case.filter_status = dedup(case, pair)
-        except (BackendError, ResponseParseError) as exc:
+        except ResponseParseError as exc:
             _record_error(case, exc)
-    cases = [case for case, _, _ in work]
-    # The quality filter's requests go out after every infill, each distinct
-    # one once, so the cases of one pair share their original pair's score.
-    pending = [
-        (case, _qe_request(pair.source, pair.reference),
-         _qe_request(case.source_prime, case.reference_prime))
-        for case, pair, _ in work
-        if case.filter_status == STATUS_PENDING
-    ]
-    scores = map_distinct(
-        lambda request: scorer.score(*request),
-        (request for _, original, edited in pending for request in (original, edited)),
-        jobs,
+            return ()
+        case.filter_status = dedup(case, pair)
+        return _qe_requests(case, pair) if case.filter_status == STATUS_PENDING else ()
+
+    replies, scores = pipeline(
+        work, infill.infill, filter_requests, lambda request: scorer.score(*request), jobs
     )
-    for case, original, edited in pending:
+    for prompt, (case, pair) in work:
         try:
-            q_original = unwrap(scores[original])
-            q_edited = unwrap(scores[edited])
-            case.filter_status = quality_filter(case, q_original, q_edited, beta)
+            unwrap(replies[prompt])
+            if case.filter_status == STATUS_PENDING:
+                q_original, q_edited = (unwrap(scores[request]) for request in _qe_requests(case, pair))
+                case.filter_status = quality_filter(case, q_original, q_edited, beta)
         except BackendError as exc:
             _record_error(case, exc)
-    return cases
+    return [case for _, (case, _) in work]
 
 
-def _qe_request(source: tuple[str, ...], reference: tuple[str, ...]) -> tuple[str, str]:
-    return " ".join(source), " ".join(reference)
+def _qe_requests(case: TestCase, pair: TranslationPair) -> tuple[tuple[str, str], tuple[str, str]]:
+    """The quality filter's (source, reference) requests: the original pair, then the edit."""
+    return (
+        (" ".join(pair.source), " ".join(pair.reference)),
+        (" ".join(case.source_prime), " ".join(case.reference_prime)),
+    )
 
 
 def _record_error(case: TestCase, exc: Exception) -> None:

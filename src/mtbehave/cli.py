@@ -6,8 +6,9 @@ defaults. Relative paths inside the config resolve against the config file's
 directory. A stage that succeeds, or exits 2 or 3 after writing files, records
 in manifest.json the digests of the files it read and wrote.
 
-Exit codes: 0 success, 1 usage or config error, 2 data validation error,
-3 backend exhaustion, 130 interrupted (Ctrl-C).
+Exit codes: 0 success, 1 usage or config error or a file that cannot be
+read or written, 2 data validation error, 3 backend exhaustion, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., st
                 manifest.record_stage(name, config, stage.inputs, outputs, started_at, _now())
     except KeyboardInterrupt:
         _die(EXIT_INTERRUPTED, "interrupted")
-    except (ConfigError, CacheError) as exc:
+    except (ConfigError, CacheError, OSError) as exc:  # OSError: e.g. an output dir that is a file
         _die(EXIT_USAGE, str(exc))
     except (ValueError, BackendError) as exc:  # every data error (CorpusError, ...) is a ValueError
         _die(EXIT_BACKEND if isinstance(exc, BackendError) else EXIT_DATA, str(exc))
@@ -425,6 +426,7 @@ def _parse_floats(text: str, name: str) -> list[float]:
         except ValueError:
             raise ConfigError(f"{name} must be comma-separated numbers, got {part!r}")
         _expect(math.isfinite(values[-1]), f"{name} must be finite numbers, got {part!r}")
+        _expect(values[-1] not in values[:-1], f"{name} lists {part} more than once")
     _expect(bool(values), f"{name} must list at least one value")
     return values
 

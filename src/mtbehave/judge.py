@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .backends import Backend, BackendError, map_distinct, unwrap
+from .backends import Backend, BackendError, pipeline, unwrap
 from .casegen import STATUS_KEPT, TestCase
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import Corpus
@@ -126,7 +126,8 @@ def score_records(
 
     Each distinct source is translated once and each distinct (source,
     translation, reference) scored once, so the base sentence of a pair is
-    translated and scored once for all of its cases. Backend failures are
+    translated and scored once for all of its cases; a translation's score
+    request leaves as soon as the translation arrives. Backend failures are
     recorded per record and never abort the batch: a record keeps the fields
     set before its first failing request, in the order y, y', qual_y, qual_y'.
     The record's system_id is the translator's backend id.
@@ -149,17 +150,16 @@ def score_records(
             " ".join(case.reference_prime),
         ))
 
-    translations = map_distinct(
-        translator.translate, (s for x, _, x_prime, _ in texts for s in (x, x_prime)), jobs
-    )
-    scores = map_distinct(
-        lambda request: scorer.score(*request),
+    # Each (source, reference) is translated; its translation is then scored.
+    translations, scores = pipeline(
         (
-            (source, translations[source], reference)
+            (source, (source, reference))
             for x, r, x_prime, r_prime in texts
             for source, reference in ((x, r), (x_prime, r_prime))
-            if not isinstance(translations[source], BackendError)
         ),
+        translator.translate,
+        lambda text, y: [(text[0], y, text[1])],
+        lambda request: scorer.score(*request),
         jobs,
     )
 

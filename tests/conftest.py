@@ -93,6 +93,9 @@ class RecordingTransport:
     def send(self, request):
         with self._lock:
             self.calls.append(request)
+        return self._reply(request)
+
+    def _reply(self, request):
         if hasattr(self._inner, "send"):
             return self._inner.send(request)
         return self._inner(request)
@@ -100,6 +103,36 @@ class RecordingTransport:
     @property
     def call_count(self):
         return len(self.calls)
+
+
+class HoldingTransport(RecordingTransport):
+    """Recording transport that holds its ``hold_at``-th request until ``release``
+    is set, for at most ``timeout`` seconds, so a test that waits on another
+    thread fails instead of hanging. ``released`` tells whether the release came.
+    """
+
+    def __init__(self, inner, hold_at, release, timeout=10.0):
+        super().__init__(inner)
+        self.hold_at, self.release, self.timeout = hold_at, release, timeout
+        self.released = None
+
+    def send(self, request):
+        with self._lock:
+            self.calls.append(request)
+            hold = len(self.calls) == self.hold_at
+        if hold:
+            self.released = self.release.wait(self.timeout)
+        return self._reply(request)
+
+
+def signalling(inner, event):
+    """Recording transport that sets ``event`` on each request it receives."""
+
+    def send(request):
+        event.set()
+        return inner.send(request) if hasattr(inner, "send") else inner(request)
+
+    return RecordingTransport(send)
 
 
 @pytest.fixture

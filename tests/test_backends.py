@@ -12,6 +12,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -33,8 +34,7 @@ from mtbehave.backends import (
     _extract_score,
     canonical_request_digest,
     chat_request,
-    map_distinct,
-    map_jobs,
+    pipeline,
     unwrap,
 )
 from mtbehave.casegen import PromptRequest, mask_pair, parse_response, render_prompt
@@ -373,7 +373,8 @@ class TestBackendCaching:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = map_jobs(lambda request: backend.score(*request), requests, jobs=8)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda request: backend.score(*request), requests))
         finally:
             sys.setswitchinterval(interval)
         assert results == [0.5] * 200
@@ -381,56 +382,79 @@ class TestBackendCaching:
 
 
 class TestMapDistinct:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_calls_once_per_distinct_key_and_stores_backend_errors(self, jobs):
-        calls = []
+    """``pipeline`` sends each distinct request of each of its two slots once."""
 
-        def shout(key):
+    @staticmethod
+    def shout(calls):
+        def call(key):
             calls.append(key)
-            if key == "bad":
+            if "bad" in key:
                 raise HttpStatusError(400)
             return key.upper()
 
-        results = map_distinct(shout, ["b", "a", "bad", "b", "bad", "a"], jobs)
-        assert list(results) == ["b", "a", "bad"]
-        assert sorted(calls) == ["a", "b", "bad"]
-        assert (results["a"], results["b"]) == ("A", "B")
-        assert isinstance(results["bad"], HttpStatusError)
-        assert unwrap(results["a"]) == "A"
-        with pytest.raises(HttpStatusError, match="HTTP 400"):
-            unwrap(results["bad"])
+        return call
 
-    def test_map_jobs_keeps_input_order_on_threads(self):
-        # the first items sleep longest, so on four threads they finish last
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_calls_once_per_distinct_key_and_stores_backend_errors(self, jobs):
+        first_calls, second_calls = [], []
+        # every first answer is followed by a request of its own and a shared one
+        firsts, seconds = pipeline(
+            [(key, key) for key in ["b", "a", "bad", "b", "bad", "a"]],
+            self.shout(first_calls),
+            lambda item, answer: [answer.lower() + "!", "bad shared"],
+            self.shout(second_calls),
+            jobs,
+        )
+        assert list(firsts) == ["b", "a", "bad"]
+        assert sorted(first_calls) == ["a", "b", "bad"]
+        assert (firsts["a"], firsts["b"]) == ("A", "B")
+        assert isinstance(firsts["bad"], HttpStatusError)
+        # "bad!" is never sent: a failed first answer is not followed
+        assert sorted(second_calls) == ["a!", "b!", "bad shared"]
+        assert (seconds["a!"], seconds["b!"]) == ("A!", "B!")
+        assert isinstance(seconds["bad shared"], HttpStatusError)
+        assert unwrap(firsts["a"]) == "A"
+        with pytest.raises(HttpStatusError, match="HTTP 400"):
+            unwrap(firsts["bad"])
+
+    def test_answers_keep_first_seen_order_on_threads(self):
+        # the first keys sleep longest, so on four threads they finish last
         def slow_square(n):
             time.sleep(0.002 * (8 - n))
             return n * n
 
-        assert map_jobs(slow_square, range(8), jobs=4) == [n * n for n in range(8)]
+        firsts, seconds = pipeline(
+            [(n, n) for n in range(8)], slow_square, lambda n, square: [-square], abs, jobs=4
+        )
+        assert list(firsts.items()) == [(n, n * n) for n in range(8)]
+        assert seconds == {-n * n: n * n for n in range(8)}
 
     def test_ctrl_c_starts_no_queued_item(self, monkeypatch):
-        # SIGINT reaches the main thread while it waits on the first result
-        # and both workers hold an item. The workers are let go only when the
-        # pool shuts down, which is after the interrupt has left the result
-        # iterator, so an item that starts then was queued and not cancelled.
-        from concurrent.futures import ThreadPoolExecutor
-
-        started, submitted = [], threading.Event()
-        release, interrupted = threading.Event(), threading.Event()
+        # Keys 0 and 1 answer at once; every other request blocks. So each
+        # slot's two workers hold a request and each slot has more queued:
+        # keys 4-9, and four of the six follow-ups of keys 0 and 1. SIGINT
+        # reaches the main thread while it waits for an answer. The workers
+        # are let go only when a pool shutdown waits for them, which is after
+        # the interrupt, so a request that starts then was queued and not
+        # cancelled, or submitted after the interrupt.
+        started, release, interrupted = [], threading.Event(), threading.Event()
         shutdown = ThreadPoolExecutor.shutdown
 
-        def release_then_shutdown(pool, *args, **kwargs):
-            release.set()
-            return shutdown(pool, *args, **kwargs)
+        def release_then_shutdown(pool, wait=True, **kwargs):
+            if wait:
+                release.set()
+            return shutdown(pool, wait, **kwargs)
 
-        def items():
-            yield from range(10)
-            submitted.set()
+        def first(key):
+            started.append(("first", key))
+            if key >= 2:
+                release.wait(10)
+            return key
 
-        def work(item):
-            started.append(item)
+        def second(request):
+            started.append(("second", request))
             release.wait(10)
-            return item
+            return request
 
         def on_sigint(signum, frame):
             if not interrupted.is_set():
@@ -438,12 +462,12 @@ class TestMapDistinct:
                 raise KeyboardInterrupt
 
         def interrupt():
-            submitted.wait(10)
-            while len(started) < 2:
+            deadline = time.monotonic() + 10
+            while len(started) < 6 and time.monotonic() < deadline:
                 time.sleep(0.001)
             # A signal that lands just before the main thread blocks on its
             # lock waits until the lock is released, so send until one is seen.
-            while not interrupted.wait(0.05):
+            while not interrupted.wait(0.05) and time.monotonic() < deadline:
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
         monkeypatch.setattr(ThreadPoolExecutor, "shutdown", release_then_shutdown)
@@ -452,23 +476,93 @@ class TestMapDistinct:
         try:
             interrupter.start()
             with pytest.raises(KeyboardInterrupt):
-                map_jobs(work, items(), jobs=2)
+                pipeline(
+                    [(key, key) for key in range(10)],
+                    first,
+                    lambda key, answer: [(key, n) for n in range(3)],
+                    second,
+                    jobs=2,
+                )
         finally:
-            interrupter.join()
+            interrupter.join(20)
             signal.signal(signal.SIGINT, previous)
-        assert sorted(started) == [0, 1]
+        assert not interrupter.is_alive()
+        assert sorted(key for slot, key in started if slot == "first") == [0, 1, 2, 3]
+        assert len([key for slot, key in started if slot == "second"]) == 2
+
+    def test_many_threads_send_each_request_once(self):
+        # more workers than cores and a short switch interval, so a lost or
+        # repeated submission would show as a missing answer or a second call
+        calls, results = [], []
+
+        def record(key):
+            calls.append(key)
+            return key
+
+        def run():
+            results.extend(pipeline(
+                [(n % 50, n % 7) for n in range(400)], record,
+                lambda item, answer: [("second", item), ("second", answer % 5)], record, jobs=8,
+            ))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        firsts, seconds = results
+        assert firsts == {n: n for n in range(50)}
+        assert set(seconds) == {("second", n) for n in range(7)}
+        assert sorted(calls, key=repr) == sorted([*range(50), *seconds], key=repr)
 
     def test_keys_go_out_in_first_seen_order(self):
         calls = []
-        map_distinct(calls.append, ["c", "a", "c", "b", "a"], jobs=1)
-        assert calls == ["c", "a", "b"]
+
+        def record(key):
+            calls.append(key)
+            return key
+
+        pipeline([(key, key) for key in "cacba"], record, lambda item, answer: [answer.upper(), "Z"],
+                 record, jobs=1)
+        assert calls == ["c", "a", "b", "C", "Z", "A", "B"]
+
+    def test_jobs_1_runs_inline_and_loads_no_pool(self):
+        src = os.path.dirname(os.path.dirname(mtbehave.__file__))
+        code = (
+            "import sys, threading\n"
+            "from mtbehave.backends import pipeline\n"
+            "threads = set()\n"
+            "def call(key):\n"
+            "    threads.add(threading.get_ident())\n"
+            "    return key\n"
+            "pipeline([(1, 1), (2, 2)], call, lambda item, answer: [-answer], call, jobs=1)\n"
+            "print(threads == {threading.get_ident()}, 'concurrent.futures' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split() == ["True", "False"]
+
+    @pytest.mark.parametrize("slot", ["first", "second"])
+    def test_other_errors_propagate_from_threads(self, slot):
+        def broken(key):
+            raise ValueError(key)
+
+        calls = {"first": str, "second": str, slot: broken}
+        with pytest.raises(ValueError, match="k"):
+            pipeline([("k", "k")], calls["first"], lambda item, answer: [answer], calls["second"], jobs=2)
 
     def test_other_errors_propagate(self):
         def broken(key):
             raise ValueError(key)
 
         with pytest.raises(ValueError, match="k"):
-            map_distinct(broken, ["k"], jobs=1)
+            pipeline([("k", "k")], broken, lambda item, answer: [answer], str, jobs=1)
 
 
 class FlakyTransport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from mtbehave.judge import JudgeConfig, score_records
 from mtbehave.segmentation import Capability, EditableSegment, extract_editable
 
 from conftest import (
+    HoldingTransport,
     RecordingTransport,
     cache_rows,
     damage_cache_row,
@@ -41,6 +43,7 @@ from conftest import (
     make_annotation,
     make_corpus,
     make_pair,
+    signalling,
     stub_backend,
     stub_spec,
 )
@@ -477,6 +480,30 @@ class TestGenerateCases:
         )
         assert [c.case_id for c in threaded] == [c.case_id for c in sequential]
         assert [c.source_prime for c in threaded] == [c.source_prime for c in sequential]
+
+    def test_quality_requests_leave_before_the_last_infill_answers(self):
+        # At jobs 2 the last infill request is held until the scorer has
+        # received a quality request, which only a follow-up of an earlier
+        # answer can send. A stage that scored after every infill would wait
+        # out the hold and fail here instead of hanging.
+        infill_spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
+        qe_spec = stub_spec("qe-stub", "scorer_ref_free", mode="constant", value=0.9)
+
+        def generate(infill_transport, qe_transport, jobs):
+            return generate_cases(
+                generation_corpus(), Capability.GENERAL, 3,
+                Backend(infill_spec, transport=infill_transport),
+                Backend(qe_spec, transport=qe_transport), BETA, seed=7, jobs=jobs,
+            )
+
+        counted = RecordingTransport(_StubTransport(infill_spec))
+        sequential = generate(counted, _StubTransport(qe_spec), jobs=1)
+        assert counted.call_count >= 2
+        received = threading.Event()
+        held = HoldingTransport(_StubTransport(infill_spec), counted.call_count, received)
+        overlapped = generate(held, signalling(_StubTransport(qe_spec), received), jobs=2)
+        assert held.released is True
+        assert overlapped == sequential
 
 
 class TestCasesFile:

@@ -185,6 +185,23 @@ class TestExtract:
         assert result.exit_code == 2
         assert "src index 9 out of range" in result.output
 
+    def test_an_output_dir_that_is_a_file_is_an_error_without_a_traceback(self, tmp_path):
+        config = workspace(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(mtbehave.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "mtbehave.cli", "extract", "--config", str(config),
+             "--output-dir", str(blocker)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ") and str(blocker) in result.stderr
+        assert "Traceback" not in result.stderr
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
 
 class TestGenerate:
     def test_generates_and_keeps_the_noun_case(self, tmp_path):
@@ -935,6 +952,9 @@ class TestConfigValidation:
             ("--alphas", "inf", "--alphas must be finite numbers, got 'inf'"),
             ("--betas", "nan", "--betas must be finite numbers, got 'nan'"),
             ("--betas", "0.05,-0.1", "--betas must not be negative, got -0.1"),
+            # sweep.json would list the cell twice; sweep.md and the summary, once
+            ("--alphas", "0.5,0.9,.5", "--alphas lists .5 more than once"),
+            ("--betas", "0.05,0.05", "--betas lists 0.05 more than once"),
         ],
     )
     def test_a_bad_sweep_grid_value_names_its_flag(self, tmp_path, flag, value, message):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mtbehave.backends import Backend, BackendSpec, HttpStatusError
+from mtbehave.backends import Backend, BackendSpec, HttpStatusError, _StubTransport
 from mtbehave.casegen import STATUS_DROPPED_IDENTICAL, STATUS_KEPT, TestCase as Case
 from mtbehave.corpus import CorpusError
 from mtbehave.judge import (
@@ -29,7 +30,7 @@ from mtbehave.judge import (
 )
 from mtbehave.segmentation import Capability
 
-from conftest import RecordingTransport, make_corpus, make_pair, stub_backend
+from conftest import HoldingTransport, RecordingTransport, make_corpus, make_pair, signalling, stub_backend
 
 
 def record(qual_y, qual_y_prime, case_id="c1", **kwargs):
@@ -319,6 +320,25 @@ class TestScoreRecords:
         assert by_id["c3"].error is None and by_id["c3"].qual_y == 1.0
         sources = [request["messages"][-1]["content"] for request in chat.calls]
         assert sources.count("the shop closed") == 1
+
+    def test_score_requests_leave_before_the_last_translation_answers(self):
+        # At jobs 2 the last translation request is held until the scorer has
+        # received a request, which only a follow-up of an earlier translation
+        # can send. A stage that scored after every translation would wait out
+        # the hold and fail here instead of hanging.
+        table = {**TRANSLATIONS, "the shop opened": "商店 开门"}
+        spec = self.scorer().spec
+        counted = RecordingTransport(chat_upstream(table))
+        sequential = score_records(self.sibling_cases(), scoring_corpus(), translator(counted), self.scorer())
+        assert counted.call_count >= 2
+        received = threading.Event()
+        held = HoldingTransport(chat_upstream(table), counted.call_count, received)
+        scorer = Backend(spec, transport=signalling(_StubTransport(spec), received))
+        overlapped = score_records(
+            self.sibling_cases(), scoring_corpus(), translator(held), scorer, jobs=2
+        )
+        assert held.released is True
+        assert overlapped == sequential
 
     def test_edited_translation_failure_keeps_the_base_translation(self):
         records = score_records(
