@@ -108,6 +108,8 @@ class BackendSpec:
                 raise ValueError(f"{name} must be a string, got {value!r}")
         if self.transport == "http" and not self.endpoint:
             raise ValueError("http transport requires an endpoint")
+        if self.transport == "http" and not _is_web_url(self.endpoint):
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a host: {self.endpoint!r}")
         if type(self.timeout) not in (int, float):
             raise ValueError(f"timeout must be a number, got {self.timeout!r}")
         if not self.timeout > 0:
@@ -130,6 +132,13 @@ class BackendSpec:
             if required not in data:
                 raise ValueError(f"backend spec is missing {required!r}")
         return cls(**dict(data))
+
+
+def _is_web_url(text: str) -> bool:
+    from urllib.parse import urlsplit  # raises ValueError on a malformed URL
+
+    parts = urlsplit(text)
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 def canonical_request_digest(backend_id: str, request: Mapping[str, object]) -> str:
@@ -254,10 +263,17 @@ def chat_request(model_name: str | None, user_content: str) -> dict:
 
 
 class _HttpTransport:
-    """POSTs the request as JSON to the spec's endpoint, one connection per call."""
+    """POSTs the request as JSON to the spec's endpoint, one connection per call.
+    A redirect is not followed: it would resend the bearer token elsewhere."""
 
     def __init__(self, spec: BackendSpec):
+        # Imported here: a stage that builds no http transport never loads it.
+        import urllib.request
+
         self.spec = spec
+        redirects = urllib.request.HTTPRedirectHandler()
+        redirects.redirect_request = lambda *args: None  # so a 3xx reply raises HTTPError
+        self._opener = urllib.request.build_opener(redirects)
         self._headers = {"Content-Type": "application/json"}
         if spec.auth_env_var:
             key = os.environ.get(spec.auth_env_var)
@@ -269,7 +285,6 @@ class _HttpTransport:
             self._headers["Authorization"] = f"Bearer {key}"
 
     def send(self, request: Mapping[str, object]) -> object:
-        # Imported here: a stage that builds no http transport never loads them.
         import http.client
         import urllib.error
         import urllib.request
@@ -281,9 +296,9 @@ class _HttpTransport:
                 headers=self._headers,
             )
             try:
-                response = urllib.request.urlopen(http_request, timeout=self.spec.timeout)
+                response = self._opener.open(http_request, timeout=self.spec.timeout)
             except urllib.error.HTTPError as exc:
-                response = exc  # a non-2xx reply, read like any other
+                response = exc  # a non-2xx reply, a redirect too, read like any other
             with response:
                 status, body = response.status, response.read()
         except (OSError, ValueError, http.client.HTTPException) as exc:

@@ -13,17 +13,17 @@ interrupted (Ctrl-C).
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
-
-import click
 
 from . import __version__
 from .backends import KINDS, Backend, BackendError, BackendSpec, CacheError, ResponseCache
@@ -68,9 +68,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's convention
-
-DEFAULT_SWEEP_ALPHAS = "0.5,0.6,0.7,0.8"
-DEFAULT_SWEEP_BETAS = "0.02,0.05,0.08,0.11"
 
 
 class ConfigError(Exception):
@@ -251,7 +248,7 @@ class RunManifest:
 
 
 def _die(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -336,7 +333,7 @@ def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., st
         _die(EXIT_USAGE, str(exc))
     except (ValueError, BackendError) as exc:  # every data error (CorpusError, ...) is a ValueError
         _die(EXIT_BACKEND if isinstance(exc, BackendError) else EXIT_DATA, str(exc))
-    click.echo(summary)
+    print(summary, flush=True)
 
 
 def _fail_if_all_backend_errors(results: list, attempts: str) -> None:
@@ -497,115 +494,86 @@ def _run_report(stage: Stage, fmt: str) -> str:
     return f"wrote {len(rows)} report rows -> {out_path}"
 
 
-# The flag overrides, keyed by the load_run_config override each one sets.
+# Each config override a command can take as a flag, spelled from its key: per_pair -> --per-pair.
 _OVERRIDES = {
-    "cache_root": click.option("--cache-root", "cache_root", default=None, help="Override the response cache root."),
-    "seed": click.option("--seed", type=int, default=None, help="Override the master seed."),
-    "jobs": click.option("--jobs", type=int, default=None, help="Concurrent backend calls."),
-    "capability": click.option("--capability", default=None, help="Capability to target."),
-    "per_pair": click.option("--per-pair", "per_pair", type=int, default=None, help="Cases per pair."),
-    "alpha": click.option("--alpha", type=float, default=None, help="Base quality threshold."),
-    "beta": click.option("--beta", type=float, default=None, help="Allowed quality difference."),
-    "exclude_low_base": click.option(
-        "--exclude-low-base",
-        "exclude_low_base",
-        is_flag=True,
-        default=None,
-        help="Drop low-base-quality failures from the reported pass rate.",
+    "output_dir": {"help": "Override the output directory."},
+    "cache_root": {"help": "Override the response cache root."},
+    "seed": {"type": int, "help": "Override the master seed."},
+    "jobs": {"type": int, "help": "Concurrent backend calls."},
+    "capability": {"help": "Capability to target."},
+    "per_pair": {"type": int, "help": "Cases per pair."},
+    "alpha": {"type": float, "help": "Base quality threshold."},
+    "beta": {"type": float, "help": "Allowed quality difference."},
+    "exclude_low_base": {"action": "store_true", "default": None,
+                         "help": "Drop low-base-quality failures from the reported pass rate."},
+}
+
+# name -> (description, runner, the overrides it reads besides output_dir, its own
+# options); the runner is called as runner(stage, *own option values).
+_COMMANDS = {
+    "extract": ("Extract the editable segments of every corpus pair.", _run_extract, (), {}),
+    "generate": (
+        "Generate, infill, and filter test cases for the configured capability.", _run_generate,
+        ("cache_root", "seed", "jobs", "capability", "per_pair", "beta"), {},
     ),
+    "judge": (
+        "Translate kept cases, score them, and judge pass or fail.", _run_judge,
+        ("cache_root", "jobs", "alpha", "beta", "exclude_low_base"), {},
+    ),
+    "sweep": ("Re-judge existing score records over a grid of thresholds.", _run_sweep, (), {
+        "--alphas": {"default": "0.5,0.6,0.7,0.8", "help": "Alphas to try (default: %(default)s)."},
+        "--betas": {"default": "0.02,0.05,0.08,0.11", "help": "Betas to try (default: %(default)s)."},
+    }),
+    "eval": ("Evaluate verdicts against gold error annotations.", _run_eval, (), {
+        "--gold": {"required": True, "help": "Gold error annotations (JSONL)."},
+    }),
+    "report": ("Render the per-capability pass-rate table.", _run_report, (), {
+        "--format": {"default": "markdown", "help": "json, markdown, or csv (default: %(default)s)."},
+    }),
 }
 
 
-def _stage_options(*overrides: str):
-    """--config, --output-dir, and the named overrides: the ones the stage reads."""
-    options = [
-        click.option("--config", "config_path", required=True, help="Run config JSON file."),
-        click.option("--output-dir", "output_dir", default=None, help="Override the output directory."),
-        *(_OVERRIDES[name] for name in overrides),
-    ]
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, since 2 means bad data here, and a flag is never
+    abbreviated: argparse would read ``sweep --alpha 0.5`` as ``--alphas``."""
 
-    def decorate(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    return decorate
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message: str, file=None) -> None:
+        print(message, end="", file=file or sys.stderr, flush=True)  # argparse's drops a failed write
 
 
-def _usage_exit(call, *args, **kwargs):
+def build_parser(prog_name: str = "mtbehave") -> _Parser:
+    parser = _Parser(prog=prog_name, description="Behavioral testing harness for machine translation systems.")
+    parser.add_argument("--version", action="version", version=f"{prog_name}, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (description, _, overrides, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=description, description=description)
+        command.add_argument("--config", required=True, help="Run config JSON file.")
+        for key in ("output_dir", *overrides):
+            command.add_argument("--" + key.replace("_", "-"), **_OVERRIDES[key])
+        for flag, settings in options.items():
+            command.add_argument(flag, **settings)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "mtbehave") -> None:
+    """Run one command, and exit with its code unless it succeeds."""
     try:
-        return call(*args, **kwargs)
-    except click.UsageError as exc:
-        exc.exit_code = EXIT_USAGE
-        raise
-
-
-class _Main(click.Group):
-    """Click exits 2 on a usage error, but 2 means bad data here: usage errors exit 1."""
-
-    def make_context(self, *args, **kwargs):
-        return _usage_exit(super().make_context, *args, **kwargs)
-
-    def invoke(self, ctx):
-        return _usage_exit(super().invoke, ctx)
-
-
-@click.group(cls=_Main)
-@click.version_option(version=__version__, prog_name="mtbehave")
-def main() -> None:
-    """Behavioral testing harness for machine translation systems."""
-
-
-@main.command()
-@_stage_options()
-def extract(config_path, **overrides):
-    """Extract the editable segments of every corpus pair."""
-    _run_stage("extract", config_path, overrides, _run_extract)
-
-
-@main.command()
-@_stage_options("cache_root", "seed", "jobs", "capability", "per_pair", "beta")
-def generate(config_path, **overrides):
-    """Generate, infill, and filter test cases for the configured capability."""
-    _run_stage("generate", config_path, overrides, _run_generate)
-
-
-@main.command()
-@_stage_options("cache_root", "jobs", "alpha", "beta", "exclude_low_base")
-def judge(config_path, **overrides):
-    """Translate kept cases, score them, and judge pass or fail."""
-    _run_stage("judge", config_path, overrides, _run_judge)
-
-
-@main.command("sweep")
-@_stage_options()
-@click.option("--alphas", default=DEFAULT_SWEEP_ALPHAS, show_default=True)
-@click.option("--betas", default=DEFAULT_SWEEP_BETAS, show_default=True)
-def sweep_cmd(config_path, alphas, betas, **overrides):
-    """Re-judge existing score records over a grid of thresholds."""
-    _run_stage("sweep", config_path, overrides, _run_sweep, alphas, betas)
-
-
-@main.command("eval")
-@_stage_options()
-@click.option("--gold", "gold_path", required=True, help="Gold error annotations (JSONL).")
-def eval_cmd(config_path, gold_path, **overrides):
-    """Evaluate verdicts against gold error annotations."""
-    _run_stage("eval", config_path, overrides, _run_eval, gold_path)
-
-
-@main.command()
-@_stage_options()
-@click.option(
-    "--format",
-    "fmt",
-    default="markdown",
-    show_default=True,
-    help="Report format: json, markdown, or csv.",
-)
-def report(config_path, fmt, **overrides):
-    """Render the per-capability pass-rate table."""
-    _run_stage("report", config_path, overrides, _run_report, fmt)
+        parsed = build_parser(prog_name).parse_args(args)
+        _, runner, keys, options = _COMMANDS[parsed.command]
+        overrides = {key: getattr(parsed, key) for key in ("output_dir", *keys)}
+        values = [getattr(parsed, flag[2:]) for flag in options]
+        _run_stage(parsed.command, parsed.config, overrides, runner, *values)
+    except BrokenPipeError:  # stdout closed early, as by `| head -0`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit's flush succeeds
+        sys.exit(EXIT_USAGE)
 
 
 if __name__ == "__main__":

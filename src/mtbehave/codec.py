@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable
 
 from .corpus import CorpusError
 
@@ -61,10 +62,12 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
 @cache
 def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool], ...]:
     """(attribute, key, enum class or None, required) per field of ``cls``."""
-    hints = get_type_hints(cls)
+    # Only the fields' annotations are resolved: on Python 3.10, get_type_hints(cls)
+    # rejects a KW_ONLY marker. Postponed evaluation leaves each one a string.
+    namespace = vars(sys.modules[cls.__module__])
     plan = []
     for item in fields(cls):
-        hint = hints[item.name]
+        hint = eval(item.type, namespace) if isinstance(item.type, str) else item.type
         enum = hint if isinstance(hint, type) and issubclass(hint, Enum) else None
         required = item.default is MISSING and item.default_factory is MISSING
         plan.append((item.name, item.metadata.get("key", item.name), enum, required))

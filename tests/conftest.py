@@ -7,13 +7,16 @@ defaults (OTHER tags, no past perfect, no NE or phrase spans).
 
 from __future__ import annotations
 
+import io
 import sqlite3
 import threading
-from contextlib import closing
+from contextlib import closing, redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 
 import pytest
 
 from mtbehave.backends import Backend, BackendSpec, ResponseCache
+from mtbehave.cli import main
 from mtbehave.corpus import AlignmentSet, Annotation, Corpus, TranslationPair
 
 
@@ -157,3 +160,30 @@ def damage_cache_row(cache: ResponseCache, backend_id: str, digest: str, **colum
             (*columns.values(), backend_id, digest),
         )
         assert cursor.rowcount == 1
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # the SystemExit of a failed run, or what escaped main
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(args) -> CliResult:
+    """Call the CLI's ``main`` in this process with its stdout and stderr captured."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            main([str(arg) for arg in args])
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, stdout.getvalue(), stderr.getvalue(), exception)

@@ -13,8 +13,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from mtbehave.backends import Backend, BackendSpec, ResponseCache
 from mtbehave.casegen import (
     STATUS_DROPPED_QUALITY,
@@ -24,7 +22,6 @@ from mtbehave.casegen import (
     quality_filter,
     render_prompt,
 )
-from mtbehave.cli import main as cli_main
 from mtbehave.corpus import POS_TAGS, AlignmentSet, Annotation, TranslationPair
 from mtbehave.judge import (
     JudgeConfig,
@@ -49,7 +46,7 @@ from mtbehave.segmentation import (
     plan_selection,
 )
 
-from conftest import RecordingTransport, make_annotation, make_corpus, make_pair
+from conftest import RecordingTransport, make_annotation, make_corpus, make_pair, run_cli
 from oracles import oracle_span_pairs
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -427,7 +424,6 @@ def test_c07_end_to_end_stub_run(capsys, tmp_path):
         passes = sum(1 for i in range(50) if i < 30)
         expected_rate = round(100 * passes / 50, 2)
 
-        runner = CliRunner()
         outputs = {}
         for run_dir in ("out_a", "out_b"):
             out = tmp_path / run_dir
@@ -436,7 +432,7 @@ def test_c07_end_to_end_stub_run(capsys, tmp_path):
                 ["judge", "--config", str(config), "--output-dir", str(out)],
                 ["report", "--config", str(config), "--output-dir", str(out)],
             ):
-                result = runner.invoke(cli_main, args)
+                result = run_cli(args)
                 assert result.exit_code == 0, result.output
                 if args[0] == "judge":
                     assert f"pass rate {expected_rate:.2f}" in result.output

@@ -73,6 +73,10 @@ class TestBackendSpec:
             (infill_spec(max_retries=1.5), "max_retries must be an integer, got 1.5"),
             (infill_spec(max_retries=False), "max_retries must be an integer, got False"),
             (infill_spec(stub_params=[1]), "stub_params must be an object"),
+            (infill_spec(transport="http", endpoint="file:///etc/hostname"), "http:// or https:// URL"),
+            (infill_spec(transport="http", endpoint="data:,0.5"), "http:// or https:// URL"),
+            (infill_spec(transport="http", endpoint="localhost:8000/score"), "http:// or https:// URL"),
+            (infill_spec(transport="http", endpoint="http:///score"), "http:// or https:// URL"),
         ],
     )
     def test_validation(self, kwargs, pattern):
@@ -730,6 +734,11 @@ class ScriptedHandler(BaseHTTPRequestHandler):
                 self._reply(200, {"score": 0.9})
         elif self.path == "/created":
             self._reply(201, {"score": 0.5})
+        elif self.path == "/moved":
+            self.send_response(302)
+            self.send_header("Location", ScriptedHandler.state["location"])
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif self.path == "/slow":
             time.sleep(SLOW_SECONDS)
             try:
@@ -820,10 +829,10 @@ class TestHttpTransport:
         assert sleeps == [0.25, 0.5]  # 1 + max_retries attempts
 
     def test_connect_timeout_is_retried(self, monkeypatch):
-        def urlopen(request, timeout):
+        def open_url(opener, request, timeout):
             raise urllib.error.URLError(TimeoutError("timed out"))
 
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", open_url)
         sleeps = []
         backend = Backend(http_spec("http://127.0.0.1:9", "/score"), sleep=sleeps.append)
         with pytest.raises(BackendTimeout):
@@ -844,9 +853,23 @@ class TestHttpTransport:
             backend.score("a", "b")
         assert sleeps == []
 
-    @pytest.mark.parametrize(
-        "base", ["http://127.0.0.1:{port}", "api.example.com"], ids=["refused", "no scheme"]
-    )
+    def test_a_redirect_is_a_status_error_and_is_not_followed(self, http_server, monkeypatch):
+        monkeypatch.setenv("TEST_API_KEY", "secret-token")
+        with socket.socket() as elsewhere:  # where the redirect points: it must get no connection
+            elsewhere.bind(("127.0.0.1", 0))
+            elsewhere.listen()
+            elsewhere.setblocking(False)
+            ScriptedHandler.state["location"] = f"http://127.0.0.1:{elsewhere.getsockname()[1]}/score"
+            sleeps = []
+            spec = http_spec(http_server, "/moved", auth_env_var="TEST_API_KEY", timeout=2)
+            backend = Backend(spec, sleep=sleeps.append)
+            with pytest.raises(HttpStatusError, match="HTTP 302"):
+                backend.score("a", "b")
+            with pytest.raises(BlockingIOError):
+                elsewhere.accept()
+        assert sleeps == []
+
+    @pytest.mark.parametrize("base", ["http://127.0.0.1:{port}"], ids=["refused"])
     def test_connection_errors_fail_without_retry(self, base):
         with socket.socket() as probe:  # nothing listens on the port once it is closed
             probe.bind(("127.0.0.1", 0))

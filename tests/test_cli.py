@@ -13,17 +13,16 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import mtbehave
 from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, read_cases
-from mtbehave.cli import RunConfig, main
+from mtbehave.cli import RunConfig, build_parser
 from mtbehave.codec import to_row, write_jsonl
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR
 
-from conftest import cache_rows, damage_cache_row
+from conftest import cache_rows, damage_cache_row, run_cli
 from dumpers import load_report
 
 SENTENCES = {
@@ -143,7 +142,7 @@ def workspace(root: Path) -> Path:
 
 
 def invoke(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+    return run_cli(args)
 
 
 def run_ok(*args):
@@ -863,6 +862,11 @@ CONFIG_ERRORS = [
         "backend 'infill': max_retries must be an integer, got 1.5",
         id="max_retries float",
     ),
+    pytest.param(
+        with_slot("infill", {"backend_id": "i", "transport": "http", "endpoint": "file:///etc/hostname"}),
+        "backend 'infill': endpoint must be an http:// or https:// URL with a host: 'file:///etc/hostname'",
+        id="file endpoint",
+    ),
 ]
 
 
@@ -1020,17 +1024,36 @@ COMMAND_FLAGS = {
 }
 
 
+def parser_flags() -> dict[str, list[str]]:
+    """Each command's flags but --help, in the order its parser declares them."""
+    commands = next(action.choices for action in build_parser()._actions if action.choices)
+    return {
+        name: [flag for action in command._actions for flag in action.option_strings if flag != "--help"]
+        for name, command in commands.items()
+    }
+
+
+def test_the_readme_lists_every_command_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Command    | Flags")[1].split("\n\n")[0].splitlines()[2:]
+    listed = {}
+    for row in table:
+        name, flags = (cell.strip().strip("`") for cell in row.split("|")[1:3])
+        listed[name] = [] if flags == "none" else flags.split()
+    assert listed == {
+        name: [flag for flag in flags if flag not in ("--config", "--output-dir")]
+        for name, flags in parser_flags().items()
+    }
+
+
 class TestCommandFlags:
     def test_each_command_takes_only_the_flags_it_reads(self):
-        taken = {
-            name: sorted(opt for param in command.params for opt in param.opts)
-            for name, command in main.commands.items()
-        }
+        taken = {name: sorted(flags) for name, flags in parser_flags().items()}
         assert taken == {
             name: sorted(["--config", "--output-dir", *flags])
             for name, flags in COMMAND_FLAGS.items()
         }
-        assert sum(len(command.params) for command in main.commands.values()) == 27
+        assert sum(len(flags) for flags in taken.values()) == 27
 
     def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path):
         config = workspace(tmp_path)
@@ -1045,13 +1068,64 @@ class TestCommandFlags:
             ["extract", "--config", "config.json", "--bogus"],
             ["--bogus", "extract"],
             ["translate"],
+            ["generate", "--config", "config.json", "--per", "2"],
         ],
-        ids=["missing --config", "unknown flag", "unknown group flag", "unknown command"],
+        ids=["missing --config", "unknown flag", "unknown group flag", "unknown command", "prefix flag"],
     )
     def test_usage_errors_exit_1(self, args):
         result = invoke(*args)
         assert result.exit_code == 1
-        assert "Usage:" in result.output
+        assert "usage:" in result.output.lower()
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_every_command_has_help(self, command):
+        result = invoke(command, "--help")
+        assert result.exit_code == 0
+        assert all(flag in result.stdout for flag in ["--config", "--output-dir", *COMMAND_FLAGS[command]])
+
+    def test_version(self):
+        result = invoke("--version")
+        assert (result.exit_code, result.stdout) == (0, f"mtbehave, version {__version__}\n")
+
+    @pytest.mark.parametrize("args", [["extract", "--config", "config.json"], ["extract", "--help"], ["--version"]])
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, tmp_path, args):
+        workspace(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # so writing to stdout fails with a broken pipe
+        # buffered, as usual, stdout fails only when it is flushed
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "mtbehave.cli", *args],
+                cwd=tmp_path,
+                env={**env, "PYTHONPATH": os.path.dirname(os.path.dirname(mtbehave.__file__))},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+
+    def test_importing_the_cli_loads_only_the_standard_library(self):
+        code = (
+            "import sys; before = set(sys.modules); import mtbehave.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtbehave.__file__))},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded = result.stdout.split()
+        assert "mtbehave.cli" in loaded
+        assert [
+            name
+            for name in loaded
+            if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "mtbehave"
+        ] == []
 
     def test_only_generate_needs_a_capability(self, tmp_path):
         config = workspace(tmp_path)

@@ -81,8 +81,8 @@ class TestRows:
 
     def test_the_field_plan_is_built_once_per_class(self, tmp_path, monkeypatch):
         calls = []
-        real = codec.get_type_hints
-        monkeypatch.setattr(codec, "get_type_hints", lambda cls: calls.append(cls) or real(cls))
+        real = codec.fields
+        monkeypatch.setattr(codec, "fields", lambda cls: calls.append(cls) or real(cls))
         codec._plan.cache_clear()
         path = tmp_path / "rows.jsonl"
         codec.write_jsonl(path, map(codec.to_row, [Row("a", Shade.DARK)] * 3))

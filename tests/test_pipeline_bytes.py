@@ -13,10 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from mtbehave.cli import main as cli_main
-
+from conftest import run_cli
 from test_acceptance import build_stub_workspace
 
 EXPECTED_SHA256 = {
@@ -58,7 +55,6 @@ def test_pipeline_artifacts_keep_their_bytes(tmp_path):
     config = build_stub_workspace(tmp_path)
     gold = write_gold(tmp_path)
     out = tmp_path / "out"
-    runner = CliRunner()
     for stage, *extra in (
         ["extract"],
         ["generate"],
@@ -69,7 +65,7 @@ def test_pipeline_artifacts_keep_their_bytes(tmp_path):
         ["report", "--format", "json"],
         ["report", "--format", "csv"],
     ):
-        result = runner.invoke(cli_main, [stage, "--config", str(config), *extra])
+        result = run_cli([stage, "--config", str(config), *extra])
         assert result.exit_code == 0, result.output
 
     assert sorted(p.name for p in out.iterdir()) == sorted([*EXPECTED_SHA256, "manifest.json"])
