@@ -35,6 +35,8 @@ TRANSPORTS = ("http", "replay_cache", "stub")
 CHAT_SYSTEM_LINE = "You are a helpful assistant that translates English to Chinese."
 
 _BACKOFF_BASE_SECONDS = 0.25
+# On a ``pipeline`` worker thread, ``cancelled`` is that pipeline's cancellation signal.
+_worker = threading.local()
 
 # Every infill template ends with the masked sentences after these two anchors.
 _EN_ANCHOR = "English Sentence: "
@@ -414,7 +416,9 @@ class Backend:
 
     ``transport`` may be injected for tests; anything with a
     ``send(request) -> parsed JSON`` method works. ``sleep`` is called
-    with the backoff delay between retries and defaults to ``time.sleep``.
+    with the backoff delay between retries. By default it is ``time.sleep``,
+    or on a ``pipeline`` worker thread a wait that ends when the pipeline is
+    cancelled; a cancelled request is not retried.
     """
 
     def __init__(self, spec: BackendSpec, cache: ResponseCache | None = None,
@@ -435,7 +439,7 @@ class Backend:
         if spec.transport != "replay_cache":
             answer_fields = {name: getattr(spec, name) for name in _ANSWER_FIELDS}
             self.fingerprint = canonical_request_digest(spec.backend_id, answer_fields)
-        self._sleep = time.sleep if sleep is None else sleep
+        self._sleep = _backoff if sleep is None else sleep
 
     def infill(self, prompt: "PromptRequest") -> str:
         self._require_kind("infill")
@@ -479,6 +483,7 @@ class Backend:
                 f"backend {self.spec.backend_id!r}: no cached response for request "
                 f"{digest[:12]}"
             )
+        cancelled = getattr(_worker, "cancelled", None)
         attempt = 0
         while True:
             try:
@@ -488,6 +493,8 @@ class Backend:
                 if not exc.retryable or attempt >= self.spec.max_retries:
                     raise
                 self._sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
+                if cancelled is not None and cancelled.is_set():
+                    raise
                 attempt += 1
 
     def _extract(self, raw: object) -> object:
@@ -536,7 +543,8 @@ def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: C
     for each item in order, then every second request. Above one, each slot
     keeps up to ``jobs`` requests in flight on its own threads, and an item's
     second requests are queued the moment its first answer arrives. On any
-    exception, Ctrl-C included, no queued request of either slot starts.
+    exception, Ctrl-C included, no queued request of either slot starts, and
+    a request in flight ends after its current attempt instead of retrying.
     """
     work = list(work)
     firsts = dict.fromkeys(key for key, _ in work)
@@ -563,13 +571,18 @@ def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: C
         future = pool.submit(_answer, fn, key)
         future.add_done_callback(lambda done: arrived.put((answers, key, done)))
 
-    with ThreadPoolExecutor(jobs) as first_pool, ThreadPoolExecutor(jobs) as second_pool:
+    cancelled = threading.Event()
+    worker = {"initializer": setattr, "initargs": (_worker, "cancelled", cancelled)}
+    with ThreadPoolExecutor(jobs, **worker) as first_pool, ThreadPoolExecutor(jobs, **worker) as second_pool:
         try:
             for key in firsts:
                 submit(first_pool, first, firsts, key)
             outstanding = len(firsts)
             while outstanding:
-                answers, key, future = arrived.get()
+                try:  # timed: Ctrl-C that lands just as the wait blocks is otherwise seen at the next answer
+                    answers, key, future = arrived.get(timeout=1)
+                except queue.Empty:
+                    continue
                 outstanding -= 1
                 answer = answers[key] = future.result()
                 if answers is not firsts or isinstance(answer, BackendError):
@@ -581,10 +594,16 @@ def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: C
                             submit(second_pool, second, seconds, request)
                             outstanding += 1
         except BaseException:  # cancel what is queued before the with waits for what runs
+            cancelled.set()
             for pool in (first_pool, second_pool):
                 pool.shutdown(wait=False, cancel_futures=True)
             raise
     return firsts, seconds
+
+
+def _backoff(seconds: float) -> None:
+    cancelled = getattr(_worker, "cancelled", None)
+    (time.sleep if cancelled is None else cancelled.wait)(seconds)
 
 
 def _answer(fn: Callable, key) -> object:

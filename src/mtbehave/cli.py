@@ -14,6 +14,9 @@ interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import hashlib
 import json
 import math
@@ -37,7 +40,7 @@ from .casegen import (
     write_cases,
 )
 from .codec import to_row, write_json, write_jsonl, write_text
-from .corpus import Corpus, CorpusError, load_corpus
+from .corpus import Corpus, CorpusError, TranslationPair, load_corpus, load_pairs
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
     EmptyVerdictSet,
@@ -268,11 +271,16 @@ class Stage:
         return [path for path, inode in self._outputs.items() if _inode(path) != inode]
 
     def corpus(self) -> Corpus:
-        """The corpus; only the stages that read it check its three files."""
-        for name, path in self.config.corpus.items():
-            _expect(path.is_file(), f"corpus {name} file not found: {path}")
-        self.inputs += self.config.corpus.values()
-        return load_corpus(*self.config.corpus.values())
+        """All three corpus files, checked, loaded and cross-validated (extract, generate)."""
+        return load_corpus(*map(self._corpus_file, ("pairs", "alignments", "annotations")))
+
+    def pairs(self) -> dict[str, TranslationPair]:
+        """The pairs file alone, for a stage that reads no alignment or annotation (judge)."""
+        return load_pairs(self._corpus_file("pairs"))
+
+    def _corpus_file(self, name: str) -> Path:
+        path = self.config.corpus[name]
+        return self.read(path, f"corpus {name} file not found: {path}")
 
     def backends(self, *slots: str) -> list[Backend]:
         """The named slots' backends, in slot order; only their specs are parsed."""
@@ -386,10 +394,10 @@ def _run_generate(stage: Stage) -> str:
 
 def _run_judge(stage: Stage) -> str:
     config = stage.config
-    corpus = stage.corpus()
+    pairs = stage.pairs()
     cases = read_cases(stage.artifact("cases.jsonl", "generate"))
     translator, scorer = stage.backends("translator", "scorer_ref_based")
-    records = score_records(cases, corpus, translator, scorer, config.jobs)
+    records = score_records(cases, pairs, translator, scorer, config.jobs)
     write_records(records, stage.output("records.jsonl"))
     _fail_if_all_backend_errors(records, "translation")
     verdicts = judge_records(records, config.judge)
@@ -560,13 +568,25 @@ def build_parser(prog_name: str = "mtbehave") -> _Parser:
             command.add_argument("--" + key.replace("_", "-"), **_OVERRIDES[key])
         for flag, settings in options.items():
             command.add_argument(flag, **settings)
+    parser.commands = commands.choices  # name -> its parser
     return parser
+
+
+@functools.cache  # once per process, however often main runs
+def _freeze_the_heap_at_exit() -> None:
+    """So the process exits without sweeping its whole heap for cycles: a stage
+    closes its own files, sockets and cache, so the sweep would only free memory."""
+    atexit.register(gc.freeze)
 
 
 def main(args: list[str] | None = None, prog_name: str = "mtbehave") -> None:
     """Run one command, and exit with its code unless it succeeds."""
+    _freeze_the_heap_at_exit()
     try:
-        parsed = build_parser(prog_name).parse_args(args)
+        parser = build_parser(prog_name)
+        parsed, unknown = parser.parse_known_args(args)
+        if unknown:  # under the command's usage line, not the top-level one
+            parser.commands[parsed.command].error(f"unrecognized arguments: {' '.join(unknown)}")
         _, runner, keys, options = _COMMANDS[parsed.command]
         overrides = {key: getattr(parsed, key) for key in ("output_dir", *keys)}
         values = [getattr(parsed, flag[2:]) for flag in options]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, BackendError, pipeline, unwrap
 from .casegen import STATUS_KEPT, TestCase
 from .codec import read_jsonl, to_row, write_jsonl
-from .corpus import Corpus
+from .corpus import TranslationPair
 
 FAIL_LOW_BASE_QUALITY = "low_base_quality"
 FAIL_LARGE_DIFF = "large_diff"
@@ -117,12 +117,13 @@ def sweep(
 
 def score_records(
     cases: Sequence[TestCase],
-    corpus: Corpus,
+    pairs: Mapping[str, TranslationPair],
     translator: Backend,
     scorer: Backend,
     jobs: int = 1,
 ) -> list[TranslationRecord]:
-    """Translate and score every kept case against one MT system.
+    """Translate and score every kept case against one MT system; ``pairs``
+    maps each pair id to its corpus pair.
 
     Each distinct source is translated once and each distinct (source,
     translation, reference) scored once, so the base sentence of a pair is
@@ -136,7 +137,7 @@ def score_records(
     system_id = translator.spec.backend_id
     texts = []  # (x, r, x', r') per kept case
     for case in kept:
-        pair = corpus.pairs.get(case.pair_id)
+        pair = pairs.get(case.pair_id)
         if pair is None:
             raise ValueError(
                 f"case {case.case_id!r} references unknown pair {case.pair_id!r}"

@@ -599,13 +599,13 @@ def test_c11_cache_idempotence(capsys, tmp_path):
         )
 
         config = JudgeConfig()
-        first_records = score_records(cases, corpus, translator, scorer)
+        first_records = score_records(cases, corpus.pairs, translator, scorer)
         first_verdicts = judge_records(first_records, config)
         first_rate = pass_rate(first_verdicts)
         calls_after_first = (chat.call_count, rate.call_count)
         assert calls_after_first == (4, 4)  # two cases, two sides each
 
-        second_records = score_records(cases, corpus, translator, scorer)
+        second_records = score_records(cases, corpus.pairs, translator, scorer)
         second_verdicts = judge_records(second_records, config)
         assert (chat.call_count, rate.call_count) == calls_after_first  # zero new calls
         assert second_records == first_records

@@ -494,6 +494,78 @@ class TestMapDistinct:
         assert sorted(key for slot, key in started if slot == "first") == [0, 1, 2, 3]
         assert len([key for slot, key in started if slot == "second"]) == 2
 
+    def test_ctrl_c_that_does_not_wake_the_waiting_thread_is_seen_within_a_second(self, monkeypatch):
+        # A SIGINT sent to another thread sets the interpreter's flag but does not
+        # interrupt the main thread's wait, as when it lands just before that wait
+        # blocks. The one request answers only once a pool shuts down, or after 10 s.
+        release = threading.Event()
+        shutdown = ThreadPoolExecutor.shutdown
+
+        def release_then_shutdown(pool, wait=True, **kwargs):
+            release.set()
+            return shutdown(pool, wait, **kwargs)
+
+        def first(key):
+            release.wait(10)
+            return key
+
+        def interrupt():
+            time.sleep(0.2)
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", release_then_shutdown)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        interrupter = threading.Thread(target=interrupt)
+        started = time.monotonic()
+        try:
+            interrupter.start()
+            with pytest.raises(KeyboardInterrupt):
+                pipeline([("a", "a")], first, lambda item, answer: [], str, jobs=2)
+        finally:
+            release.set()
+            interrupter.join(10)
+            signal.signal(signal.SIGINT, previous)
+        assert not interrupter.is_alive()
+        assert time.monotonic() - started < 5
+
+    def test_an_error_ends_a_request_in_flight_after_its_current_attempt(self, monkeypatch):
+        # Key "a" times out on every attempt, and its first attempt ends only when
+        # the failing pipeline cancels its queues, so any later attempt is a retry
+        # that the cancellation did not stop. Five retries would back off 7.75 s.
+        sending, cancelled, attempts = threading.Event(), threading.Event(), []
+        shutdown = ThreadPoolExecutor.shutdown
+
+        def cancel_then_shutdown(pool, wait=True, **kwargs):
+            if not wait:
+                cancelled.set()
+            return shutdown(pool, wait, **kwargs)
+
+        class Hanging:
+            def send(self, request):
+                attempts.append(request)
+                sending.set()
+                cancelled.wait(10)
+                raise BackendTimeout("no answer")
+
+        def follow(item, answer):
+            sending.wait(10)
+            raise RuntimeError("the stage failed")
+
+        backend = Backend(BackendSpec("s", "scorer_ref_free", "stub", max_retries=5), transport=Hanging())
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", cancel_then_shutdown)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="the stage failed"):
+            pipeline([("a", "a"), ("b", "b")], lambda key: backend.score(key, "b") if key == "a" else key,
+                     follow, str, jobs=2)
+        assert attempts == [{"src": "a", "hyp": "b"}]
+        assert time.monotonic() - started < 5
+
+    def test_a_backend_outside_a_pipeline_sleeps_out_its_backoff(self):
+        transport = FlakyTransport(BackendTimeout("slow"))
+        started = time.monotonic()
+        assert Backend(BackendSpec("s", "scorer_ref_free", "stub"), transport=transport).score("a", "b") == 1.0
+        assert (transport.calls, time.monotonic() - started >= 0.25) == (2, True)
+
     def test_many_threads_send_each_request_once(self):
         # more workers than cores and a short switch interval, so a lost or
         # repeated submission would show as a missing answer or a second call

@@ -565,7 +565,7 @@ def recorded_pipeline(jobs, corpus=None):
         jobs=jobs,
     )
     records = score_records(
-        cases, corpus, backend("mt", "translator"), backend("f1", "scorer_ref_based"), jobs
+        cases, corpus.pairs, backend("mt", "translator"), backend("f1", "scorer_ref_based"), jobs
     )
     return cases, records, transports
 

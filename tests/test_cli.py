@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import atexit
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +11,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import mtbehave
 from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, read_cases
-from mtbehave.cli import RunConfig, build_parser
+from mtbehave.cli import RunConfig, _freeze_the_heap_at_exit, build_parser
 from mtbehave.codec import to_row, write_jsonl
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR
 
@@ -752,6 +755,56 @@ class TestResponseCacheFile:
         assert (process.returncode, stderr.strip()) == (130, "error: interrupted")
         assert file_states(tmp_path / "out") == before
 
+    def test_sigint_at_jobs_4_ends_the_requests_in_flight_without_retrying(self, tmp_path):
+        # General cases at per_pair 3 send 6 infill requests: 4 in flight, 2 queued.
+        timeout, jobs = 2, 4
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config, "--capability", "general", "--per-pair", "3")
+        before = file_states(tmp_path / "out")
+        with socket.socket() as listener:  # accepts connections and never answers
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(30)
+            backends = backend_section()
+            backends["infill"] = {
+                "backend_id": "http-infill",
+                "transport": "http",
+                "endpoint": f"http://127.0.0.1:{listener.getsockname()[1]}/infill",
+                "timeout": timeout,
+                "max_retries": 2,
+            }
+            http_config = write_config(
+                tmp_path, name="http.json", backends=backends, capability="general", per_pair=3, jobs=jobs
+            )
+            src = os.path.dirname(os.path.dirname(mtbehave.__file__))
+            process = subprocess.Popen(
+                [sys.executable, "-m", "mtbehave.cli", "generate", "--config", str(http_config)],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            connections = []
+            try:
+                while len(connections) < jobs:
+                    connections.append(listener.accept()[0])
+                interrupted_at = time.monotonic()
+                process.send_signal(signal.SIGINT)
+                _, stderr = process.communicate(timeout=20)
+                elapsed = time.monotonic() - interrupted_at
+                listener.settimeout(0)
+                with pytest.raises(BlockingIOError):  # no retry and no queued request connected
+                    connections.append(listener.accept()[0])
+            finally:
+                for connection in connections:
+                    connection.close()
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+        assert (process.returncode, stderr.strip()) == (130, "error: interrupted")
+        assert elapsed < timeout + 1  # each request ran one attempt; three take 6.75 s with backoff
+        assert file_states(tmp_path / "out") == before
+
 
 def with_slot(slot, spec):
     return config_document(backends={**backend_section(), slot: spec})
@@ -899,9 +952,15 @@ class TestConfigValidation:
         run_ok("sweep", "--config", config)
         run_ok("eval", "--config", config, "--gold", write_gold(tmp_path, erroneous=True))
         run_ok("report", "--config", config)
-        result = invoke("extract", "--config", config)
-        assert result.exit_code == 1
-        assert f"corpus alignments file not found: {tmp_path / 'alignments.txt'}" in result.output
+        for command in ("extract", "generate"):
+            result = invoke(command, "--config", config)
+            assert result.exit_code == 1
+            assert f"corpus alignments file not found: {tmp_path / 'alignments.txt'}" in result.output
+        (tmp_path / "annotations.jsonl").unlink()
+        run_ok("judge", "--config", config)  # reads only the pairs file of the corpus
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        (judged,) = [entry for entry in manifest if entry["stage"] == "judge"]
+        assert list(judged["inputs"]) == [str(tmp_path / "pairs.tsv"), str(tmp_path / "out" / "cases.jsonl")]
 
     @pytest.mark.parametrize("document, message", CONFIG_ERRORS)
     def test_each_config_error_exits_1_with_its_message(self, tmp_path, document, message):
@@ -1062,20 +1121,24 @@ class TestCommandFlags:
         assert "--alpha" in result.output
 
     @pytest.mark.parametrize(
-        "args",
+        "args, usage",
         [
-            ["extract"],
-            ["extract", "--config", "config.json", "--bogus"],
-            ["--bogus", "extract"],
-            ["translate"],
-            ["generate", "--config", "config.json", "--per", "2"],
+            (["extract"], "usage: mtbehave extract "),
+            (["extract", "--config", "config.json", "--bogus"], "usage: mtbehave extract "),
+            (["--bogus", "extract"], "usage: mtbehave extract "),
+            (["translate"], "usage: mtbehave [--help] [--version] COMMAND ..."),
+            (["generate", "--config", "config.json", "--per", "2"], "usage: mtbehave generate "),
+            (["sweep", "--config", "c.json", "--alpha", "0.5"], "usage: mtbehave sweep "),
         ],
-        ids=["missing --config", "unknown flag", "unknown group flag", "unknown command", "prefix flag"],
+        ids=[
+            "missing --config", "unknown flag", "unknown group flag", "unknown command", "prefix flag",
+            "flag of another command",
+        ],
     )
-    def test_usage_errors_exit_1(self, args):
+    def test_usage_errors_exit_1(self, args, usage):
         result = invoke(*args)
         assert result.exit_code == 1
-        assert "usage:" in result.output.lower()
+        assert result.stderr.startswith(usage)
 
     @pytest.mark.parametrize("command", COMMAND_FLAGS)
     def test_every_command_has_help(self, command):
@@ -1106,6 +1169,28 @@ class TestCommandFlags:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (1, "")
+
+    def test_main_registers_the_exit_freeze_once(self, monkeypatch):
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        _freeze_the_heap_at_exit.cache_clear()  # as in a new process
+        try:
+            for _ in range(3):
+                assert invoke("--version").exit_code == 0
+        finally:
+            _freeze_the_heap_at_exit.cache_clear()  # so the next call registers with the real atexit
+        assert registered == [gc.freeze]
+
+    def test_importing_the_cli_leaves_the_collector_alone(self):
+        code = "import gc, mtbehave.cli; print(gc.isenabled(), gc.get_freeze_count())"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mtbehave.__file__))},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.split() == ["True", "0"]
 
     def test_importing_the_cli_loads_only_the_standard_library(self):
         code = (

@@ -30,7 +30,7 @@ from mtbehave.judge import (
 )
 from mtbehave.segmentation import Capability
 
-from conftest import HoldingTransport, RecordingTransport, make_corpus, make_pair, signalling, stub_backend
+from conftest import HoldingTransport, RecordingTransport, make_pair, signalling, stub_backend
 
 
 def record(qual_y, qual_y_prime, case_id="c1", **kwargs):
@@ -205,10 +205,9 @@ def chat_upstream(table):
     return send
 
 
-def scoring_corpus():
-    p1 = make_pair("p1", "the shop closed", "商店 关门")
-    p2 = make_pair("p2", "he ran home", "他 跑了 回家")
-    return make_corpus((p1, None, None), (p2, None, None))
+def scoring_pairs():
+    pairs = (make_pair("p1", "the shop closed", "商店 关门"), make_pair("p2", "he ran home", "他 跑了 回家"))
+    return {pair.pair_id: pair for pair in pairs}
 
 
 def kept_case(case_id, pair_id, source_prime, reference_prime):
@@ -252,7 +251,7 @@ class TestScoreRecords:
         return stub_backend("f1", "scorer_ref_based", mode="unigram_f1")
 
     def test_translates_and_scores_kept_cases_only(self):
-        records = score_records(self.cases(), scoring_corpus(), translator(), self.scorer())
+        records = score_records(self.cases(), scoring_pairs(), translator(), self.scorer())
         assert [r.case_id for r in records] == ["c1", "c3"]
         first, second = records
         assert first.system_id == "mt-under-test"
@@ -265,9 +264,9 @@ class TestScoreRecords:
         assert all(r.error is None for r in records)
 
     def test_jobs_preserve_case_order(self):
-        sequential = score_records(self.cases(), scoring_corpus(), translator(), self.scorer())
+        sequential = score_records(self.cases(), scoring_pairs(), translator(), self.scorer())
         parallel = score_records(
-            self.cases(), scoring_corpus(), translator(), self.scorer(), jobs=4
+            self.cases(), scoring_pairs(), translator(), self.scorer(), jobs=4
         )
         assert [r.case_id for r in parallel] == [r.case_id for r in sequential]
         assert [r.qual_y_prime for r in parallel] == [r.qual_y_prime for r in sequential]
@@ -279,7 +278,7 @@ class TestScoreRecords:
                 raise HttpStatusError(400)
             return {"choices": [{"message": {"content": TRANSLATIONS[text]}}]}
 
-        records = score_records(self.cases(), scoring_corpus(), translator(send), self.scorer())
+        records = score_records(self.cases(), scoring_pairs(), translator(send), self.scorer())
         by_id = {r.case_id: r for r in records}
         assert by_id["c1"].error is None
         assert by_id["c3"].error_kind == "backend"
@@ -309,7 +308,7 @@ class TestScoreRecords:
     def test_base_translation_failure_marks_every_case_of_the_pair(self):
         chat = self.refusing("the shop closed")
         records = score_records(
-            self.sibling_cases(), scoring_corpus(), translator(chat), self.scorer(), jobs=4
+            self.sibling_cases(), scoring_pairs(), translator(chat), self.scorer(), jobs=4
         )
         by_id = {r.case_id: r for r in records}
         for case_id in ("c1", "c2"):
@@ -329,13 +328,13 @@ class TestScoreRecords:
         table = {**TRANSLATIONS, "the shop opened": "商店 开门"}
         spec = self.scorer().spec
         counted = RecordingTransport(chat_upstream(table))
-        sequential = score_records(self.sibling_cases(), scoring_corpus(), translator(counted), self.scorer())
+        sequential = score_records(self.sibling_cases(), scoring_pairs(), translator(counted), self.scorer())
         assert counted.call_count >= 2
         received = threading.Event()
         held = HoldingTransport(chat_upstream(table), counted.call_count, received)
         scorer = Backend(spec, transport=signalling(_StubTransport(spec), received))
         overlapped = score_records(
-            self.sibling_cases(), scoring_corpus(), translator(held), scorer, jobs=2
+            self.sibling_cases(), scoring_pairs(), translator(held), scorer, jobs=2
         )
         assert held.released is True
         assert overlapped == sequential
@@ -343,7 +342,7 @@ class TestScoreRecords:
     def test_edited_translation_failure_keeps_the_base_translation(self):
         records = score_records(
             self.sibling_cases(),
-            scoring_corpus(),
+            scoring_pairs(),
             translator(self.refusing("the store closed")),
             self.scorer(),
         )
@@ -359,7 +358,7 @@ class TestScoreRecords:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_a_non_finite_score_errors_the_record_instead_of_judging_it(self, value):
         scorer = stub_backend("f1", "scorer_ref_based", mode="constant", value=value)
-        records = score_records(self.cases(), scoring_corpus(), translator(), scorer)
+        records = score_records(self.cases(), scoring_pairs(), translator(), scorer)
         assert len(records) == 2
         for failed in records:
             assert failed.error_kind == "backend"
@@ -370,12 +369,12 @@ class TestScoreRecords:
     def test_unknown_pair_is_a_hard_error(self):
         orphan = [kept_case("c9", "ghost", "a b", "甲 乙")]
         with pytest.raises(ValueError, match="unknown pair 'ghost'"):
-            score_records(orphan, scoring_corpus(), translator(), self.scorer())
+            score_records(orphan, scoring_pairs(), translator(), self.scorer())
 
     def test_kept_case_without_edited_texts_is_a_hard_error(self):
         bare = [Case("c8", "p1", Capability.NOUN, seed=1, filter_status=STATUS_KEPT)]
         with pytest.raises(ValueError, match="lacks its edited texts"):
-            score_records(bare, scoring_corpus(), translator(), self.scorer())
+            score_records(bare, scoring_pairs(), translator(), self.scorer())
 
     def test_warm_cache_never_calls_upstream_again(self, response_cache):
         chat = RecordingTransport(chat_upstream(TRANSLATIONS))
@@ -387,9 +386,9 @@ class TestScoreRecords:
             transport=rate,
         )
         cases = [self.cases()[0]]
-        first = score_records(cases, scoring_corpus(), mt, scorer)
+        first = score_records(cases, scoring_pairs(), mt, scorer)
         assert (chat.call_count, rate.call_count) == (2, 2)
-        again = score_records(cases, scoring_corpus(), mt, scorer)
+        again = score_records(cases, scoring_pairs(), mt, scorer)
         assert (chat.call_count, rate.call_count) == (2, 2)
         assert again == first
 
