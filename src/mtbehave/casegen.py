@@ -204,20 +204,20 @@ def mask_pair(pair: TranslationPair, segments: tuple[EditableSegment, ...]) -> M
 
 def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
     """Fill the capability's template with this masked pair's slot values."""
-    if capability is Capability.GENERAL:
-        template_id, text = "general", GENERAL_TEMPLATE
-    elif capability is Capability.TENSE:
-        template_id, text = "tense", TENSE_TEMPLATE
-    elif capability is Capability.NER:
-        text = NER_TEMPLATE.replace("{named entity type}", masked.segments[0].ne_type)
-        text = text.replace("{the original named entity}", masked.src_segments[0])
-        template_id = "ner"
-    else:
+    if capability.tag is not None:
         segment = masked.segments[0]
         descriptor = f"{POS_SLOT_WORDS[segment.pos_class]} {segment.kind}"
         text = POS_TEMPLATE.replace("{POS word/phrase}", descriptor)
         text = text.replace("{the original POS word/phrase}", masked.src_segments[0])
         template_id = "pos"
+    elif capability is Capability.NER:
+        text = NER_TEMPLATE.replace("{named entity type}", masked.segments[0].ne_type)
+        text = text.replace("{the original named entity}", masked.src_segments[0])
+        template_id = "ner"
+    elif capability is Capability.TENSE:
+        template_id, text = "tense", TENSE_TEMPLATE
+    else:
+        template_id, text = "general", GENERAL_TEMPLATE
     text = text.replace("[MASKED ENGLISH]", " ".join(masked.masked_source))
     text = text.replace("[MASKED CHINESE]", " ".join(masked.masked_reference))
     return PromptRequest(template_id, text)

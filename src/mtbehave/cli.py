@@ -507,8 +507,9 @@ _OVERRIDES = {
     "output_dir": {"help": "Override the output directory."},
     "cache_root": {"help": "Override the response cache root."},
     "seed": {"type": int, "help": "Override the master seed."},
-    "jobs": {"type": int, "help": "Concurrent backend calls."},
-    "capability": {"help": "Capability to target."},
+    "jobs": {"type": int, "help": "Requests in flight per backend; a stage runs two backends at once,"
+                                  " so up to twice this many."},
+    "capability": {"help": f"Capability to target: {', '.join(capability.value for capability in Capability)}."},
     "per_pair": {"type": int, "help": "Cases per pair."},
     "alpha": {"type": float, "help": "Base quality threshold."},
     "beta": {"type": float, "help": "Allowed quality difference."},

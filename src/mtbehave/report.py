@@ -20,19 +20,6 @@ from .corpus import CorpusError, Span, check_span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
 
-# Column headers in the pass-rate table, in fixed capability order.
-DISPLAY_NAMES = {
-    Capability.NOUN: "Noun",
-    Capability.VERB: "Verb",
-    Capability.ADJ: "Adj",
-    Capability.ADV: "Adv",
-    Capability.PREP: "Prep",
-    Capability.OTHERS: "Others",
-    Capability.TENSE: "Tense",
-    Capability.NER: "NER",
-    Capability.GENERAL: "General",
-}
-
 _CAPABILITY_ORDER = {capability: index for index, capability in enumerate(Capability)}
 
 
@@ -242,7 +229,7 @@ def render_report_markdown(rows: Sequence[CapabilityReport]) -> str:
     best_average = max(defined) if defined else None
 
     lines = []
-    header = ["MT System"] + [DISPLAY_NAMES[cap] for cap in capabilities] + ["Avg"]
+    header = ["MT System"] + [cap.display for cap in capabilities] + ["Avg"]
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
     for system in systems:

@@ -29,28 +29,29 @@ _CONTENT_TAGS = ("NOUN", "VERB", "ADJ", "ADV", "ADP")
 
 
 class Capability(str, Enum):
-    """Behavioral capabilities a test case can target."""
+    """Behavioral capabilities a test case can target, in report column order.
 
-    NOUN = "noun"
-    VERB = "verb"
-    ADJ = "adj"
-    ADV = "adv"
-    PREP = "prep"
-    OTHERS = "others"
-    TENSE = "tense"
-    NER = "ner"
-    GENERAL = "general"
+    A member's value is its name in configs, flags and artifacts. ``display``
+    heads its report column; ``tag`` is the POS class a POS capability masks,
+    and None for tense, NER and general.
+    """
 
+    NOUN = "noun", "Noun", "NOUN"
+    VERB = "verb", "Verb", "VERB"
+    ADJ = "adj", "Adj", "ADJ"
+    ADV = "adv", "Adv", "ADV"
+    PREP = "prep", "Prep", "ADP"
+    OTHERS = "others", "Others", "OTHER"
+    TENSE = "tense", "Tense", None
+    NER = "ner", "NER", None
+    GENERAL = "general", "General", None
 
-# POS-perturbation capabilities and the tag class they mask.
-POS_CAPABILITY_TAGS = {
-    Capability.NOUN: "NOUN",
-    Capability.VERB: "VERB",
-    Capability.ADJ: "ADJ",
-    Capability.ADV: "ADV",
-    Capability.PREP: "ADP",
-    Capability.OTHERS: "OTHER",
-}
+    def __new__(cls, value: str, display: str, tag: str | None):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.display = display
+        member.tag = tag
+        return member
 
 
 @dataclass(frozen=True)
@@ -163,14 +164,13 @@ def _overlap_free(span_pairs: list[tuple[Span, Span]]) -> list[tuple[Span, Span]
 
 def filter_by_capability(segments: list[EditableSegment], capability: Capability) -> list[EditableSegment]:
     """Keep the segments a capability may mask."""
-    if capability is Capability.GENERAL:
-        return list(segments)
+    if capability.tag is not None:
+        return [seg for seg in segments if seg.pos_class == capability.tag]
     if capability is Capability.TENSE:
         return [seg for seg in segments if seg.tense_eligible]
     if capability is Capability.NER:
         return [seg for seg in segments if seg.ne_type is not None]
-    tag = POS_CAPABILITY_TAGS[capability]
-    return [seg for seg in segments if seg.pos_class == tag]
+    return list(segments)
 
 
 def _fits_budget(masked_total: int, source_len: int) -> bool:

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -23,7 +24,7 @@ from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, read_cases
 from mtbehave.cli import RunConfig, _freeze_the_heap_at_exit, build_parser
 from mtbehave.codec import to_row, write_jsonl
-from mtbehave.segmentation import MAX_PLANS_PER_PAIR
+from mtbehave.segmentation import MAX_PLANS_PER_PAIR, Capability
 
 from conftest import cache_rows, damage_cache_row, run_cli
 from dumpers import load_report
@@ -1071,6 +1072,12 @@ def test_the_readme_lists_every_config_key():
     assert listed == [item.name for item in fields(RunConfig) if "read" in item.metadata]
 
 
+def test_the_readme_lists_every_capability_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("\nCapabilities: ")[1].split(".")[0]
+    assert re.findall(r"`(\w+)`", sentence) == [capability.value for capability in Capability]
+
+
 # The flags of each command besides --config and --output-dir: the config
 # values it reads and its own inputs.
 COMMAND_FLAGS = {
@@ -1145,6 +1152,11 @@ class TestCommandFlags:
         result = invoke(command, "--help")
         assert result.exit_code == 0
         assert all(flag in result.stdout for flag in ["--config", "--output-dir", *COMMAND_FLAGS[command]])
+
+    def test_generate_help_names_every_capability(self):
+        result = invoke("generate", "--help")
+        assert result.exit_code == 0
+        assert ", ".join(capability.value for capability in Capability) in " ".join(result.stdout.split())
 
     def test_version(self):
         result = invoke("--version")
