@@ -400,8 +400,7 @@ def _unigram_f1(hyp: list[str], ref: list[str]) -> float:
 def _length_ratio(hyp: list[str], ref: list[str]) -> float:
     if not hyp and not ref:
         return 1.0
-    longer = max(len(hyp), len(ref))
-    return min(len(hyp), len(ref)) / longer if longer else 1.0
+    return min(len(hyp), len(ref)) / max(len(hyp), len(ref))
 
 
 _STUB_SCORERS = {"unigram_f1": _unigram_f1, "length_ratio": _length_ratio}

@@ -412,9 +412,8 @@ def _run_judge(stage: Stage) -> str:
     ]
     rate = pass_rate(rated)
     errored = sum(1 for record in records if record.error is not None)
-    system_id = records[0].system_id if records else "?"
     return (
-        f"judged {len(rated)} cases for {system_id}: pass rate {rate:.2f} "
+        f"judged {len(rated)} cases for {translator.spec.backend_id}: pass rate {rate:.2f} "
         f"(alpha={config.judge.alpha:g}, beta={config.judge.beta:g}, "
         f"errored {errored}) -> {verdicts_path}"
     )
@@ -513,8 +512,8 @@ _OVERRIDES = {
     "per_pair": {"type": int, "help": "Cases per pair."},
     "alpha": {"type": float, "help": "Base quality threshold."},
     "beta": {"type": float, "help": "Allowed quality difference."},
-    "exclude_low_base": {"action": "store_true", "default": None,
-                         "help": "Drop low-base-quality failures from the reported pass rate."},
+    "exclude_low_base": {"action": "store_true", "default": None, "help": "Leave low-base-quality failures out of"
+                         " the pass rate that judge prints; verdicts.jsonl and every report keep them."},
 }
 
 # name -> (description, runner, the overrides it reads besides output_dir, its own

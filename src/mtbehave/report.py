@@ -224,9 +224,8 @@ def render_report_markdown(rows: Sequence[CapabilityReport]) -> str:
         rates = [
             cells[(cap, system)].pass_rate for cap in capabilities if (cap, system) in cells
         ]
-        averages[system] = round(sum(rates) / len(rates), 2) if rates else None
-    defined = [value for value in averages.values() if value is not None]
-    best_average = max(defined) if defined else None
+        averages[system] = round(sum(rates) / len(rates), 2)  # each system has a row
+    best_average = max(averages.values())
 
     lines = []
     header = ["MT System"] + [cap.display for cap in capabilities] + ["Avg"]
@@ -241,12 +240,8 @@ def render_report_markdown(rows: Sequence[CapabilityReport]) -> str:
             else:
                 text = f"{row.pass_rate:.2f}"
                 parts.append(f"**{text}**" if row.is_best else text)
-        average = averages[system]
-        if average is None:
-            parts.append("-")
-        else:
-            text = f"{average:.2f}"
-            parts.append(f"**{text}**" if average == best_average else text)
+        text = f"{averages[system]:.2f}"
+        parts.append(f"**{text}**" if averages[system] == best_average else text)
         lines.append("| " + " | ".join(parts) + " |")
 
     sizes = []
@@ -285,9 +280,7 @@ REPORT_FORMATS = {
 
 
 def emit_report(rows: Sequence[CapabilityReport], fmt: str, path) -> None:
-    """Write the table in the requested format; bytes are input-deterministic."""
-    if fmt not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
+    """Write the table in ``fmt``, a key of REPORT_FORMATS; bytes are input-deterministic."""
     _, render = REPORT_FORMATS[fmt]
     write_text(path, render(rows))
 

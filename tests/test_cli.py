@@ -28,6 +28,7 @@ from mtbehave.segmentation import MAX_PLANS_PER_PAIR, Capability
 
 from conftest import cache_rows, damage_cache_row, run_cli
 from dumpers import load_report
+from test_acceptance import build_stub_workspace
 
 SENTENCES = {
     "base": "the little shop closed early today",
@@ -298,6 +299,19 @@ class TestJudge:
         )
         assert result.exit_code == 2
         assert "no verdicts to aggregate" in result.output
+
+    def test_excluding_low_base_changes_only_the_printed_pass_rate(self, tmp_path):
+        config = build_stub_workspace(tmp_path)  # pairs 40-49 fail on low base quality
+        run_ok("generate", "--config", config)
+        summaries, artifacts = [], []
+        for flags in ([], ["--exclude-low-base"]):
+            summaries.append(run_ok("judge", "--config", config, *flags).stdout)
+            run_ok("report", "--config", config)
+            artifacts.append({name: (tmp_path / "out" / name).read_bytes() for name in ("verdicts.jsonl", "report.md")})
+        assert "judged 50 cases for stub-mt: pass rate 60.00" in summaries[0]
+        assert "judged 40 cases for stub-mt: pass rate 75.00" in summaries[1]
+        assert artifacts[0]["verdicts.jsonl"].count(b'"low_base_quality"') == 10
+        assert artifacts[0] == artifacts[1]
 
     def test_cold_replay_cache_is_a_backend_error(self, tmp_path):
         config = workspace(tmp_path)

@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_tracer():
@@ -34,3 +38,23 @@ def test_every_traced_name_exists():
     names = [*tracer.FUNCTIONS, *tracer.METHODS]
     assert tracer.FUNCTIONS and tracer.METHODS
     assert [".".join(name) for name in names if not resolves(name)] == []
+
+
+def modules_loaded_by(statement: str) -> list[str]:
+    """The ``mtbehave`` modules in ``sys.modules`` after ``statement`` runs in a fresh interpreter."""
+    code = f"import sys; {statement}; print(*sorted(name for name in sys.modules if name.startswith('mtbehave')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout.split()
+
+
+def test_the_package_loads_no_module_and_the_cli_loads_every_traced_one():
+    # the tracer's install reads these seven from sys.modules right after importing the CLI
+    traced = ["cli", "corpus", "segmentation", "casegen", "judge", "report", "backends"]
+    assert modules_loaded_by("import mtbehave") == ["mtbehave"]
+    assert set(modules_loaded_by("import mtbehave.cli")) >= {"mtbehave", *(f"mtbehave.{name}" for name in traced)}

@@ -276,10 +276,6 @@ class TestRenderers:
         emit_report(self.rows(), "markdown", second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_unknown_format_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
-            emit_report(self.rows(), "yaml", tmp_path / "r.yaml")
-
 
 class TestSweepMarkdown:
     def test_two_by_two_grid(self):
