@@ -13,6 +13,7 @@ or rounded here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -264,18 +265,36 @@ def chat_request(model_name: str | None, user_content: str) -> dict:
     }
 
 
+@functools.cache
+def _tls_context():
+    """The process's one TLS context: urllib's default verification, ALPN ``http/1.1``."""
+    import ssl
+
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
 class _HttpTransport:
-    """POSTs the request as JSON to the spec's endpoint, one connection per call.
-    A redirect is not followed: it would resend the bearer token elsewhere."""
+    """POSTs the request as JSON to the spec's endpoint, one connection per call, through
+    the environment's proxies. The opener has no redirect handler, since a redirect would
+    resend the bearer token, and no error processor: every status is read as a reply."""
 
     def __init__(self, spec: BackendSpec):
         # Imported here: a stage that builds no http transport never loads it.
+        import http.client
         import urllib.request
 
+        class HTTPSHandler(urllib.request.AbstractHTTPHandler):  # makes no TLS context itself
+            https_request = urllib.request.AbstractHTTPHandler.do_request_
+            def https_open(self, request):
+                return self.do_open(http.client.HTTPSConnection, request, context=_tls_context())
+
         self.spec = spec
-        redirects = urllib.request.HTTPRedirectHandler()
-        redirects.redirect_request = lambda *args: None  # so a 3xx reply raises HTTPError
-        self._opener = urllib.request.build_opener(redirects)
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(),
+                        urllib.request.HTTPHandler(), HTTPSHandler()):
+            self._opener.add_handler(handler)
         self._headers = {"Content-Type": "application/json"}
         if spec.auth_env_var:
             key = os.environ.get(spec.auth_env_var)
@@ -288,20 +307,12 @@ class _HttpTransport:
 
     def send(self, request: Mapping[str, object]) -> object:
         import http.client
-        import urllib.error
         import urllib.request
 
         try:
-            http_request = urllib.request.Request(
-                self.spec.endpoint,
-                data=json.dumps(request).encode("utf-8"),
-                headers=self._headers,
-            )
-            try:
-                response = self._opener.open(http_request, timeout=self.spec.timeout)
-            except urllib.error.HTTPError as exc:
-                response = exc  # a non-2xx reply, a redirect too, read like any other
-            with response:
+            data = json.dumps(request).encode("utf-8")
+            http_request = urllib.request.Request(self.spec.endpoint, data, self._headers)
+            with self._opener.open(http_request, timeout=self.spec.timeout) as response:
                 status, body = response.status, response.read()
         except (OSError, ValueError, http.client.HTTPException) as exc:
             # a connect timeout arrives wrapped in URLError, a read timeout bare

@@ -32,6 +32,7 @@ from mtbehave.backends import (
     ResponseCache,
     _StubTransport,
     _extract_score,
+    _tls_context,
     canonical_request_digest,
     chat_request,
     pipeline,
@@ -781,10 +782,12 @@ class TestReplyExtraction:
 # Paths that fail their first call with this status and then succeed.
 FAIL_ONCE = {"/flaky": 429, "/unavailable": 503}
 SLOW_SECONDS = 0.5
+# The absolute URL a request names when it goes through a proxy.
+PROXIED_URL = "http://example.invalid/v1"
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    state = {"calls": {}, "auth_headers": []}
+    state = {"calls": {}, "auth_headers": [], "request_lines": []}
 
     def log_message(self, *args):  # quiet
         pass
@@ -793,6 +796,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         self.rfile.read(length)
         ScriptedHandler.state["auth_headers"].append(self.headers.get("Authorization"))
+        ScriptedHandler.state["request_lines"].append(self.requestline)
         if self.path == "/chat":
             self._reply(200, {"choices": [{"message": {"content": "你好"}}]})
         elif self.path == "/score":
@@ -804,6 +808,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
                 self._reply(FAIL_ONCE[self.path], {"error": "try again"})
             else:
                 self._reply(200, {"score": 0.9})
+        elif self.path == PROXIED_URL:
+            self._reply(200, {"score": 0.7})
         elif self.path == "/created":
             self._reply(201, {"score": 0.5})
         elif self.path == "/moved":
@@ -837,7 +843,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def http_server():
-    ScriptedHandler.state = {"calls": {}, "auth_headers": []}
+    ScriptedHandler.state = {"calls": {}, "auth_headers": [], "request_lines": []}
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     # shutdown() waits for serve_forever's next poll; the default is 0.5 s.
     thread = threading.Thread(
@@ -852,6 +858,22 @@ def http_server():
 
 def http_spec(base, path, kind="scorer_ref_free", **kwargs):
     return BackendSpec("live", kind, "http", endpoint=f"{base}{path}", **kwargs)
+
+
+def closed_port():
+    """A local port that nothing listens on once the probe is closed."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clears the proxy variables; returns a setter for the test's own."""
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch.setenv
 
 
 class TestHttpTransport:
@@ -953,20 +975,80 @@ class TestHttpTransport:
         assert type(caught.value) is BackendError
         assert sleeps == []
 
-
-def test_cli_import_leaves_requests_unloaded():
-    src = os.path.dirname(os.path.dirname(mtbehave.__file__))
-    code = "import sys, mtbehave.cli; print('requests' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    @pytest.mark.parametrize(
+        "proxy, no_proxy, endpoint, answer, served",
+        [
+            ("{server}", None, PROXIED_URL, 0.7, f"POST {PROXIED_URL} HTTP/1.1"),
+            ("http://127.0.0.1:{closed}", "127.0.0.1", "{server}/score", 0.42, "POST /score HTTP/1.1"),
+            ("socks5://127.0.0.1:9", None, PROXIED_URL, "<urlopen error unknown url type: socks5>", None),
+        ],
+        ids=["through-the-proxy", "no-proxy-bypasses-it", "unknown-proxy-scheme"],
     )
-    assert result.stdout.strip() == "False"
+    def test_proxies_come_from_the_environment(
+        self, http_server, proxy_env, proxy, no_proxy, endpoint, answer, served
+    ):
+        proxy_env("http_proxy", proxy.format(server=http_server, closed=closed_port()))
+        if no_proxy:
+            proxy_env("no_proxy", no_proxy)
+        backend = Backend(http_spec(endpoint.format(server=http_server), ""), sleep=lambda _: None)
+        if isinstance(answer, float):
+            assert backend.score("a", "b") == answer
+        else:
+            with pytest.raises(BackendError) as caught:
+                backend.score("a", "b")
+            assert type(caught.value) is BackendError
+            assert str(caught.value) == f"request failed: {answer}"
+        assert ScriptedHandler.state["request_lines"] == ([served] if served else [])
+
+
+class TestTlsContext:
+    """The CA store is loaded once per process, on the first HTTPS connection."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch, proxy_env):
+        import ssl
+
+        calls = []
+        load = ssl.SSLContext.load_default_certs
+
+        def counted(context, *args, **kwargs):
+            calls.append(1)
+            return load(context, *args, **kwargs)
+
+        monkeypatch.setattr(ssl.SSLContext, "load_default_certs", counted)
+        _tls_context.cache_clear()  # as if no HTTPS request had been sent yet
+        yield calls
+        _tls_context.cache_clear()
+
+    @staticmethod
+    def send_five_each(*endpoints):
+        for endpoint in endpoints:
+            backend = Backend(http_spec(endpoint, ""), sleep=lambda _: None)
+            for n in range(5):
+                try:
+                    backend.score("a", str(n))
+                except BackendError:
+                    pass
+
+    def test_plain_http_makes_none(self, loads, http_server):
+        self.send_five_each(f"{http_server}/score", f"{http_server}/score")
+        assert len(ScriptedHandler.state["request_lines"]) == 10
+        assert len(loads) == 0
+
+    def test_https_makes_one_for_every_transport_and_request(self, loads):
+        endpoint = f"https://127.0.0.1:{closed_port()}/score"
+        self.send_five_each(endpoint, endpoint)
+        assert len(loads) == 1
+
+    def test_an_https_proxy_makes_one_for_plain_http(self, loads, proxy_env):
+        proxy_env("http_proxy", f"https://127.0.0.1:{closed_port()}")
+        self.send_five_each(PROXIED_URL)
+        assert len(loads) == 1
 
 
 def test_cli_import_leaves_the_transports_and_the_cache_store_unloaded():
     src = os.path.dirname(os.path.dirname(mtbehave.__file__))
-    lazy = ["requests", "http.client", "urllib.request", "sqlite3", "concurrent.futures", "logging"]
+    lazy = ["requests", "ssl", "http.client", "urllib.request", "sqlite3", "concurrent.futures", "logging"]
     code = f"import sys, mtbehave.cli; print([name for name in {lazy!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
