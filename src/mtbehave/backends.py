@@ -70,18 +70,6 @@ class HttpStatusError(BackendError):
         self.retryable = status == 429 or status >= 500
 
 
-class CacheMissError(BackendError):
-    """Replay transport found no cached response. Retrying cannot help."""
-
-
-class NonNumericReplyError(BackendError):
-    """A scorer endpoint replied with something that is not a number."""
-
-
-class MalformedReplyError(BackendError):
-    """A chat endpoint replied without the expected message structure."""
-
-
 @dataclass(frozen=True)
 class BackendSpec:
     """Declarative description of one backend, as found in the run config."""
@@ -126,8 +114,6 @@ class BackendSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "BackendSpec":
-        if not isinstance(data, Mapping):
-            raise ValueError(f"backend spec must be an object, got {data!r}")
         unknown = sorted(set(data) - {item.name for item in fields(cls)})
         if unknown:
             raise ValueError(f"unknown backend spec fields: {unknown}")
@@ -324,7 +310,7 @@ class _HttpTransport:
         try:
             return json.loads(body)
         except ValueError as exc:
-            raise MalformedReplyError("response body is not JSON") from exc
+            raise BackendError("response body is not JSON") from exc
 
 
 class _StubTransport:
@@ -489,7 +475,7 @@ class Backend:
 
     def _call_upstream(self, request: dict, digest: str) -> object:
         if self._transport is None:
-            raise CacheMissError(
+            raise BackendError(
                 f"backend {self.spec.backend_id!r}: no cached response for request "
                 f"{digest[:12]}"
             )
@@ -512,9 +498,9 @@ class Backend:
             try:
                 content = raw["choices"][0]["message"]["content"]
             except (TypeError, KeyError, IndexError) as exc:
-                raise MalformedReplyError(f"unexpected chat reply shape: {raw!r}") from exc
+                raise BackendError(f"unexpected chat reply shape: {raw!r}") from exc
             if not isinstance(content, str):
-                raise MalformedReplyError(f"chat content is not text: {content!r}")
+                raise BackendError(f"chat content is not text: {content!r}")
             return content
         return _extract_score(raw)
 
@@ -523,7 +509,7 @@ def _extract_score(raw: object) -> float:
     value = raw
     if isinstance(raw, dict):
         if "score" not in raw:
-            raise NonNumericReplyError(f"scorer reply has no score field: {raw!r}")
+            raise BackendError(f"scorer reply has no score field: {raw!r}")
         value = raw["score"]
     # NaN passes every judge comparison and is not valid JSON in records.jsonl.
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
@@ -534,7 +520,7 @@ def _extract_score(raw: object) -> float:
         else:
             if math.isfinite(score):
                 return score
-    raise NonNumericReplyError(f"scorer reply is not a finite number: {value!r}")
+    raise BackendError(f"scorer reply is not a finite number: {value!r}")
 
 
 def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: Callable,

@@ -121,14 +121,6 @@ class ResponseParseError(Exception):
     error_kind = "parse"
 
 
-class MissingMarker(ResponseParseError):
-    pass
-
-
-class EmptyFill(ResponseParseError):
-    pass
-
-
 @dataclass(frozen=True)
 class MaskedPair:
     """A pair with mask placeholders plus the surfaces that were masked out.
@@ -241,16 +233,16 @@ def parse_response(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """
     anchor = raw.rfind(EN_MARKER)
     if anchor < 0:
-        raise MissingMarker(f"reply lacks the {EN_MARKER!r} marker")
+        raise ResponseParseError(f"reply lacks the {EN_MARKER!r} marker")
     zh_anchor = raw.find(ZH_MARKER, anchor)
     if zh_anchor < 0:
-        raise MissingMarker(f"reply lacks the {ZH_MARKER!r} marker")
+        raise ResponseParseError(f"reply lacks the {ZH_MARKER!r} marker")
     en_text = _clean_fill(raw[anchor + len(EN_MARKER) : zh_anchor])
     zh_text = _clean_fill(raw[zh_anchor + len(ZH_MARKER) :])
     if not en_text:
-        raise EmptyFill("the English fill is empty")
+        raise ResponseParseError("the English fill is empty")
     if not zh_text:
-        raise EmptyFill("the Chinese fill is empty")
+        raise ResponseParseError("the Chinese fill is empty")
     en_tokens = tuple(en_text.split())
     if any(ch.isspace() for ch in zh_text):
         zh_tokens = tuple(zh_text.split())

@@ -31,14 +31,6 @@ class ZeroGoldErrors(Exception):
     """Gold marks no erroneous case; recall has no denominator."""
 
 
-class MissingGold(ValueError):
-    """A judged case has no gold annotation row."""
-
-
-class MissingProjection(ValueError):
-    """A flagged erroneous case has no edited-span projection on y'."""
-
-
 @dataclass(frozen=True)
 class GoldErrorAnnotation:
     """Human judgment of one (case, system) translation y'.
@@ -122,7 +114,7 @@ def _require_gold(
 ) -> GoldErrorAnnotation:
     key = (verdict.case_id, verdict.system_id)
     if key not in gold:
-        raise MissingGold(
+        raise ValueError(
             f"no gold annotation for case {verdict.case_id!r} under system "
             f"{verdict.system_id!r}"
         )
@@ -165,8 +157,8 @@ def error_position_analysis(
     """Share of flagged, gold-erroneous cases whose error overlaps the edit.
 
     Overlap means any token of a gold error span falls inside any edited span
-    on y'. Raises ZeroGoldErrors when no case qualifies and MissingProjection
-    when a qualifying case lacks edited spans.
+    on y'. Raises ZeroGoldErrors when no case qualifies and ValueError when a
+    qualifying case lacks edited spans.
     """
     qualifying: list[GoldErrorAnnotation] = []
     for verdict in verdicts:
@@ -178,7 +170,7 @@ def error_position_analysis(
     hits = 0
     for row in qualifying:
         if not row.edited_spans:
-            raise MissingProjection(
+            raise ValueError(
                 f"case {row.case_id!r} has no edited-span projection on y'"
             )
         if any(

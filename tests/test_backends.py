@@ -25,10 +25,7 @@ from mtbehave.backends import (
     BackendError,
     BackendSpec,
     BackendTimeout,
-    CacheMissError,
     HttpStatusError,
-    MalformedReplyError,
-    NonNumericReplyError,
     ResponseCache,
     _StubTransport,
     _extract_score,
@@ -695,7 +692,7 @@ class TestRetry:
     def test_cache_miss_is_not_retried(self):
         spec = BackendSpec("s", "scorer_ref_free", "replay_cache", max_retries=5)
         backend = Backend(spec, cache=ResponseCache("/nonexistent-cache-root"))
-        with pytest.raises(CacheMissError):
+        with pytest.raises(BackendError, match="no cached response for request"):
             backend.score("a", "b")
 
 
@@ -717,14 +714,14 @@ class TestReplayTransport:
         replay = Backend(
             BackendSpec("qe", "scorer_ref_free", "replay_cache"), cache=response_cache
         )
-        with pytest.raises(CacheMissError):
+        with pytest.raises(BackendError, match="no cached response for request"):
             replay.score("a", "b")
 
     def test_cold_entry_raises_cache_miss(self, response_cache):
         replay = Backend(
             BackendSpec("qe", "scorer_ref_free", "replay_cache"), cache=response_cache
         )
-        with pytest.raises(CacheMissError):
+        with pytest.raises(BackendError, match="no cached response for request"):
             replay.score("never", "seen")
 
     def test_replay_without_cache_is_a_construction_error(self):
@@ -754,19 +751,21 @@ class TestReplyExtraction:
         ],
     )
     def test_non_numeric_scores_raise(self, raw):
-        with pytest.raises(NonNumericReplyError):
+        unscored = isinstance(raw, dict) and "score" not in raw
+        message = "has no score field" if unscored else "is not a finite number"
+        with pytest.raises(BackendError, match=f"scorer reply {message}"):
             _extract_score(raw)
 
     def test_chat_reply_must_have_the_expected_shape(self):
         transport = FlakyTransport(value={"choices": []})
         backend = Backend(stub_spec("t", "translator"), transport=transport)
-        with pytest.raises(MalformedReplyError):
+        with pytest.raises(BackendError, match="unexpected chat reply shape"):
             backend.translate("hello")
 
     def test_chat_content_must_be_text(self):
         transport = FlakyTransport(value={"choices": [{"message": {"content": 42}}]})
         backend = Backend(stub_spec("t", "translator"), transport=transport)
-        with pytest.raises(MalformedReplyError, match="not text"):
+        with pytest.raises(BackendError, match="chat content is not text"):
             backend.translate("hello")
 
     def test_chat_request_shape(self):
@@ -900,7 +899,7 @@ class TestHttpTransport:
 
     def test_non_json_body_is_malformed(self, http_server):
         backend = Backend(http_spec(http_server, "/notjson"))
-        with pytest.raises(MalformedReplyError):
+        with pytest.raises(BackendError, match="response body is not JSON"):
             backend.score("a", "b")
 
     def test_auth_header_from_environment(self, http_server, monkeypatch):

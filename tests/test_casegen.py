@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from collections import Counter
@@ -17,8 +18,7 @@ from mtbehave.casegen import (
     STATUS_ERROR,
     STATUS_KEPT,
     STATUS_PENDING,
-    EmptyFill,
-    MissingMarker,
+    ResponseParseError,
     TestCase as Case,  # aliased so pytest does not try to collect it
     dedup,
     derive_seed,
@@ -213,15 +213,15 @@ class TestParseResponse:
         assert zh == ("元宇宙", "的", "故事")
 
     def test_missing_markers(self):
-        with pytest.raises(MissingMarker):
+        with pytest.raises(ResponseParseError, match="lacks the 'Filled English:' marker"):
             parse_response("no markers at all")
-        with pytest.raises(MissingMarker):
+        with pytest.raises(ResponseParseError, match="lacks the 'Filled Chinese:' marker"):
             parse_response("Filled English: something, then silence")
 
     def test_empty_fills(self):
-        with pytest.raises(EmptyFill):
+        with pytest.raises(ResponseParseError, match="the English fill is empty"):
             parse_response("Filled English: \nFilled Chinese: 好")
-        with pytest.raises(EmptyFill):
+        with pytest.raises(ResponseParseError, match="the Chinese fill is empty"):
             parse_response("Filled English: ok\nFilled Chinese: ")
 
     @settings(max_examples=100, deadline=None)
@@ -418,6 +418,38 @@ class TestGenerateCases:
         errored = next(case for case in cases if case.pair_id == "p1")
         assert errored.error_kind == "backend"
         assert "upstream exploded" in errored.error
+
+    def test_unparseable_reply_is_a_parse_error_of_its_case_alone(self):
+        spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
+        stub = _StubTransport(spec)
+        unmarked = "Filled Chinese: 门店"
+
+        def send(request):  # 'today' is only ever in p1's prompt
+            if "today" in request["messages"][-1]["content"]:
+                return {"choices": [{"message": {"content": unmarked}}]}
+            return stub.send(request)
+
+        qe = RecordingTransport(lambda request: {"score": 0.9})
+        cases = generate_cases(
+            generation_corpus(),
+            Capability.GENERAL,
+            per_pair=1,
+            infill=Backend(spec, transport=RecordingTransport(send)),
+            scorer=Backend(stub_spec("qe-stub", "scorer_ref_free"), transport=qe),
+            beta=BETA,
+            seed=7,
+        )
+        by_pair = {case.pair_id: case for case in cases}
+        errored = by_pair["p1"]
+        assert errored.filter_status == STATUS_ERROR
+        assert (errored.error, errored.error_kind) == (
+            "reply lacks the 'Filled English:' marker", "parse"
+        )
+        assert errored.raw_response_digest == hashlib.sha256(unmarked.encode("utf-8")).hexdigest()
+        assert errored.source_prime is None and errored.score_diff is None
+        assert not [r for r in qe.calls if r["src"].startswith("the little")]
+        assert by_pair["p2"].filter_status == STATUS_KEPT
+        assert by_pair["p2"].error is None
 
     def test_original_pair_qe_failure_marks_every_pending_case_of_the_pair(self):
         p1_source = "the little shop closed early today"

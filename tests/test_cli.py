@@ -300,6 +300,16 @@ class TestJudge:
         assert result.exit_code == 2
         assert "no verdicts to aggregate" in result.output
 
+    def test_no_kept_case_is_a_data_error(self, tmp_path):
+        write_corpus(tmp_path)
+        backends = backend_section()
+        backends["infill"]["stub_params"] = {"src": "shop", "ref": "商店"}  # the masked words
+        config = write_config(tmp_path, backends=backends)
+        run_ok("generate", "--config", config)
+        result = invoke("judge", "--config", config)
+        assert result.exit_code == 2
+        assert "error: no scored records to judge" in result.output
+
     def test_excluding_low_base_changes_only_the_printed_pass_rate(self, tmp_path):
         config = build_stub_workspace(tmp_path)  # pairs 40-49 fail on low base quality
         run_ok("generate", "--config", config)
@@ -347,6 +357,16 @@ class TestSweep:
             "| 0.9 | 100.00 | 100.00 |\n"
         )
         assert (tmp_path / "out" / "sweep.md").read_text() == expected_md
+
+    def test_empty_list_items_are_skipped(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        run_ok("judge", "--config", config)
+        sweeps = []
+        for alphas in ("0.5,0.9", "0.5,,0.9"):
+            run_ok("sweep", "--config", config, "--alphas", alphas)
+            sweeps.append((tmp_path / "out" / "sweep.json").read_bytes())
+        assert sweeps[0] == sweeps[1]
 
     def test_bad_threshold_list_is_a_usage_error(self, tmp_path):
         config = workspace(tmp_path)
@@ -469,6 +489,13 @@ class TestReport:
         result = invoke("report", "--config", config, "--format", "yaml")
         assert result.exit_code == 1
         assert "unknown report format 'yaml'" in result.output
+
+    def test_empty_verdicts_file_is_a_data_error(self, tmp_path):
+        config = self.prepare(tmp_path)
+        (tmp_path / "out" / "verdicts.jsonl").write_bytes(b"")
+        result = invoke("report", "--config", config)
+        assert result.exit_code == 2
+        assert "error: the verdicts file is empty; nothing to report" in result.output
 
     def test_needs_verdicts_first(self, tmp_path):
         config = workspace(tmp_path)

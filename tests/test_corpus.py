@@ -218,6 +218,9 @@ class TestLoadAnnotations:
             (lambda r: r.update(phrases_ref=None), "ann.jsonl:1: reference phrase spans must be a list"),
             (lambda r: r.update(pos=[[1], "OTHER"]), r"ann.jsonl:1: unknown POS tag \[1\]"),
             (lambda r: r.update(id=["p1"]), r"ann.jsonl:1: unknown pair id \['p1'\]"),
+            (lambda r: r.update(ne=5), "ann.jsonl:1: ne must be a list"),
+            (lambda r: r.update(ne=[[0, 1]]), r"ann.jsonl:1: NE entry must be \[start, end, type\], got \[0, 1\]"),
+            (lambda r: r.update(ne=[[0.5, 1, "GPE"]]), "ann.jsonl:1: NE span start must be an integer, got 0.5"),
         ],
     )
     def test_rejects_bad_records(self, tmp_path, mutation, pattern):
@@ -225,6 +228,21 @@ class TestLoadAnnotations:
         record = annotation_record("p1", 2)
         mutation(record)
         path = write_annotations(tmp_path / "ann.jsonl", record)
+        with pytest.raises(CorpusError, match=pattern):
+            load_annotations(path, pairs)
+
+    @pytest.mark.parametrize(
+        "line, pattern",
+        [
+            ("", "ann.jsonl:1: blank line"),
+            ("{not json", "ann.jsonl:1: invalid JSON"),
+            ('["p1"]', "ann.jsonl:1: annotation record must be a JSON object"),
+        ],
+        ids=["blank", "not JSON", "JSON list"],
+    )
+    def test_rejects_bad_lines(self, tmp_path, line, pattern):
+        pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta\tx"))
+        path = write_lines(tmp_path / "ann.jsonl", line)
         with pytest.raises(CorpusError, match=pattern):
             load_annotations(path, pairs)
 
