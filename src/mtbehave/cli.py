@@ -39,7 +39,7 @@ from .casegen import (
     read_cases,
     write_cases,
 )
-from .codec import to_row, write_json, write_jsonl, write_text
+from .codec import from_row, to_row, write_json, write_jsonl, write_text
 from .corpus import Corpus, CorpusError, TranslationPair, load_corpus, load_pairs
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
@@ -131,13 +131,8 @@ def _read_corpus(key: str, section, path) -> dict[str, Path]:
 def _read_judge(key: str, section, path) -> JudgeConfig:
     _expect(isinstance(section, dict), f"{path}: judge section must be an object")
     _reject_unknown(section, (item.name for item in fields(JudgeConfig)), path, "judge")
-    for name, value in section.items():
-        _expect(
-            value is None or type(value) in (int, float),
-            f"bad judge thresholds: {name} must be a number, got {value!r}",
-        )
     try:
-        return JudgeConfig(**{name: float(value) for name, value in section.items() if value is not None})
+        return from_row(JudgeConfig, {name: value for name, value in section.items() if value is not None})
     except ValueError as exc:
         raise ConfigError(f"bad judge thresholds: {exc}") from exc
 
@@ -292,8 +287,8 @@ class Stage:
             spec = {"kind": slot, **spec}
             _expect(spec["kind"] == slot, f"backend slot {slot!r} declares mismatched kind {spec['kind']!r}")
             try:
-                built.append(Backend(BackendSpec.from_dict(spec), cache=self.cache))
-            except (TypeError, ValueError) as exc:
+                built.append(Backend(from_row(BackendSpec, spec), cache=self.cache))
+            except ValueError as exc:
                 raise ConfigError(f"backend {slot!r}: {exc}") from exc
         return built
 

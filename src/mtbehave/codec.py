@@ -1,10 +1,16 @@
-"""One codec for every file the pipeline writes and every artifact it reads back.
+"""One codec for every file the pipeline writes and every JSON record it reads.
 
-Row artifacts (segments, cases, records, verdicts, gold rows) are JSON Lines;
-documents (manifest, sweep, eval, report) are indented JSON. A dataclass's
-fields give its row's keys in order: ``metadata={"key": ...}`` renames a key.
-Reading turns lists into tuples and enum values into members; a missing key
-takes the field's default.
+Row artifacts (segments, cases, records, verdicts, gold rows, corpus
+annotations) are JSON Lines; documents (manifest, sweep, eval, report) are
+indented JSON. A dataclass's fields give its row's keys in order:
+``metadata={"key": ...}`` renames a key.
+
+Reading checks every key of a record (a JSON Lines row, a backend spec, the
+config's judge section) against its field's type and converts the value in
+the same pass; a JSON integer reads as a number, and a boolean is not one. A
+missing key takes the field's default, or is an error where there is none;
+an unknown key is an error. A bad line of a JSON Lines file raises
+CorpusError as ``path:line: bad <what>: <reason>``, the reason naming the key.
 
 Every write fills a temporary file beside the target and renames it over the
 target, so an interrupted stage leaves the previous file, never half of one.
@@ -16,14 +22,15 @@ import json
 import os
 import sys
 import threading
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from enum import Enum
 from functools import cache
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable
-
-from .corpus import CorpusError
+from types import NoneType, UnionType
+from typing import Callable, Iterable, get_args, get_origin
 
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
@@ -59,9 +66,95 @@ def write_jsonl(path, rows: Iterable[dict]) -> None:
         handle.writelines(_ROW_ENCODER.encode(row) + "\n" for row in rows)
 
 
+class CorpusError(ValueError):
+    """Malformed input data; the message names the file and line."""
+
+
+class _Mismatch(Exception):
+    """A JSON value of another type than its field's; ``where`` locates it in a list."""
+
+    def __init__(self, expected: str, value: object):
+        self.expected, self.value, self.where = expected, value, ""
+
+
+def _exact(kind: type, expected: str) -> Callable[[object], object]:
+    def decode(value):
+        if type(value) is not kind:  # so True is no integer
+            raise _Mismatch(expected, value)
+        return value
+
+    return decode
+
+
+def _number(value) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is int and abs(value) <= sys.float_info.max:  # float() of a larger one overflows
+        return float(value)
+    raise _Mismatch("a number", value)
+
+
+def _member(enum: type[Enum]) -> Callable[[object], Enum]:
+    members = {member.value: member for member in enum}  # every enum read here has text values
+
+    def decode(value):
+        if type(value) is not str or value not in members:
+            raise _Mismatch(f"one of {list(members)}", value)
+        return members[value]
+
+    return decode
+
+
+def _tuple(items: tuple, variadic: bool, whole: set[type]) -> Callable[[object], tuple]:
+    """A list as a tuple: every item decoded by ``items[0]``, or the k-th by ``items[k]``.
+    A list whose items' types are all in ``whole`` is taken as it is, with no call per item."""
+    expected = "a list" if variadic else f"a list of {len(items)} items"
+
+    def decode(value):
+        if type(value) is not list or not variadic and len(value) != len(items):
+            raise _Mismatch(expected, value)
+        if set(map(type, value)) <= whole:
+            return tuple(value)
+        decoded = []
+        for item, element in zip(repeat(items[0]) if variadic else items, value):
+            try:
+                decoded.append(item(element))
+            except _Mismatch as exc:
+                exc.where = f"[{len(decoded)}]{exc.where}"
+                raise
+        return tuple(decoded)
+
+    return decode
+
+
+_SCALARS = {str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _decoder(hint) -> Callable[[object], object]:
+    """The function that checks a JSON value against ``hint`` and converts it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _SCALARS:
+        return _exact(hint, _SCALARS[hint])
+    if hint is float:
+        return _number
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _member(hint)
+    if origin is Mapping:
+        return _exact(dict, "an object")
+    if origin is UnionType and len(args) == 2 and NoneType in args:
+        inner = _decoder(args[0] if args[1] is NoneType else args[1])
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple:
+        variadic = len(args) == 2 and args[1] is Ellipsis
+        kinds = set(args) - {Ellipsis}  # one scalar type for all items, as in Span, or none
+        whole = kinds if len(kinds) == 1 and kinds <= _SCALARS.keys() else set()
+        return _tuple(tuple(map(_decoder, args[:1] if variadic else args)), variadic, whole)
+    raise TypeError(f"no JSON decoder for {hint!r}")
+
+
 @cache
-def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool], ...]:
-    """(attribute, key, enum class or None, required) per field of ``cls``."""
+def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool, Callable[[object], object]], ...]:
+    """(attribute, key, enum class or None, required, decoder) per field of ``cls``."""
     # Only the fields' annotations are resolved: on Python 3.10, get_type_hints(cls)
     # rejects a KW_ONLY marker. Postponed evaluation leaves each one a string.
     namespace = vars(sys.modules[cls.__module__])
@@ -70,37 +163,36 @@ def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool], ...]:
         hint = eval(item.type, namespace) if isinstance(item.type, str) else item.type
         enum = hint if isinstance(hint, type) and issubclass(hint, Enum) else None
         required = item.default is MISSING and item.default_factory is MISSING
-        plan.append((item.name, item.metadata.get("key", item.name), enum, required))
+        plan.append((item.name, item.metadata.get("key", item.name), enum, required, _decoder(hint)))
     return tuple(plan)
 
 
 def to_row(obj: object) -> dict:
     row = {}
-    for name, key, enum, _ in _plan(type(obj)):
+    for name, key, enum, _, _ in _plan(type(obj)):
         value = getattr(obj, name)
         row[key] = value.value if enum is not None else value
     return row
 
 
-def _tuples(value: list) -> tuple:
-    # Artifact lists are homogeneous: tokens, or spans that are lists themselves.
-    if value and isinstance(value[0], list):
-        return tuple(map(_tuples, value))
-    return tuple(value)
-
-
-def from_row(cls: type, row: dict):
-    kwargs = {}
-    for name, key, enum, required in _plan(cls):
-        if key in row:
-            value = row[key]
-            if enum is not None:
-                value = enum(value)
-            elif isinstance(value, list):
-                value = _tuples(value)
-            kwargs[name] = value
-        elif required:
-            raise KeyError(key)
+def from_row(cls: type, row: object):
+    """A ``cls`` from one JSON object; ValueError names the first key that does not fit."""
+    if type(row) is not dict:
+        raise ValueError(f"expected an object, got {row!r}")
+    kwargs, missing = {}, []
+    try:
+        for name, key, _, required, decode in _plan(cls):
+            if key in row:
+                kwargs[name] = decode(row[key])
+            elif required:
+                missing.append(key)
+    except _Mismatch as exc:
+        raise ValueError(f"{key}{exc.where} must be {exc.expected}, got {exc.value!r}") from None
+    if missing:
+        raise ValueError(f"missing fields: {missing}")
+    if len(kwargs) < len(row):
+        unknown = set(row).difference(key for _, key, _, _, _ in _plan(cls))
+        raise ValueError(f"unknown fields: {sorted(unknown)}")
     return cls(**kwargs)
 
 
@@ -110,7 +202,9 @@ def read_jsonl(path, cls: type, what: str) -> list:
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
+                if not line.strip():
+                    raise ValueError("blank line")
                 rows.append(from_row(cls, json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 raise CorpusError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return rows

@@ -14,19 +14,14 @@ Loaders validate aggressively and report the offending file and line.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
+
+from .codec import CorpusError, read_jsonl
 
 Span = tuple[int, int]
 
 POS_TAGS = frozenset({"NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"})
-
-_ANNOTATION_FIELDS = ("id", "pos", "past_perfect", "ne", "phrases_src", "phrases_ref")
-
-
-class CorpusError(ValueError):
-    """Malformed corpus data; the message names the file and line."""
 
 
 def _fail(path: object, lineno: int, message: str) -> None:
@@ -80,12 +75,12 @@ class Annotation:
     their name says. All spans are half-open.
     """
 
-    pair_id: str
+    pair_id: str = field(metadata={"key": "id"})
     pos: tuple[str, ...]
     past_perfect: tuple[bool, ...]
-    ne_spans: tuple[tuple[int, int, str], ...]
-    phrase_spans_src: tuple[Span, ...]
-    phrase_spans_ref: tuple[Span, ...]
+    ne_spans: tuple[tuple[int, int, str], ...] = field(metadata={"key": "ne"})
+    phrase_spans_src: tuple[Span, ...] = field(metadata={"key": "phrases_src"})
+    phrase_spans_ref: tuple[Span, ...] = field(metadata={"key": "phrases_ref"})
 
     def __post_init__(self) -> None:
         for tag in self.pos:
@@ -189,98 +184,34 @@ def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Ali
     return alignments
 
 
-def _require_int(value: object, path, lineno: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, lineno, f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _read_span(value: object, limit: int, path, lineno: int, what: str) -> Span:
-    if not isinstance(value, list) or len(value) != 2:
-        _fail(path, lineno, f"{what} must be a [start, end] list, got {value!r}")
-    start = _require_int(value[0], path, lineno, f"{what} start")
-    end = _require_int(value[1], path, lineno, f"{what} end")
-    if end > limit:
-        _fail(path, lineno, f"{what} ({start}, {end}) out of range (length {limit})")
-    return (start, end)
-
-
-def _read_spans(value: object, limit: int, path, lineno: int, what: str) -> tuple[Span, ...]:
-    """A list of [start, end] spans, duplicates dropped in order."""
-    if not isinstance(value, list):
-        _fail(path, lineno, f"{what}s must be a list, got {value!r}")
-    return tuple(dict.fromkeys(_read_span(item, limit, path, lineno, what) for item in value))
-
-
 def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Annotation]:
     """Read the JSONL annotation file; exactly one record per corpus pair.
 
-    Shapes, types and ranges are checked here; POS tags, span validity and NE
-    labels are checked by :class:`Annotation` and reported with the line.
+    The codec checks each record's keys and types, and :class:`Annotation` its
+    POS tags, span validity and NE labels; the pair's lengths are checked here.
+    Repeated spans are dropped in order.
     """
     annotations: dict[str, Annotation] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                _fail(path, lineno, "blank line")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _fail(path, lineno, f"invalid JSON: {exc}")
-            if not isinstance(record, dict):
-                _fail(path, lineno, "annotation record must be a JSON object")
-            missing = [key for key in _ANNOTATION_FIELDS if key not in record]
-            if missing:
-                _fail(path, lineno, f"missing fields: {missing}")
-            unknown = sorted(set(record) - set(_ANNOTATION_FIELDS))
-            if unknown:
-                _fail(path, lineno, f"unknown fields: {unknown}")
-            pair_id = record["id"]
-            if not isinstance(pair_id, str) or pair_id not in pairs:
-                _fail(path, lineno, f"unknown pair id {pair_id!r}")
-            if pair_id in annotations:
-                _fail(path, lineno, f"duplicate annotation for pair {pair_id!r}")
-            pair = pairs[pair_id]
-            n_src = len(pair.source)
-            n_ref = len(pair.reference)
-
-            pos = record["pos"]
-            if not isinstance(pos, list) or len(pos) != n_src:
-                _fail(path, lineno, f"pos must list one tag per source token ({n_src})")
-
-            past = record["past_perfect"]
-            if (
-                not isinstance(past, list)
-                or len(past) != n_src
-                or any(not isinstance(flag, bool) for flag in past)
-            ):
-                _fail(path, lineno, f"past_perfect must list one bool per source token ({n_src})")
-
-            ne_field = record["ne"]
-            if not isinstance(ne_field, list):
-                _fail(path, lineno, "ne must be a list")
-            ne_spans: list[tuple[int, int, str]] = []
-            for item in ne_field:
-                if not isinstance(item, list) or len(item) != 3:
-                    _fail(path, lineno, f"NE entry must be [start, end, type], got {item!r}")
-                entry = (*_read_span(item[:2], n_src, path, lineno, "NE span"), item[2])
-                if entry not in ne_spans:
-                    ne_spans.append(entry)
-            phrases_src = _read_spans(record["phrases_src"], n_src, path, lineno, "source phrase span")
-            phrases_ref = _read_spans(record["phrases_ref"], n_ref, path, lineno, "reference phrase span")
-
-            try:
-                annotations[pair_id] = Annotation(
-                    pair_id,
-                    tuple(pos),
-                    tuple(past),
-                    tuple(ne_spans),
-                    phrases_src,
-                    phrases_ref,
-                )
-            except ValueError as exc:
-                _fail(path, lineno, str(exc))
+    for lineno, note in enumerate(read_jsonl(path, Annotation, "annotation record"), start=1):
+        pair = pairs.get(note.pair_id)
+        if pair is None:
+            _fail(path, lineno, f"unknown pair id {note.pair_id!r}")
+        if note.pair_id in annotations:
+            _fail(path, lineno, f"duplicate annotation for pair {note.pair_id!r}")
+        n_src = len(pair.source)
+        if len(note.pos) != n_src:
+            _fail(path, lineno, f"pos must list one tag per source token ({n_src})")
+        deduped = {}
+        for name, what, limit in (
+            ("ne_spans", "NE span", n_src),
+            ("phrase_spans_src", "source phrase span", n_src),
+            ("phrase_spans_ref", "reference phrase span", len(pair.reference)),
+        ):
+            deduped[name] = tuple(dict.fromkeys(getattr(note, name)))
+            for start, end, *_ in deduped[name]:
+                if end > limit:
+                    _fail(path, lineno, f"{what} ({start}, {end}) out of range (length {limit})")
+        annotations[note.pair_id] = replace(note, **deduped)
     absent = [pair_id for pair_id in pairs if pair_id not in annotations]
     if absent:
         raise CorpusError(f"{path}: missing annotation records for pairs {absent}")

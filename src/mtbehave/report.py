@@ -186,8 +186,6 @@ def load_gold(path) -> dict[tuple[str, str], GoldErrorAnnotation]:
     """Read gold error annotations, keyed by (case_id, system_id)."""
     gold: dict[tuple[str, str], GoldErrorAnnotation] = {}
     for lineno, row in enumerate(read_jsonl(path, GoldErrorAnnotation, "gold row"), start=1):
-        if not isinstance(row.is_erroneous, bool):
-            raise CorpusError(f"{path}:{lineno}: is_erroneous must be a boolean")
         key = (row.case_id, row.system_id)
         if key in gold:
             raise CorpusError(f"{path}:{lineno}: duplicate gold row for {key}")

@@ -36,6 +36,7 @@ from mtbehave.backends import (
     unwrap,
 )
 from mtbehave.casegen import PromptRequest, mask_pair, parse_response, render_prompt
+from mtbehave.codec import from_row
 from mtbehave.segmentation import Capability, EditableSegment
 
 from conftest import RecordingTransport, cache_rows, damage_cache_row, make_pair, stub_backend, stub_spec
@@ -79,17 +80,21 @@ class TestBackendSpec:
     )
     def test_validation(self, kwargs, pattern):
         with pytest.raises(ValueError, match=pattern):
-            BackendSpec(**kwargs)
+            from_row(BackendSpec, kwargs)
 
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown backend spec fields: \\['url'\\]"):
-            BackendSpec.from_dict(
-                {"backend_id": "b", "kind": "infill", "transport": "stub", "url": "?"}
-            )
+    def test_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="unknown fields: \\['url'\\]"):
+            from_row(BackendSpec, {"backend_id": "b", "kind": "infill", "transport": "stub", "url": "?"})
 
-    def test_from_dict_requires_core_fields(self):
-        with pytest.raises(ValueError, match="missing 'transport'"):
-            BackendSpec.from_dict({"backend_id": "b", "kind": "infill"})
+    def test_requires_core_fields(self):
+        with pytest.raises(ValueError, match=r"missing fields: \['transport'\]"):
+            from_row(BackendSpec, {"backend_id": "b", "kind": "infill"})
+
+    def test_decodes_to_the_field_types_and_keeps_stub_params(self):
+        params = {"mode": "constant", "value": 1}
+        spec = from_row(BackendSpec, infill_spec(timeout=5, stub_params=params))
+        assert spec == BackendSpec("b", "infill", "stub", timeout=5.0, stub_params=params)
+        assert type(spec.timeout) is float and spec.stub_params is params
 
 
 class TestCanonicalDigest:

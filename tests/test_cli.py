@@ -8,27 +8,37 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mtbehave
 from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
-from mtbehave.casegen import STATUS_KEPT, read_cases
+from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
 from mtbehave.cli import RunConfig, _freeze_the_heap_at_exit, build_parser
-from mtbehave.codec import to_row, write_jsonl
+from mtbehave.codec import from_row, to_row, write_jsonl
+from mtbehave.corpus import load_annotations, load_pairs
+from mtbehave.judge import TranslationRecord, Verdict
+from mtbehave.report import GoldErrorAnnotation, load_gold
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR, Capability
 
 from conftest import cache_rows, damage_cache_row, run_cli
 from dumpers import load_report
 from test_acceptance import build_stub_workspace
+from test_pipeline_bytes import write_gold as write_c07_gold
 
 SENTENCES = {
     "base": "the little shop closed early today",
@@ -653,6 +663,139 @@ class TestManifest:
 FULL_PIPELINE = ["extract", "generate", "judge", "sweep", "eval", "report"]
 
 
+@pytest.fixture(scope="module")
+def judged_c07(tmp_path_factory) -> Path:
+    """The C07 workspace after generate and judge, with a gold file; tests edit copies."""
+    root = tmp_path_factory.mktemp("c07")
+    config = build_stub_workspace(root)
+    run_ok("generate", "--config", config)
+    run_ok("judge", "--config", config)
+    write_c07_gold(root)
+    return root
+
+
+# Each row artifact a stage reads back: the stage, the row's type, and how a bad row is named.
+READERS = {
+    "out/cases.jsonl": (["judge"], Case, "case record"),
+    "out/records.jsonl": (["sweep"], TranslationRecord, "record"),
+    "out/verdicts.jsonl": (["report"], Verdict, "verdict"),
+    "gold.jsonl": (["eval", "--gold", "{root}/gold.jsonl"], GoldErrorAnnotation, "gold row"),
+}
+
+
+def read_rows(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def set_key(path: Path, key: str, value, select) -> int:
+    """Give ``key`` the ``value`` in each row ``select(index, row)`` picks; the first one's line."""
+    rows = read_rows(path)
+    picked = [index for index, row in enumerate(rows) if select(index, row)]
+    for index in picked:
+        rows[index][key] = value
+    write_jsonl(path, rows)
+    return picked[0] + 1
+
+
+def run_reader(root: Path, artifact: str):
+    stage = [arg.format(root=root) for arg in READERS[artifact][0]]
+    return invoke(*stage, "--config", root / "config.json")
+
+
+def first_row(index, row) -> bool:
+    return index == 0
+
+
+def failing_verdict(index, row) -> bool:
+    return row["passed"] is False
+
+
+class TestMistypedRows:
+    @pytest.mark.parametrize(
+        "artifact, key, value, select, reason",
+        [
+            pytest.param("out/cases.jsonl", "x_prime", 5, first_row,
+                         "x_prime must be a list, got 5", id="x_prime number"),
+            pytest.param("out/cases.jsonl", "x_prime", [1, 2], first_row,
+                         "x_prime[0] must be a string, got 1", id="x_prime numbers"),
+            pytest.param("out/records.jsonl", "qual_y", "a", first_row,
+                         "qual_y must be a number, got 'a'", id="qual_y text"),
+            pytest.param("out/verdicts.jsonl", "passed", "false", failing_verdict,
+                         "passed must be a boolean, got 'false'", id="passed text"),
+        ],
+    )
+    def test_exits_2_naming_file_line_and_key(self, judged_c07, tmp_path, artifact, key, value, select, reason):
+        root = shutil.copytree(judged_c07, tmp_path / "c07")
+        line = set_key(root / artifact, key, value, select)
+        result = run_reader(root, artifact)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == f"error: {root / artifact}:{line}: bad {READERS[artifact][2]}: {reason}\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_another_json_type_exits_2_or_reads_as_the_field_type(self, judged_c07, data):
+        """One key of an artifact's first row gets a JSON value of another type. The stage
+        that reads the file exits 2 with one error line naming the file, line and key, or
+        the value reads as the field's type and the stage does what it does with the value
+        written as that type."""
+        artifact = data.draw(st.sampled_from(sorted(READERS)))
+        _, cls, what = READERS[artifact]
+        row = read_rows(judged_c07 / artifact)[0]
+        key = data.draw(st.sampled_from(sorted(row)))
+        value = data.draw(JSON_VALUES.filter(lambda value: type(value) is not type(row[key])))
+        try:
+            decoded = from_row(cls, {**row, key: value})
+        except ValueError:
+            with edited_copy(judged_c07, artifact, key, value) as (root, result, _):
+                assert isinstance(result.exception, SystemExit) and result.exit_code == 2
+                assert result.stderr.startswith(f"error: {root / artifact}:1: bad {what}: ")
+                assert key in result.stderr and result.stderr.count("\n") == 1
+        else:
+            (item,) = [item for item in fields(cls) if item.metadata.get("key", item.name) == key]
+            assert has_type(getattr(decoded, item.name), cls, item)
+            with edited_copy(judged_c07, artifact, key, value) as (root, result, outputs):
+                assert result.exception is None or isinstance(result.exception, SystemExit)
+                run = (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
+            with edited_copy(judged_c07, artifact, key, to_row(decoded)[key]) as (root, result, outputs):
+                assert run == (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),  # JSON has no NaN or infinity
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@contextmanager
+def edited_copy(workspace: Path, artifact: str, key: str, value):
+    """A copy of ``workspace`` whose ``artifact`` has ``key`` = ``value`` on line 1, after
+    the stage that reads it ran: (root, CLI result, the bytes of the other outputs but
+    the manifest)."""
+    with tempfile.TemporaryDirectory() as temp:
+        root = shutil.copytree(workspace, Path(temp) / "c07")
+        set_key(root / artifact, key, value, first_row)
+        result = run_reader(root, artifact)
+        outputs = {
+            path.name: path.read_bytes()
+            for path in (root / "out").iterdir()
+            if path.name != "manifest.json" and path != root / artifact
+        }
+        yield root, result, outputs
+
+
+def has_type(value, cls: type, item) -> bool:
+    """Whether ``value`` has the outer type of the field ``item`` of ``cls``."""
+    hint = eval(item.type, vars(sys.modules[cls.__module__])) if isinstance(item.type, str) else item.type
+    options = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    return any(type(value) is (get_origin(option) or option) for option in options)
+
+
 def run_full_pipeline(root: Path, config: Path) -> None:
     gold = write_gold(root, erroneous=True)
     for stage in FULL_PIPELINE:
@@ -892,7 +1035,7 @@ CONFIG_ERRORS = [
     ),
     pytest.param(
         with_slot("infill", {"transport": "stub"}),
-        "backend 'infill': backend spec is missing 'backend_id'",
+        "backend 'infill': missing fields: ['backend_id']",
         id="spec without backend_id",
     ),
     pytest.param(
@@ -1117,6 +1260,21 @@ def test_the_readme_lists_every_capability_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     sentence = readme.split("\nCapabilities: ")[1].split(".")[0]
     assert re.findall(r"`(\w+)`", sentence) == [capability.value for capability in Capability]
+
+
+def test_the_readme_examples_load(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```(?:json)?\n(.*?)```", readme, re.DOTALL)
+    (pairs,) = [block for block in blocks if block.startswith("p1\t")]
+    (annotation,) = [block for block in blocks if block.startswith('{"id"')]
+    (gold,) = [block for block in blocks if block.startswith('{"case_id"')]
+    for name, text in (("pairs.tsv", pairs), ("annotations.jsonl", annotation), ("gold.jsonl", gold)):
+        lines = text if name == "pairs.tsv" else json.dumps(json.loads(text), ensure_ascii=False) + "\n"
+        (tmp_path / name).write_text(lines, encoding="utf-8")
+    note = load_annotations(tmp_path / "annotations.jsonl", load_pairs(tmp_path / "pairs.tsv"))["p1"]
+    assert (note.pos[1], note.ne_spans, note.phrase_spans_src) == ("NOUN", ((1, 2, "ORG"),), ((0, 2),))
+    row = load_gold(tmp_path / "gold.jsonl")[("p1-noun-000", "mt")]
+    assert (row.is_erroneous, row.error_spans, row.edited_spans) == (True, ((0, 1),), ((0, 2),))
 
 
 # The flags of each command besides --config and --output-dir: the config

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
 import pytest
 
@@ -21,6 +22,19 @@ class Row:
     name: str
     shade: Shade
     spans: tuple[tuple[int, int], ...] = field(default=(), metadata={"key": "marks"})
+
+
+@dataclass(frozen=True)
+class Typed:
+    flag: bool
+    count: int
+    score: float | None
+    tokens: tuple[str, ...]
+    triples: tuple[tuple[int, int, str], ...]
+    params: Mapping[str, object]
+
+
+TYPED = {"flag": True, "count": 2, "score": 0.5, "tokens": ["a"], "triples": [[0, 1, "x"]], "params": {}}
 
 
 class TestWrites:
@@ -67,10 +81,12 @@ class TestRows:
     @pytest.mark.parametrize(
         "line, reason",
         [
-            ('{"name": "a"}', "'shade'"),
-            ('{"name": "a", "shade": "grey"}', "'grey' is not a valid Shade"),
-            ("[1, 2]", "'name'"),
+            ('{"name": "a"}', r"missing fields: \['shade'\]"),
+            ('{"name": "a", "shade": "grey"}', r"shade must be one of \['dark', 'light'\], got 'grey'"),
+            ("[1, 2]", r"expected an object, got \[1, 2\]"),
             ("not json", "Expecting value"),
+            ("", "blank line"),
+            pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded", id="nested too deep"),
         ],
     )
     def test_a_bad_line_names_file_and_line(self, tmp_path, line, reason):
@@ -78,6 +94,39 @@ class TestRows:
         path.write_text('{"name": "ok", "shade": "dark"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=f"rows.jsonl:2: bad row: {reason}"):
             codec.read_jsonl(path, Row, "row")
+
+    def test_values_convert_to_the_field_types(self):
+        params = {"k": [1]}
+        typed = codec.from_row(Typed, {**TYPED, "score": 1, "params": params})
+        assert typed == Typed(True, 2, 1.0, ("a",), ((0, 1, "x"),), params)
+        assert type(typed.score) is float and typed.params is params
+        assert codec.from_row(Typed, {**TYPED, "score": None}).score is None
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"flag": 1}, "flag must be a boolean, got 1"),
+            ({"count": True}, "count must be an integer, got True"),
+            ({"count": 2.0}, "count must be an integer, got 2.0"),
+            ({"score": False}, "score must be a number, got False"),
+            ({"score": "0.5"}, "score must be a number, got '0.5'"),
+            ({"score": 10**400}, "score must be a number, got 1000"),
+            ({"tokens": "a"}, "tokens must be a list, got 'a'"),
+            ({"tokens": ["a", None]}, r"tokens\[1\] must be a string, got None"),
+            ({"triples": [[0, 1, "x"], [0, 1]]}, r"triples\[1\] must be a list of 3 items, got \[0, 1\]"),
+            ({"triples": [[0, "1", "x"]]}, r"triples\[0\]\[1\] must be an integer, got '1'"),
+            ({"params": []}, r"params must be an object, got \[\]"),
+            ({"flag": None}, "flag must be a boolean, got None"),
+            ({"extra": 1, "more": 2}, r"unknown fields: \['extra', 'more'\]"),
+        ],
+    )
+    def test_a_value_of_another_type_is_rejected_by_key(self, changes, reason):
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            codec.from_row(Typed, {**TYPED, **changes})
+
+    def test_every_missing_key_is_named(self):
+        with pytest.raises(ValueError, match=r"^missing fields: \['flag', 'params'\]$"):
+            codec.from_row(Typed, {key: TYPED[key] for key in ("count", "score", "tokens", "triples")})
 
     def test_the_field_plan_is_built_once_per_class(self, tmp_path, monkeypatch):
         calls = []

@@ -31,6 +31,10 @@ def write_lines(path: Path, *lines: str) -> Path:
     return path
 
 
+# How a record the codec rejects is reported: file, line, then the key.
+BAD = "ann.jsonl:1: bad annotation record:"
+
+
 def annotation_record(pair_id: str, n_src: int, **extra) -> dict:
     record = {
         "id": pair_id,
@@ -204,23 +208,67 @@ class TestLoadAnnotations:
         [
             (lambda r: r.pop("pos"), "missing fields"),
             (lambda r: r.update(extra=1), "unknown fields"),
-            (lambda r: r.update(pos=["OTHER"]), "one tag per source token"),
+            (lambda r: r.update(pos=["OTHER"], past_perfect=[False]), "one tag per source token"),
             (lambda r: r.update(pos=["NN", "OTHER"]), "unknown POS tag"),
-            (lambda r: r.update(past_perfect=[False, 0]), "one bool per source token"),
+            pytest.param(
+                lambda r: r.update(past_perfect=[False, 0]),
+                rf"{BAD} past_perfect\[1\] must be a boolean, got 0",
+                id="past_perfect flag not a bool",
+            ),
             (lambda r: r.update(ne=[[0, 0, "GPE"]]), "not a valid span"),
             (lambda r: r.update(ne=[[0, 5, "GPE"]]), "out of range"),
             (lambda r: r.update(ne=[[0, 1, "bad type"]]), "invalid NE type"),
-            (lambda r: r.update(ne=[[0, 1, 5]]), "ann.jsonl:1: invalid NE type 5"),
-            (lambda r: r.update(phrases_ref=[[1, 0]]), "ann.jsonl:1: reference phrase span"),
-            (lambda r: r.update(phrases_src=[[0]]), r"\[start, end\] list"),
+            pytest.param(
+                lambda r: r.update(ne=[[0, 1, 5]]),
+                rf"{BAD} ne\[0\]\[2\] must be a string, got 5",
+                id="NE type not text",
+            ),
+            pytest.param(
+                lambda r: r.update(phrases_ref=[[1, 0]]),
+                rf"{BAD} reference phrase span \(1, 0\) is not a valid span",
+                id="reversed reference phrase span",
+            ),
+            pytest.param(
+                lambda r: r.update(phrases_src=[[0]]),
+                rf"{BAD} phrases_src\[0\] must be a list of 2 items, got \[0\]",
+                id="phrase span of one item",
+            ),
             (lambda r: r.update(id="nope"), "unknown pair id"),
-            (lambda r: r.update(phrases_src=5), "ann.jsonl:1: source phrase spans must be a list"),
-            (lambda r: r.update(phrases_ref=None), "ann.jsonl:1: reference phrase spans must be a list"),
-            (lambda r: r.update(pos=[[1], "OTHER"]), r"ann.jsonl:1: unknown POS tag \[1\]"),
-            (lambda r: r.update(id=["p1"]), r"ann.jsonl:1: unknown pair id \['p1'\]"),
-            (lambda r: r.update(ne=5), "ann.jsonl:1: ne must be a list"),
-            (lambda r: r.update(ne=[[0, 1]]), r"ann.jsonl:1: NE entry must be \[start, end, type\], got \[0, 1\]"),
-            (lambda r: r.update(ne=[[0.5, 1, "GPE"]]), "ann.jsonl:1: NE span start must be an integer, got 0.5"),
+            pytest.param(
+                lambda r: r.update(phrases_src=5),
+                f"{BAD} phrases_src must be a list, got 5",
+                id="phrases_src not a list",
+            ),
+            pytest.param(
+                lambda r: r.update(phrases_ref=None),
+                f"{BAD} phrases_ref must be a list, got None",
+                id="phrases_ref null",
+            ),
+            pytest.param(
+                lambda r: r.update(pos=[[1], "OTHER"]),
+                rf"{BAD} pos\[0\] must be a string, got \[1\]",
+                id="POS tag not text",
+            ),
+            pytest.param(
+                lambda r: r.update(id=["p1"]),
+                rf"{BAD} id must be a string, got \['p1'\]",
+                id="pair id not text",
+            ),
+            pytest.param(
+                lambda r: r.update(ne=5),
+                f"{BAD} ne must be a list, got 5",
+                id="ne not a list",
+            ),
+            pytest.param(
+                lambda r: r.update(ne=[[0, 1]]),
+                rf"{BAD} ne\[0\] must be a list of 3 items, got \[0, 1\]",
+                id="NE entry of two items",
+            ),
+            pytest.param(
+                lambda r: r.update(ne=[[0.5, 1, "GPE"]]),
+                rf"{BAD} ne\[0\]\[0\] must be an integer, got 0.5",
+                id="NE start not an integer",
+            ),
         ],
     )
     def test_rejects_bad_records(self, tmp_path, mutation, pattern):
@@ -234,9 +282,9 @@ class TestLoadAnnotations:
     @pytest.mark.parametrize(
         "line, pattern",
         [
-            ("", "ann.jsonl:1: blank line"),
-            ("{not json", "ann.jsonl:1: invalid JSON"),
-            ('["p1"]', "ann.jsonl:1: annotation record must be a JSON object"),
+            ("", f"{BAD} blank line"),
+            ("{not json", f"{BAD} Expecting property name"),
+            ('["p1"]', rf"{BAD} expected an object, got \['p1'\]"),
         ],
         ids=["blank", "not JSON", "JSON list"],
     )

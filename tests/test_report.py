@@ -215,7 +215,7 @@ class TestLoadGold:
         path = tmp_path / "gold.jsonl"
         line = gold_line("c1", True, [(0, 1)], [(0, 1)]).replace("true", "1")
         path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match="gold.jsonl:1: is_erroneous must be a boolean"):
+        with pytest.raises(CorpusError, match="gold.jsonl:1: bad gold row: is_erroneous must be a boolean, got 1"):
             load_gold(path)
 
     def test_spans_on_clean_translation_are_rejected(self, tmp_path):
