@@ -126,7 +126,7 @@ _CREATE_TABLE = (
     "CREATE TABLE IF NOT EXISTS entries (backend_id TEXT NOT NULL, digest TEXT NOT NULL, "
     "fingerprint TEXT, value TEXT, PRIMARY KEY (backend_id, digest)) WITHOUT ROWID"
 )
-_SELECT = "SELECT fingerprint, value FROM entries WHERE backend_id = ? AND digest = ?"
+_SELECT_BACKEND = "SELECT digest, fingerprint, value FROM entries WHERE backend_id = ?"
 # int() raises ValueError on NaN and the infinities, so a row that holds one (written
 # before scores had to be finite) reads as corrupt: a miss, never a score for the judge.
 _VALUE_DECODER = json.JSONDecoder(parse_constant=int)
@@ -139,8 +139,11 @@ class ResponseCache:
     wrote it and the answer as JSON text; an answer written later replaces it.
     ``put`` buffers answers and commits them ``_COMMIT_EVERY`` at a time, and
     ``close`` commits the rest. A run served wholly from the cache writes
-    nothing. The threads of one process share one connection behind a lock;
-    another process's writes are waited on, up to ``_BUSY_TIMEOUT_SECONDS``.
+    nothing. The first ``get`` for a backend reads all of that backend's rows
+    with one query and keeps them until ``close``, so a row another process
+    commits after that is seen only once the file is reopened. The threads of
+    one process share one connection behind a lock; another process's writes
+    are waited on, up to ``_BUSY_TIMEOUT_SECONDS``.
     """
 
     def __init__(self, root):
@@ -150,16 +153,24 @@ class ResponseCache:
         self._db = None
         # (backend_id, digest) -> (fingerprint, value as JSON text), not yet committed
         self._pending: dict[tuple[str, str], tuple[str | None, str]] = {}
+        # backend_id -> digest -> (fingerprint, value) of the committed rows, read on
+        # that backend's first get since the file was opened
+        self._loaded: dict[str, dict[str, tuple[str | None, object]]] = {}
 
     def get(self, backend_id: str, digest: str,
             fingerprint: str | None = None) -> tuple[bool, object]:
         """(hit, value); an absent row, or one whose value is not JSON text, is a miss,
-        and so is one stored under another ``fingerprint`` unless that is None."""
-        key = (backend_id, digest)
+        and so is one stored under another ``fingerprint`` unless that is None.
+        The first call for a ``backend_id`` reads that backend's committed rows."""
         with self._lock:
-            row = self._pending.get(key)  # so a repeat before the commit is a hit
-            if row is None and (self._db is not None or self.path.exists()):
-                row = self._use(lambda db: db.execute(_SELECT, key).fetchone())
+            row = self._pending.get((backend_id, digest))  # so a repeat before the commit is a hit
+            if row is None:
+                rows = self._loaded.get(backend_id)
+                if rows is None and (self._db is not None or self.path.exists()):
+                    rows = self._loaded[backend_id] = self._use(
+                        lambda db: {d: (f, v) for d, f, v in db.execute(_SELECT_BACKEND, (backend_id,))}
+                    )
+                row = None if rows is None else rows.get(digest)
         if row is None or not isinstance(row[1], str):
             return False, None
         if fingerprint is not None and row[0] != fingerprint:
@@ -184,6 +195,7 @@ class ResponseCache:
                 if self._pending:
                     self._commit()
             finally:
+                self._loaded.clear()
                 if self._db is not None:
                     self._db.close()
                     self._db = None
@@ -197,6 +209,9 @@ class ResponseCache:
                 db.executemany("INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)", rows)
 
         self._use(write)
+        for (backend_id, digest), row in self._pending.items():
+            if backend_id in self._loaded:
+                self._loaded[backend_id][digest] = row
         self._pending.clear()
 
     def _use(self, work: Callable):

@@ -174,7 +174,7 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
     blob = path.read_bytes()
     try:
         data = json.loads(blob)
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8 text, nested too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     _expect(isinstance(data, dict), f"{path}: config must be a JSON object")
     keys = [item for item in fields(RunConfig) if "read" in item.metadata]
@@ -212,7 +212,7 @@ class RunManifest:
     def load(cls, path: Path) -> "RunManifest":
         try:
             entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CorpusError(f"{path}: unreadable manifest: {exc}") from exc
         if not isinstance(entries, list) or not all(
             isinstance(entry, dict) and isinstance(entry.get("outputs"), dict) for entry in entries

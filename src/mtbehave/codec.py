@@ -7,10 +7,11 @@ indented JSON. A dataclass's fields give its row's keys in order:
 
 Reading checks every key of a record (a JSON Lines row, a backend spec, the
 config's judge section) against its field's type and converts the value in
-the same pass; a JSON integer reads as a number, and a boolean is not one. A
-missing key takes the field's default, or is an error where there is none;
-an unknown key is an error. A bad line of a JSON Lines file raises
-CorpusError as ``path:line: bad <what>: <reason>``, the reason naming the key.
+the same pass; a JSON integer reads as a number, and neither a boolean nor
+NaN nor an infinity is one. A missing key takes the field's default, or is
+an error where there is none; an unknown key is an error. A bad line of a
+JSON Lines file raises CorpusError as ``path:line: bad <what>: <reason>``,
+the reason naming the key.
 
 Every write fills a temporary file beside the target and renames it over the
 target, so an interrupted stage leaves the previous file, never half of one.
@@ -19,6 +20,7 @@ target, so an interrupted stage leaves the previous file, never half of one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -87,7 +89,7 @@ def _exact(kind: type, expected: str) -> Callable[[object], object]:
 
 
 def _number(value) -> float:
-    if type(value) is float:
+    if type(value) is float and math.isfinite(value):  # json reads bare NaN and Infinity
         return value
     if type(value) is int and abs(value) <= sys.float_info.max:  # float() of a larger one overflows
         return float(value)

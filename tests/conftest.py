@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from mtbehave.backends import Backend, BackendSpec, ResponseCache
+from mtbehave.backends import _SELECT_BACKEND, Backend, BackendSpec, ResponseCache
 from mtbehave.cli import main
 from mtbehave.corpus import AlignmentSet, Annotation, Corpus, TranslationPair
 
@@ -141,6 +141,27 @@ def signalling(inner, event):
 @pytest.fixture
 def response_cache(tmp_path):
     return ResponseCache(tmp_path / "cache")
+
+
+@pytest.fixture
+def sql_statements(monkeypatch) -> list[str]:
+    """Every SQL statement run on a connection that ``sqlite3.connect`` opens from now on."""
+    statements = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        db = connect(*args, **kwargs)
+        db.set_trace_callback(statements.append)
+        return db
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    return statements
+
+
+def backend_reads(statements: list[str]) -> list[str]:
+    """The backend ids whose rows the traced statements read, in order."""
+    prefix = _SELECT_BACKEND.removesuffix("?")  # the trace shows the bound id in quotes
+    return [s[len(prefix):].strip("'") for s in statements if s.startswith(prefix)]
 
 
 def cache_rows(cache: ResponseCache) -> dict:

@@ -39,7 +39,15 @@ from mtbehave.casegen import PromptRequest, mask_pair, parse_response, render_pr
 from mtbehave.codec import from_row
 from mtbehave.segmentation import Capability, EditableSegment
 
-from conftest import RecordingTransport, cache_rows, damage_cache_row, make_pair, stub_backend, stub_spec
+from conftest import (
+    RecordingTransport,
+    backend_reads,
+    cache_rows,
+    damage_cache_row,
+    make_pair,
+    stub_backend,
+    stub_spec,
+)
 
 
 def infill_spec(**fields):
@@ -68,7 +76,7 @@ class TestBackendSpec:
             (infill_spec(auth_env_var=1), "auth_env_var must be a string"),
             (infill_spec(timeout=True), "timeout must be a number, got True"),
             (infill_spec(timeout="5"), "timeout must be a number, got '5'"),
-            (infill_spec(timeout=float("nan")), "timeout must be positive"),
+            (infill_spec(timeout=float("nan")), "timeout must be a number, got nan"),
             (infill_spec(max_retries=1.5), "max_retries must be an integer, got 1.5"),
             (infill_spec(max_retries=False), "max_retries must be an integer, got False"),
             (infill_spec(stub_params=[1]), "stub_params must be an object"),
@@ -261,6 +269,52 @@ class TestResponseCache:
         response_cache.put("b1", "last", -1)
         assert other.get("b1", "0") == (True, 0)
         assert other.get("b1", "last") == (True, -1)
+
+    def test_a_backend_is_read_with_one_query_until_close(self, response_cache, sql_statements):
+        response_cache.put("b1", "a", 1)
+        response_cache.put("b2", "b", 2)
+        response_cache.close()
+        sql_statements.clear()
+        for _ in range(3):
+            assert response_cache.get("b1", "a") == (True, 1)
+            assert response_cache.get("b1", "absent") == (False, None)
+            assert response_cache.get("b2", "b") == (True, 2)
+        assert backend_reads(sql_statements) == ["b1", "b2"]
+        response_cache.close()
+        assert response_cache.get("b1", "a") == (True, 1)
+        assert backend_reads(sql_statements) == ["b1", "b2", "b1"]
+
+    def test_a_row_this_instance_committed_stays_a_hit_without_reopening(self, response_cache, sql_statements):
+        response_cache.put("b1", "old", -1)
+        response_cache.close()
+        sql_statements.clear()
+        assert response_cache.get("b1", "old") == (True, -1)  # reads b1's one row
+        for i in range(_COMMIT_EVERY):  # the last put commits them all
+            response_cache.put("b1", str(i), i, "fp")
+        assert any(s.startswith("INSERT") for s in sql_statements)
+        assert all(response_cache.get("b1", str(i), "fp") == (True, i) for i in range(_COMMIT_EVERY))
+        assert response_cache.get("b1", "0", "other") == (False, None)
+        assert backend_reads(sql_statements) == ["b1"]
+        assert sum(s.startswith("CREATE TABLE") for s in sql_statements) == 1  # one connection
+
+    def test_a_row_another_instance_commits_appears_after_close(self, response_cache):
+        other = ResponseCache(response_cache.root)
+        other.put("b1", "first", 1)
+        other.close()
+        assert response_cache.get("b1", "first") == (True, 1)
+        other.put("b1", "later", 2)
+        other.close()
+        assert response_cache.get("b1", "later") == (False, None)  # b1 was read before
+        response_cache.close()
+        assert response_cache.get("b1", "later") == (True, 2)
+
+    def test_a_get_without_a_file_creates_none_and_remembers_nothing(self, response_cache):
+        assert response_cache.get("b1", "a") == (False, None)
+        assert not response_cache.root.exists()
+        other = ResponseCache(response_cache.root)
+        other.put("b1", "a", 1)
+        other.close()
+        assert response_cache.get("b1", "a") == (True, 1)
 
     def test_two_caches_on_one_root_write_at_the_same_time(self, tmp_path):
         caches = [ResponseCache(tmp_path / "cache") for _ in range(2)]

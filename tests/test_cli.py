@@ -35,7 +35,7 @@ from mtbehave.judge import TranslationRecord, Verdict
 from mtbehave.report import GoldErrorAnnotation, load_gold
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR, Capability
 
-from conftest import cache_rows, damage_cache_row, run_cli
+from conftest import backend_reads, cache_rows, damage_cache_row, run_cli
 from dumpers import load_report
 from test_acceptance import build_stub_workspace
 from test_pipeline_bytes import write_gold as write_c07_gold
@@ -547,6 +547,17 @@ class TestManifest:
         assert f"error: {manifest}: unreadable manifest" in result.output
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
+    def test_a_manifest_nested_too_deep_is_a_data_error(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        result = invoke("judge", "--config", config)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith(f"error: {manifest}: unreadable manifest: maximum recursion depth")
+        assert result.stderr.count("\n") == 1
+
     def test_reruns_keep_one_entry_per_file_and_every_output_digest_current(self, tmp_path):
         config = workspace(tmp_path)
         for _ in range(3):
@@ -706,6 +717,10 @@ def first_row(index, row) -> bool:
     return index == 0
 
 
+def every_row(index, row) -> bool:
+    return True
+
+
 def failing_verdict(index, row) -> bool:
     return row["passed"] is False
 
@@ -722,6 +737,12 @@ class TestMistypedRows:
                          "qual_y must be a number, got 'a'", id="qual_y text"),
             pytest.param("out/verdicts.jsonl", "passed", "false", failing_verdict,
                          "passed must be a boolean, got 'false'", id="passed text"),
+            # json reads the bare tokens NaN and Infinity, which JSON does not have;
+            # a NaN qual_y fails no comparison, so every case would pass
+            pytest.param("out/records.jsonl", "qual_y", float("nan"), every_row,
+                         "qual_y must be a number, got nan", id="qual_y NaN"),
+            pytest.param("out/records.jsonl", "qual_y", float("inf"), first_row,
+                         "qual_y must be a number, got inf", id="qual_y Infinity"),
         ],
     )
     def test_exits_2_naming_file_line_and_key(self, judged_c07, tmp_path, artifact, key, value, select, reason):
@@ -839,6 +860,18 @@ class TestResponseCacheFile:
         run_ok("generate", "--config", config)
         run_ok("judge", "--config", config)
         assert file_states(tmp_path / "cache") == before
+
+    def test_a_warm_rerun_reads_each_backend_once_per_stage(self, tmp_path, sql_statements):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        run_ok("judge", "--config", config)
+        for stage, slots in (("generate", ["infill", "scorer_ref_free"]),
+                             ("judge", ["translator", "scorer_ref_based"])):
+            sql_statements.clear()
+            run_ok(stage, "--config", config)
+            expected = sorted(backend_section()[slot]["backend_id"] for slot in slots)
+            assert sorted(backend_reads(sql_statements)) == expected
+            assert [s for s in sql_statements if s.startswith(("INSERT", "BEGIN"))] == []
 
     @pytest.mark.parametrize("stage", ["generate", "judge"])
     def test_a_cache_file_that_is_not_a_database_exits_1(self, tmp_path, stage):
@@ -1122,6 +1155,15 @@ class TestConfigValidation:
         result = invoke("extract", "--config", config)
         assert result.exit_code == 1
         assert "not valid JSON" in result.output
+
+    def test_a_config_nested_too_deep_is_rejected(self, tmp_path):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        result = invoke("sweep", "--config", config)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith(f"error: {config}: not valid JSON: maximum recursion depth")
+        assert result.stderr.count("\n") == 1
 
     def test_unknown_capability_is_rejected(self, tmp_path):
         config = workspace(tmp_path)

@@ -118,6 +118,9 @@ class TestRows:
             ({"params": []}, r"params must be an object, got \[\]"),
             ({"flag": None}, "flag must be a boolean, got None"),
             ({"extra": 1, "more": 2}, r"unknown fields: \['extra', 'more'\]"),
+            ({"score": float("nan")}, "score must be a number, got nan"),
+            ({"score": float("inf")}, "score must be a number, got inf"),
+            ({"score": float("-inf")}, "score must be a number, got -inf"),
         ],
     )
     def test_a_value_of_another_type_is_rejected_by_key(self, changes, reason):

@@ -1,17 +1,21 @@
 """The benchmark's tracer wraps the package's functions and methods by name.
 
 ``perfbench/tracer.py`` looks each listed name up with ``getattr`` and fails
-on a missing one, so renaming or removing any of them breaks traced runs.
+on a missing one, so renaming or removing any of them breaks traced runs. It
+counts a cache hit for a request whose ``ResponseCache.get`` returned one.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_acceptance import build_stub_workspace
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,3 +62,23 @@ def test_the_package_loads_no_module_and_the_cli_loads_every_traced_one():
     traced = ["cli", "corpus", "segmentation", "casegen", "judge", "report", "backends"]
     assert modules_loaded_by("import mtbehave") == ["mtbehave"]
     assert set(modules_loaded_by("import mtbehave.cli")) >= {"mtbehave", *(f"mtbehave.{name}" for name in traced)}
+
+
+def test_every_request_of_a_traced_warm_stage_counts_as_a_cache_hit(tmp_path):
+    # perfbench's own check asks only that hits + misses == requests
+    config = build_stub_workspace(tmp_path)
+    document = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**document, "cache_root": "cache"}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for stage in ("generate", "judge"):  # fill the cache
+        subprocess.run([sys.executable, "-m", "mtbehave.cli", stage, "--config", str(config)],
+                       env=env, capture_output=True, check=True)
+    trace_file = tmp_path / "judge.trace.json"
+    subprocess.run([sys.executable, str(TRACER), str(trace_file), "judge", "--config", str(config)],
+                   env=env, capture_output=True, check=True)
+    counts = json.loads(trace_file.read_text(encoding="utf-8"))["counts"]
+    requests = sum(count for name, count in counts.items() if name.endswith(".requests"))
+    assert counts["backends.translator.requests"] > 0 and counts["backends.scorer_ref_based.requests"] > 0
+    assert counts["backends.cache.hits"] == requests
+    assert counts.get("backends.cache.misses", 0) == 0
+    assert counts.get("backends.cache.puts", 0) == 0
