@@ -2,9 +2,11 @@
 
 Every command takes a JSON run config (--config), --output-dir, and flags for
 the config values it reads; flags beat the file, the file beats built-in
-defaults. Relative paths inside the config resolve against the config file's
-directory. A stage that succeeds, or exits 2 or 3 after writing files, records
-in manifest.json the digests of the files it read and wrote.
+defaults. The codec decodes the file into a RunConfig; a config error names
+the file, the key and the value. Relative paths inside the file resolve
+against its directory; a flag's path is used as given. A stage that succeeds,
+or exits 2 or 3 after writing files, records in manifest.json the digests of
+the files it read and wrote.
 
 Exit codes: 0 success, 1 usage or config error or a file that cannot be
 read or written, 2 data validation error, 3 backend exhaustion, 130
@@ -23,10 +25,10 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from . import __version__
 from .backends import KINDS, Backend, BackendError, BackendSpec, CacheError, ResponseCache
@@ -82,93 +84,42 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _reject_unknown(section: dict, known: Iterable[str], path: Path, what: str) -> None:
-    unknown = sorted(set(section) - set(known))
-    _expect(not unknown, f"{path}: unknown {what} keys: {unknown}")
+@dataclass(frozen=True)
+class CorpusFiles:
+    pairs: Path
+    alignments: Path
+    annotations: Path
 
 
-# Each reader is called as read(key, value, path) on a key's raw JSON value,
-# never None; path is the config file, or None for a flag's value. A path from
-# the file resolves against the file's directory; a flag's is used as given.
-
-
-def _read_int(low: int | None = None, high: int | None = None):
-    def read(key: str, value, path) -> int:
-        _expect(type(value) is int, f"{key} must be an integer, got {value!r}")
-        in_range = (low is None or value >= low) and (high is None or value <= high)
-        bounds = f"between {low} and {high}" if high is not None else f"at least {low}"
-        _expect(in_range, f"{key} must be {bounds}, got {value}")
-        return value
-
-    return read
-
-
-def _read_bool(key: str, value, path) -> bool:
-    _expect(isinstance(value, bool), f"{key} must be a boolean")
-    return value
-
-
-def _read_path(key: str, value, path) -> Path:
-    return Path(str(value)) if path is None else path.parent / str(value)
-
-
-def _read_capability(key: str, value, path) -> Capability:
-    valid = [capability.value for capability in Capability]
-    _expect(str(value) in valid, f"unknown capability {value!r} (valid: {', '.join(valid)})")
-    return Capability(str(value))
-
-
-def _read_corpus(key: str, section, path) -> dict[str, Path]:
-    names = ("pairs", "alignments", "annotations")
-    _expect(
-        isinstance(section, dict) and all(section.get(name) is not None for name in names),
-        f"{path}: corpus section must name pairs, alignments, and annotations files",
-    )
-    _reject_unknown(section, names, path, "corpus")
-    return {name: _read_path(name, section[name], path) for name in names}
-
-
-def _read_judge(key: str, section, path) -> JudgeConfig:
-    _expect(isinstance(section, dict), f"{path}: judge section must be an object")
-    _reject_unknown(section, (item.name for item in fields(JudgeConfig)), path, "judge")
-    try:
-        return from_row(JudgeConfig, {name: value for name, value in section.items() if value is not None})
-    except ValueError as exc:
-        raise ConfigError(f"bad judge thresholds: {exc}") from exc
-
-
-def _read_backends(key: str, section, path) -> dict:
-    _expect(isinstance(section, dict), f"{path}: backends section must be an object")
-    for slot in section:
-        _expect(slot in KINDS, f"backend {slot!r}: unknown backend kind {slot!r}")
-    return dict(section)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """A merged and validated run config.
+    """A run config: each field is a config key, decoded by the codec."""
 
-    Every field but the digest is a config key: its ``read`` checks the key's
-    value, and its ``default`` is the raw value that an absent key stands for.
-    """
+    corpus: CorpusFiles
+    capability: Capability | None = None
+    per_pair: int = 1
+    seed: int = 0
+    jobs: int = 1
+    judge: JudgeConfig = JudgeConfig()
+    cache_root: Path | None = None
+    output_dir: Path = Path("out")
+    backends: Mapping[str, object] = field(default_factory=dict)
+    exclude_low_base: bool = False
 
-    corpus: dict[str, Path] = field(metadata={"read": _read_corpus, "default": {}})
-    capability: Capability | None = field(metadata={"read": _read_capability, "default": None})
-    per_pair: int = field(metadata={"read": _read_int(1, MAX_PLANS_PER_PAIR), "default": 1})
-    seed: int = field(metadata={"read": _read_int(), "default": 0})
-    jobs: int = field(metadata={"read": _read_int(1), "default": 1})
-    judge: JudgeConfig = field(metadata={"read": _read_judge, "default": {}})
-    cache_root: Path | None = field(metadata={"read": _read_path, "default": None})
-    output_dir: Path = field(metadata={"read": _read_path, "default": "out"})
-    backends: dict = field(metadata={"read": _read_backends, "default": {}})
-    exclude_low_base: bool = field(metadata={"read": _read_bool, "default": False})
-    config_digest: str = ""
+    def __post_init__(self) -> None:
+        if not 1 <= self.per_pair <= MAX_PLANS_PER_PAIR:
+            raise ValueError(f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {self.per_pair}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for slot in self.backends:
+            if slot not in KINDS:
+                raise ValueError(f"backend {slot!r}: unknown backend kind {slot!r}")
 
 
-def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> RunConfig:
-    """Load the config file and apply non-None flag overrides on top; a JSON null
-    counts as absent, and ``alpha``/``beta`` override the judge section's keys."""
-    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> tuple[RunConfig, str]:
+    """The config file decoded, its relative paths resolved against its directory,
+    and the non-None flag overrides applied on top, with the file's sha256 digest.
+    A JSON null counts as absent; ``alpha``/``beta`` override the judge section's keys."""
     path = Path(config_path)
     _expect(path.is_file(), f"config file not found: {path}")
     blob = path.read_bytes()
@@ -177,20 +128,29 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
     except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8 text, nested too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     _expect(isinstance(data, dict), f"{path}: config must be a JSON object")
-    keys = [item for item in fields(RunConfig) if "read" in item.metadata]
-    _reject_unknown(data, (item.name for item in keys), path, "config")
-    values = {}
-    for item in keys:
-        value, origin = flags.get(item.name), None
-        if value is None:
-            value, origin = data.get(item.name), path
-        if value is None:
-            value = item.metadata["default"]
-        values[item.name] = None if value is None else item.metadata["read"](item.name, value, origin)
-    judge_flags = {item.name: flags[item.name] for item in fields(JudgeConfig) if item.name in flags}
-    if judge_flags:
-        values["judge"] = _read_judge("judge", {**asdict(values["judge"]), **judge_flags}, path)
-    return RunConfig(**values, config_digest=hashlib.sha256(blob).hexdigest())
+    data = {key: value for key, value in data.items() if value is not None}
+    if isinstance(data.get("judge"), dict):  # where a null counts as absent too
+        data["judge"] = {key: value for key, value in data["judge"].items() if value is not None}
+    try:
+        config = from_row(RunConfig, data)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    base, files = path.parent, config.corpus
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    if "capability" in flags:  # argparse has checked it against the capabilities
+        flags["capability"] = Capability(flags["capability"])
+    judge_flags = {item.name: flags.pop(item.name) for item in fields(JudgeConfig) if item.name in flags}
+    try:
+        config = replace(config, **{
+            "corpus": CorpusFiles(base / files.pairs, base / files.alignments, base / files.annotations),
+            "cache_root": None if config.cache_root is None else base / config.cache_root,
+            "output_dir": base / config.output_dir,
+            "judge": replace(config.judge, **judge_flags),
+            **flags,
+        })
+    except ValueError as exc:  # a flag's value
+        raise ConfigError(str(exc)) from None
+    return config, hashlib.sha256(blob).hexdigest()
 
 
 def _file_digest(path: Path) -> str:
@@ -220,21 +180,13 @@ class RunManifest:
             raise CorpusError(f"{path}: the manifest is not a JSON list of stage entries")
         return cls(path, entries)
 
-    def record_stage(
-        self,
-        stage: str,
-        config: RunConfig,
-        inputs: Iterable[Path],
-        outputs: Iterable[Path],
-        started_at: str,
-        finished_at: str,
-    ) -> None:
+    def record_stage(self, name: str, stage: Stage, outputs: list[Path], started_at: str, finished_at: str) -> None:
         entry = {
-            "stage": stage,
+            "stage": name,
             "tool_version": __version__,
-            "config_digest": config.config_digest,
-            "seed": config.seed,
-            "inputs": {str(p): _file_digest(p) for p in inputs},
+            "config_digest": stage.config_digest,
+            "seed": stage.config.seed,
+            "inputs": {str(p): _file_digest(p) for p in stage.inputs},
             "outputs": {str(p): _file_digest(p) for p in outputs},
             "started_at": started_at,
             "finished_at": finished_at,
@@ -251,11 +203,11 @@ def _die(code: int, message: str) -> None:
 
 
 class Stage:
-    """One stage run: its config, the response cache its backends share, and
-    the files it checked (``inputs``) and finished writing: its manifest entry."""
+    """One stage run: its config and the file's digest, the response cache its backends
+    share, and the files it checked (``inputs``) and finished writing: its manifest entry."""
 
-    def __init__(self, config: RunConfig):
-        self.config = config
+    def __init__(self, config: RunConfig, config_digest: str):
+        self.config, self.config_digest = config, config_digest
         self.cache = ResponseCache(config.cache_root) if config.cache_root is not None else None
         self.inputs: list[Path] = []
         self._outputs: dict[Path, int | None] = {}  # each output handed out -> its inode then
@@ -274,7 +226,7 @@ class Stage:
         return load_pairs(self._corpus_file("pairs"))
 
     def _corpus_file(self, name: str) -> Path:
-        path = self.config.corpus[name]
+        path = getattr(self.config.corpus, name)
         return self.read(path, f"corpus {name} file not found: {path}")
 
     def backends(self, *slots: str) -> list[Backend]:
@@ -320,16 +272,16 @@ def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., st
     """Run ``runner(stage, *args)``, which returns the stage's summary line."""
     started_at = _now()
     try:
-        config = load_run_config(config_path, overrides)
+        config, digest = load_run_config(config_path, overrides)
         manifest = RunManifest.load(config.output_dir / "manifest.json")
-        stage = Stage(config)
+        stage = Stage(config, digest)
         try:
             summary = runner(stage, *args)
         finally:  # however the stage ends, keep the answers already paid for
             if stage.cache is not None:
                 stage.cache.close()
             if outputs := stage.finished_outputs():  # and describe the files it wrote
-                manifest.record_stage(name, config, stage.inputs, outputs, started_at, _now())
+                manifest.record_stage(name, stage, outputs, started_at, _now())
     except KeyboardInterrupt:
         _die(EXIT_INTERRUPTED, "interrupted")
     except (ConfigError, CacheError, OSError) as exc:  # OSError: e.g. an output dir that is a file
@@ -498,12 +450,13 @@ def _run_report(stage: Stage, fmt: str) -> str:
 
 # Each config override a command can take as a flag, spelled from its key: per_pair -> --per-pair.
 _OVERRIDES = {
-    "output_dir": {"help": "Override the output directory."},
-    "cache_root": {"help": "Override the response cache root."},
+    "output_dir": {"type": Path, "help": "Override the output directory."},
+    "cache_root": {"type": Path, "help": "Override the response cache root."},
     "seed": {"type": int, "help": "Override the master seed."},
     "jobs": {"type": int, "help": "Requests in flight per backend; a stage runs two backends at once,"
                                   " so up to twice this many."},
-    "capability": {"help": f"Capability to target: {', '.join(capability.value for capability in Capability)}."},
+    "capability": {"choices": [capability.value for capability in Capability], "metavar": "CAPABILITY",
+                   "help": "Capability to target: %(choices)s."},
     "per_pair": {"type": int, "help": "Cases per pair."},
     "alpha": {"type": float, "help": "Base quality threshold."},
     "beta": {"type": float, "help": "Allowed quality difference."},

@@ -6,12 +6,14 @@ indented JSON. A dataclass's fields give its row's keys in order:
 ``metadata={"key": ...}`` renames a key.
 
 Reading checks every key of a record (a JSON Lines row, a backend spec, the
-config's judge section) against its field's type and converts the value in
-the same pass; a JSON integer reads as a number, and neither a boolean nor
-NaN nor an infinity is one. A missing key takes the field's default, or is
-an error where there is none; an unknown key is an error. A bad line of a
-JSON Lines file raises CorpusError as ``path:line: bad <what>: <reason>``,
-the reason naming the key.
+run config) against its field's type and converts the value in the same pass:
+a JSON integer reads as a number, and neither a boolean nor NaN nor an
+infinity is one; a path is a string; a dataclass is an object read the same
+way, and an error inside it names the key path (``judge.alpha``). A missing
+key takes the field's default, or is an error where there is none; an unknown
+key is an error. A bad line of a JSON Lines file raises CorpusError as
+``path:line: bad <what>: <reason>``, the reason naming the key, and a byte
+that is not UTF-8 in a text input as ``path:line: <reason>``.
 
 Every write fills a temporary file beside the target and renames it over the
 target, so an interrupted stage leaves the previous file, never half of one.
@@ -19,6 +21,7 @@ target, so an interrupted stage leaves the previous file, never half of one.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -26,9 +29,9 @@ import sys
 import threading
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
 from types import NoneType, UnionType
@@ -72,11 +75,15 @@ class CorpusError(ValueError):
     """Malformed input data; the message names the file and line."""
 
 
-class _Mismatch(Exception):
-    """A JSON value of another type than its field's; ``where`` locates it in a list."""
+class _Mismatch(ValueError):
+    """A JSON value of another type than its field's. ``where`` is its key path,
+    built up as the error leaves each list and record (".judge.alpha", ".spans[2]")."""
 
     def __init__(self, expected: str, value: object):
         self.expected, self.value, self.where = expected, value, ""
+
+    def __str__(self) -> str:
+        return f"{self.where[1:]} must be {self.expected}, got {self.value!r}"
 
 
 def _exact(kind: type, expected: str) -> Callable[[object], object]:
@@ -139,6 +146,9 @@ def _decoder(hint) -> Callable[[object], object]:
         return _exact(hint, _SCALARS[hint])
     if hint is float:
         return _number
+    if hint is Path:
+        string = _exact(str, "a string")
+        return lambda value: Path(string(value))
     if isinstance(hint, type) and issubclass(hint, Enum):
         return _member(hint)
     if origin is Mapping:
@@ -151,6 +161,8 @@ def _decoder(hint) -> Callable[[object], object]:
         kinds = set(args) - {Ellipsis}  # one scalar type for all items, as in Span, or none
         whole = kinds if len(kinds) == 1 and kinds <= _SCALARS.keys() else set()
         return _tuple(tuple(map(_decoder, args[:1] if variadic else args)), variadic, whole)
+    if is_dataclass(hint):
+        return partial(from_row, hint)
     raise TypeError(f"no JSON decoder for {hint!r}")
 
 
@@ -189,7 +201,10 @@ def from_row(cls: type, row: object):
             elif required:
                 missing.append(key)
     except _Mismatch as exc:
-        raise ValueError(f"{key}{exc.where} must be {exc.expected}, got {exc.value!r}") from None
+        exc.where = f".{key}{exc.where}"
+        raise
+    except ValueError as exc:  # a record field's own: a missing or unknown key, or its class's check
+        raise ValueError(f"{key}: {exc}") from None
     if missing:
         raise ValueError(f"missing fields: {missing}")
     if len(kwargs) < len(row):
@@ -198,15 +213,25 @@ def from_row(cls: type, row: object):
     return cls(**kwargs)
 
 
+def read_lines(path) -> list[str]:
+    """A UTF-8 file's lines as text mode reads them; a byte that is not UTF-8
+    raises CorpusError ``path:line: …``."""
+    blob = Path(path).read_bytes()
+    try:
+        return io.StringIO(blob.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_jsonl(path, cls: type, what: str) -> list:
     """One ``cls`` per line; a bad line raises CorpusError naming file and line."""
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                if not line.strip():
-                    raise ValueError("blank line")
-                rows.append(from_row(cls, json.loads(line)))
-            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-                raise CorpusError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+    for lineno, line in enumerate(read_lines(path), start=1):
+        try:
+            if not line.strip():
+                raise ValueError("blank line")
+            rows.append(from_row(cls, json.loads(line)))
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            raise CorpusError(f"{path}:{lineno}: bad {what}: {exc}") from exc
     return rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
-from .codec import CorpusError, read_jsonl
+from .codec import CorpusError, read_jsonl, read_lines
 
 Span = tuple[int, int]
 
@@ -124,24 +124,19 @@ class Corpus:
 def load_pairs(path) -> dict[str, TranslationPair]:
     """Read the tab-separated pairs file, preserving file order."""
     pairs: dict[str, TranslationPair] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            fields = line.split("\t")
-            if len(fields) != 3:
-                _fail(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-            pair_id, src_text, ref_text = fields
-            if pair_id in pairs:
-                _fail(path, lineno, f"duplicate pair id {pair_id!r}")
-            try:
-                pair = TranslationPair(
-                    pair_id,
-                    tuple(src_text.split(" ")),
-                    tuple(ref_text.split(" ")),
-                )
-            except ValueError as exc:
-                _fail(path, lineno, str(exc))
-            pairs[pair_id] = pair
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.rstrip("\n")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            _fail(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
+        pair_id, src_text, ref_text = fields
+        if pair_id in pairs:
+            _fail(path, lineno, f"duplicate pair id {pair_id!r}")
+        try:
+            pair = TranslationPair(pair_id, tuple(src_text.split(" ")), tuple(ref_text.split(" ")))
+        except ValueError as exc:
+            _fail(path, lineno, str(exc))
+        pairs[pair_id] = pair
     return pairs
 
 
@@ -151,10 +146,7 @@ def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Ali
     Duplicate links on a line are dropped silently. Indices are checked against
     the pair's token counts.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = [line.removesuffix("\n") for line in read_lines(path)]
     if len(lines) != len(pairs):
         raise CorpusError(
             f"{path}: expected {len(pairs)} alignment lines, got {len(lines)}"

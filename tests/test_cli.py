@@ -28,7 +28,7 @@ import mtbehave
 from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
-from mtbehave.cli import RunConfig, _freeze_the_heap_at_exit, build_parser
+from mtbehave.cli import CorpusFiles, RunConfig, _freeze_the_heap_at_exit, build_parser, load_run_config
 from mtbehave.codec import from_row, to_row, write_jsonl
 from mtbehave.corpus import load_annotations, load_pairs
 from mtbehave.judge import TranslationRecord, Verdict
@@ -1038,27 +1038,32 @@ def with_corpus(**files):
 CONFIG_ERRORS = [
     pytest.param(
         config_document(per_pair=MAX_PLANS_PER_PAIR + 1),
-        f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {MAX_PLANS_PER_PAIR + 1}",
+        f"{{config}}: per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {MAX_PLANS_PER_PAIR + 1}",
         id="per_pair out of range",
     ),
     pytest.param(
-        config_document(per_pair="3"), "per_pair must be an integer, got '3'", id="per_pair string"
+        config_document(per_pair="3"), "{config}: per_pair must be an integer, got '3'", id="per_pair string"
     ),
-    pytest.param(config_document(jobs=0), "jobs must be at least 1, got 0", id="jobs 0"),
-    pytest.param(config_document(seed=1.5), "seed must be an integer, got 1.5", id="seed float"),
-    pytest.param(config_document(seed=True), "seed must be an integer, got True", id="seed bool"),
+    pytest.param(config_document(jobs=0), "{config}: jobs must be at least 1, got 0", id="jobs 0"),
+    pytest.param(config_document(seed=1.5), "{config}: seed must be an integer, got 1.5", id="seed float"),
+    pytest.param(config_document(seed=True), "{config}: seed must be an integer, got True", id="seed bool"),
     pytest.param(
-        config_document(judge=[0.8]), "{config}: judge section must be an object", id="judge list"
+        config_document(judge=[0.8]), "{config}: judge: expected an object, got [0.8]", id="judge list"
     ),
     pytest.param(
         config_document(judge={"beta": -0.1}),
-        "bad judge thresholds: beta must not be negative",
+        "{config}: judge: beta must not be negative",
         id="negative beta",
     ),
     pytest.param(
         config_document(backends=["infill"]),
-        "{config}: backends section must be an object",
+        "{config}: backends must be an object, got ['infill']",
         id="backends list",
+    ),
+    pytest.param(
+        config_document(backends={**backend_section(), "ranker": {}}),
+        "{config}: backend 'ranker': unknown backend kind 'ranker'",
+        id="unknown slot",
     ),
     pytest.param(with_slot("infill", "stub"), "backend 'infill' must be an object", id="slot string"),
     pytest.param(
@@ -1073,23 +1078,28 @@ CONFIG_ERRORS = [
     ),
     pytest.param(
         config_document(exclude_low_base="yes"),
-        "exclude_low_base must be a boolean",
+        "{config}: exclude_low_base must be a boolean, got 'yes'",
         id="exclude_low_base string",
     ),
     pytest.param([config_document()], "{config}: config must be a JSON object", id="config list"),
     pytest.param(
         with_corpus(pairs="pairs.tsv", alignments="alignments.txt"),
-        "{config}: corpus section must name pairs, alignments, and annotations files",
+        "{config}: corpus: missing fields: ['annotations']",
         id="corpus without annotations",
     ),
     pytest.param(
         config_document(corpus="pairs.tsv"),
-        "{config}: corpus section must name pairs, alignments, and annotations files",
+        "{config}: corpus: expected an object, got 'pairs.tsv'",
         id="corpus string",
     ),
     pytest.param(
+        {key: value for key, value in config_document().items() if key != "corpus"},
+        "{config}: missing fields: ['corpus']",
+        id="no corpus",
+    ),
+    pytest.param(
         config_document(judge={"alpah": 0.7}),
-        "{config}: unknown judge keys: ['alpah']",
+        "{config}: judge: unknown fields: ['alpah']",
         id="unknown judge key",
     ),
     pytest.param(
@@ -1099,20 +1109,34 @@ CONFIG_ERRORS = [
             annotations="annotations.jsonl",
             gold="gold.jsonl",
         ),
-        "{config}: unknown corpus keys: ['gold']",
+        "{config}: corpus: unknown fields: ['gold']",
         id="unknown corpus key",
     ),
     pytest.param(
         config_document(judge={"alpha": True}),
-        "bad judge thresholds: alpha must be a number, got True",
+        "{config}: judge.alpha must be a number, got True",
         id="bool alpha",
     ),
     pytest.param(
         config_document(judge={"beta": "0.05"}),
-        "bad judge thresholds: beta must be a number, got '0.05'",
+        "{config}: judge.beta must be a number, got '0.05'",
         id="string beta",
     ),
-    pytest.param(b'{"seed": "\xff"}', "{config}: not valid JSON", id="config not UTF-8"),
+    # a path key must be a string: no directory "5" or "True" gets made
+    pytest.param(config_document(output_dir=5), "{config}: output_dir must be a string, got 5", id="output_dir number"),
+    pytest.param(
+        config_document(cache_root=True), "{config}: cache_root must be a string, got True", id="cache_root bool"
+    ),
+    pytest.param(
+        with_corpus(pairs=["pairs.tsv"], alignments="alignments.txt", annotations="annotations.jsonl"),
+        "{config}: corpus.pairs must be a string, got ['pairs.tsv']",
+        id="corpus path list",
+    ),
+    pytest.param(
+        b'{"seed": "\xff"}',
+        "{config}: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        id="config not UTF-8",
+    ),
     pytest.param(
         with_slot("infill", {"backend_id": 5, "transport": "stub"}),
         "backend 'infill': backend_id must be a string, got 5",
@@ -1147,7 +1171,7 @@ class TestConfigValidation:
         config = write_config(tmp_path, "weird.json", goat=1)
         result = invoke("extract", "--config", config)
         assert result.exit_code == 1
-        assert "unknown config keys: ['goat']" in result.output
+        assert result.stderr == f"error: {config}: unknown fields: ['goat']\n"
 
     def test_invalid_json_is_rejected(self, tmp_path):
         config = tmp_path / "broken.json"
@@ -1169,7 +1193,15 @@ class TestConfigValidation:
         config = workspace(tmp_path)
         result = invoke("generate", "--config", config, "--capability", "sarcasm")
         assert result.exit_code == 1
-        assert "unknown capability 'sarcasm'" in result.output
+        assert "error: argument --capability: invalid choice: 'sarcasm' (choose from " in result.stderr
+        valid = result.stderr.split("(choose from ")[1].removesuffix(")\n").replace("'", "").split(", ")
+        assert valid == [capability.value for capability in Capability]
+        result = invoke("generate", "--config", write_config(tmp_path, capability="sarcasm"))
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {tmp_path / 'config.json'}: capability must be one of "
+            f"{[capability.value for capability in Capability]}, got 'sarcasm'\n"
+        )
 
     def test_only_the_stages_that_read_the_corpus_need_its_files(self, tmp_path):
         config = workspace(tmp_path)
@@ -1193,9 +1225,11 @@ class TestConfigValidation:
     def test_each_config_error_exits_1_with_its_message(self, tmp_path, document, message):
         write_corpus(tmp_path)
         config = write_document(tmp_path / "bad.json", document)
+        before = sorted(tmp_path.rglob("*"))
         result = invoke("generate", "--config", config)
-        assert result.exit_code == 1
-        assert f"error: {message.format(config=config)}" in result.output
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error: {message.format(config=config)}\n"
+        assert sorted(tmp_path.rglob("*")) == before  # no file or directory made
 
     def test_null_reads_as_an_absent_key(self, tmp_path):
         write_corpus(tmp_path)
@@ -1217,7 +1251,32 @@ class TestConfigValidation:
         assert "(alpha=0.5, beta=0.1," in result.output
         result = invoke("judge", "--config", config, "--beta", "-1")
         assert result.exit_code == 1
-        assert "bad judge thresholds: beta must not be negative" in result.output
+        assert result.stderr == "error: beta must not be negative\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "0"], "jobs must be at least 1, got 0"),
+            (["--per-pair", str(MAX_PLANS_PER_PAIR + 1)],
+             f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {MAX_PLANS_PER_PAIR + 1}"),
+            (["--beta", "nan"], "alpha and beta must be finite"),
+        ],
+        ids=["jobs 0", "per_pair out of range", "beta nan"],
+    )
+    def test_a_flag_value_meets_the_checks_of_a_config_value(self, tmp_path, flags, message):
+        config = workspace(tmp_path)
+        result = invoke("generate", "--config", config, *flags)
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
+
+    def test_a_flag_path_is_used_as_given(self, tmp_path, monkeypatch):
+        config = workspace(tmp_path)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        run_ok("generate", "--config", config, "--output-dir", "flagged", "--cache-root", "answers")
+        assert (elsewhere / "flagged" / "cases.jsonl").is_file()
+        assert (elsewhere / "answers").is_dir()
+        assert not (tmp_path / "flagged").exists() and not (tmp_path / "answers").exists()
 
     def test_a_bad_spec_fails_only_the_stage_that_builds_its_slot(self, tmp_path):
         config = workspace(tmp_path)
@@ -1295,7 +1354,7 @@ def test_the_readme_lists_every_config_key():
     table = readme.split("| Key | Type | Default | Flag | Read by |\n|---|---|---|---|---|\n")[1]
     rows = table.split("\n\n")[0].splitlines()
     listed = [row.split("|")[1].strip().strip("`") for row in rows]
-    assert listed == [item.name for item in fields(RunConfig) if "read" in item.metadata]
+    assert listed == [item.name for item in fields(RunConfig)]
 
 
 def test_the_readme_lists_every_capability_in_order():
@@ -1317,6 +1376,50 @@ def test_the_readme_examples_load(tmp_path):
     assert (note.pos[1], note.ne_spans, note.phrase_spans_src) == ("NOUN", ((1, 2, "ORG"),), ((0, 2),))
     row = load_gold(tmp_path / "gold.jsonl")[("p1-noun-000", "mt")]
     assert (row.is_erroneous, row.error_spans, row.edited_spans) == (True, ((0, 1),), ((0, 2),))
+
+
+def test_the_readme_minimal_config_loads_with_its_paths_beside_it(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```(?:json)?\n(.*?)```", readme, re.DOTALL)
+    (document,) = [block for block in blocks if block.startswith('{\n  "corpus"')]
+    study = tmp_path / "study"
+    study.mkdir()
+    (study / "run.json").write_text(document, encoding="utf-8")
+    config, _ = load_run_config(study / "run.json")
+    assert config.corpus == CorpusFiles(study / "pairs.tsv", study / "alignments.txt", study / "annotations.jsonl")
+    assert (config.cache_root, config.output_dir) == (study / "cache", study / "out")
+    assert (config.capability, config.per_pair, config.seed) == (Capability.NOUN, 3, 7)
+    assert list(config.backends) == ["infill", "scorer_ref_free", "translator", "scorer_ref_based"]
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("out/cases.jsonl", "judge"),
+        ("out/records.jsonl", "sweep"),
+        ("out/verdicts.jsonl", "report"),
+        ("gold.jsonl", "eval"),
+        ("annotations.jsonl", "extract"),
+        ("pairs.tsv", "extract"),
+        ("alignments.txt", "extract"),
+    ],
+    ids=["cases", "records", "verdicts", "gold", "annotations", "pairs", "alignments"],
+)
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, name, command):
+    config = workspace(tmp_path)
+    run_ok("generate", "--config", config)
+    run_ok("judge", "--config", config)
+    gold = write_gold(tmp_path, erroneous=True)
+    path = tmp_path / name
+    text = path.read_bytes()
+    path.write_bytes(text + b"\xff")
+    line = text.count(b"\n") + 1
+    result = invoke(command, "--config", config, *(["--gold", gold] if command == "eval" else []))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: {path}:{line}: "
+        f"'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte\n"
+    )
 
 
 # The flags of each command besides --config and --output-dir: the config

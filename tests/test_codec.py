@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Mapping
 
 import pytest
@@ -35,6 +36,22 @@ class Typed:
 
 
 TYPED = {"flag": True, "count": 2, "score": 0.5, "tokens": ["a"], "triples": [[0, 1, "x"]], "params": {}}
+
+
+@dataclass(frozen=True)
+class Inner:
+    low: float = 0.0
+
+    def __post_init__(self):
+        if self.low < 0:
+            raise ValueError("low must not be negative")
+
+
+@dataclass(frozen=True)
+class Nested:
+    home: Path
+    inner: Inner = Inner()
+    rows: tuple[Row, ...] = ()
 
 
 class TestWrites:
@@ -126,6 +143,25 @@ class TestRows:
     def test_a_value_of_another_type_is_rejected_by_key(self, changes, reason):
         with pytest.raises(ValueError, match=f"^{reason}"):
             codec.from_row(Typed, {**TYPED, **changes})
+
+    def test_a_nested_record_and_a_path_decode(self):
+        nested = codec.from_row(Nested, {"home": "a/b", "inner": {"low": 1}, "rows": [{"name": "r", "shade": "dark"}]})
+        assert nested == Nested(Path("a/b"), Inner(1.0), (Row("r", Shade.DARK),))
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"home": 5}, "home must be a string, got 5"),
+            ({"inner": [1]}, r"inner: expected an object, got \[1\]"),
+            ({"inner": {"low": True}}, "inner.low must be a number, got True"),
+            ({"inner": {"high": 1}}, r"inner: unknown fields: \['high'\]"),
+            ({"inner": {"low": -1}}, "inner: low must not be negative"),
+            ({"rows": [{"name": "r", "shade": 1}]}, r"rows\[0\]\.shade must be one of \['dark', 'light'\], got 1"),
+        ],
+    )
+    def test_an_error_inside_a_nested_record_names_its_key_path(self, changes, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            codec.from_row(Nested, {"home": "h", **changes})
 
     def test_every_missing_key_is_named(self):
         with pytest.raises(ValueError, match=r"^missing fields: \['flag', 'params'\]$"):
