@@ -431,32 +431,22 @@ class Backend:
         self._sleep = _backoff if sleep is None else sleep
 
     def infill(self, prompt: "PromptRequest") -> str:
-        self._require_kind("infill")
-        request = chat_request(self.spec.model_name, prompt.rendered_text)
-        return self._request(request)
+        return self._request("infill", chat_request(self.spec.model_name, prompt.rendered_text))
 
     def translate(self, source_text: str) -> str:
-        self._require_kind("translator")
-        request = chat_request(self.spec.model_name, source_text)
-        return self._request(request)
+        return self._request("translator", chat_request(self.spec.model_name, source_text))
 
     def score(self, source: str, hypothesis: str, reference: str | None = None) -> float:
         if reference is None:
-            self._require_kind("scorer_ref_free")
-            request = {"src": source, "hyp": hypothesis}
-        else:
-            self._require_kind("scorer_ref_based")
-            request = {"src": source, "hyp": hypothesis, "ref": reference}
-        return self._request(request)
+            return self._request("scorer_ref_free", {"src": source, "hyp": hypothesis})
+        return self._request("scorer_ref_based", {"src": source, "hyp": hypothesis, "ref": reference})
 
-    def _require_kind(self, kind: str) -> None:
+    def _request(self, kind: str, request: dict) -> object:
         if self.spec.kind != kind:
             raise ValueError(
                 f"backend {self.spec.backend_id!r} has kind {self.spec.kind!r}, "
                 f"this call needs {kind!r}"
             )
-
-    def _request(self, request: dict) -> object:
         digest = canonical_request_digest(self.spec.backend_id, request)
         if self.cache is None:
             return self._call_upstream(request, digest)
@@ -528,65 +518,64 @@ def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: C
     the answer is read. An item whose first answer is an error is not followed.
     ``follow`` always runs on the calling thread.
 
-    At ``jobs`` 1 everything runs inline: every first request, then ``follow``
-    for each item in order, then every second request. Above one, each slot
-    keeps up to ``jobs`` requests in flight on its own threads, and an item's
-    second requests are queued the moment its first answer arrives. On any
-    exception, Ctrl-C included, no queued request of either slot starts, and
-    a request in flight ends after its current attempt instead of retrying.
+    One loop on the calling thread takes each answer as it arrives, calls
+    ``follow`` for each item of its key together, and sends each new second
+    request. At ``jobs`` 1 no thread starts: each request runs inline when the
+    loop takes it, so every first request goes before any second one. Above
+    one, each slot keeps up to ``jobs`` requests in flight on its own threads.
+    On any exception, Ctrl-C included, no queued request of either slot
+    starts, and a request in flight ends after its current attempt instead of
+    retrying.
     """
-    work = list(work)
-    firsts = dict.fromkeys(key for key, _ in work)
-    seconds: dict = {}
-    if jobs <= 1:
-        for key in firsts:
-            firsts[key] = _answer(first, key)
-        for key, item in work:
-            if not isinstance(firsts[key], BackendError):
-                seconds.update(dict.fromkeys(follow(item, firsts[key])))
-        for request in seconds:
-            seconds[request] = _answer(second, request)
-        return firsts, seconds
-    # Imported on use, so a stage at jobs = 1 loads neither them nor logging.
     import queue
-    from concurrent.futures import ThreadPoolExecutor
 
     items: dict = {}
     for key, item in work:
         items.setdefault(key, []).append(item)
-    arrived = queue.SimpleQueue()  # (answers, key, future) as each request ends
-
-    def submit(pool, fn, answers: dict, key) -> None:
-        future = pool.submit(_answer, fn, key)
-        future.add_done_callback(lambda done: arrived.put((answers, key, done)))
-
+    firsts, seconds = dict.fromkeys(items), {}
+    arrived = queue.SimpleQueue()  # (answers, key, call that returns the answer)
     cancelled = threading.Event()
-    worker = {"initializer": setattr, "initargs": (_worker, "cancelled", cancelled)}
-    with ThreadPoolExecutor(jobs, **worker) as first_pool, ThreadPoolExecutor(jobs, **worker) as second_pool:
-        try:
-            for key in firsts:
-                submit(first_pool, first, firsts, key)
-            outstanding = len(firsts)
-            while outstanding:
-                try:  # timed: Ctrl-C that lands just as the wait blocks is otherwise seen at the next answer
-                    answers, key, future = arrived.get(timeout=1)
-                except queue.Empty:
-                    continue
-                outstanding -= 1
-                answer = answers[key] = future.result()
-                if answers is not firsts or isinstance(answer, BackendError):
-                    continue
-                for item in items[key]:
-                    for request in follow(item, answer):
-                        if request not in seconds:
-                            seconds[request] = None
-                            submit(second_pool, second, seconds, request)
-                            outstanding += 1
-        except BaseException:  # cancel what is queued before the with waits for what runs
-            cancelled.set()
-            for pool in (first_pool, second_pool):
-                pool.shutdown(wait=False, cancel_futures=True)
-            raise
+    pools = ()
+    if jobs > 1:  # imported here, so a stage at jobs = 1 loads neither it nor logging
+        from concurrent.futures import ThreadPoolExecutor
+
+        worker = {"initializer": setattr, "initargs": (_worker, "cancelled", cancelled)}
+        pools = (ThreadPoolExecutor(jobs, **worker), ThreadPoolExecutor(jobs, **worker))
+
+    def submit(slot: int, fn, answers: dict, key) -> None:
+        if pools:  # done.result is called by the loop: on a worker, an error that is no BackendError would be lost
+            future = pools[slot].submit(_answer, fn, key)
+            future.add_done_callback(lambda done: arrived.put((answers, key, done.result)))
+        else:
+            arrived.put((answers, key, functools.partial(_answer, fn, key)))
+
+    try:
+        for key in firsts:
+            submit(0, first, firsts, key)
+        outstanding = len(firsts)
+        while outstanding:
+            try:  # timed: Ctrl-C that lands just as the wait blocks is otherwise seen at the next answer
+                answers, key, take = arrived.get(timeout=1)
+            except queue.Empty:
+                continue
+            outstanding -= 1
+            answer = answers[key] = take()
+            if answers is not firsts or isinstance(answer, BackendError):
+                continue
+            for item in items[key]:
+                for request in follow(item, answer):
+                    if request not in seconds:
+                        seconds[request] = None
+                        submit(1, second, seconds, request)
+                        outstanding += 1
+    except BaseException:  # cancel what is queued before the shutdown waits for what runs
+        cancelled.set()
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    finally:
+        for pool in pools:
+            pool.shutdown()
     return firsts, seconds
 
 

@@ -291,13 +291,10 @@ def _run_stage(name: str, config_path, overrides: dict, runner: Callable[..., st
     print(summary, flush=True)
 
 
-def _fail_if_all_backend_errors(results: list, attempts: str) -> None:
-    """A batch in which every attempt failed upstream exits as a backend error."""
+def _fail_if_all_backend_errors(results: list) -> None:
+    """A batch in which every case failed upstream, in either slot, exits as a backend error."""
     if results and all(result.error_kind == "backend" for result in results):
-        raise BackendError(
-            f"all {len(results)} {attempts} attempts failed with backend errors "
-            f"(first: {results[0].error})"
-        )
+        raise BackendError(f"all {len(results)} cases failed with backend errors (first: {results[0].error})")
 
 
 def _run_extract(stage: Stage) -> str:
@@ -329,7 +326,7 @@ def _run_generate(stage: Stage) -> str:
     )
     out_path = stage.output("cases.jsonl")
     write_cases(cases, out_path)
-    _fail_if_all_backend_errors(cases, "infill")
+    _fail_if_all_backend_errors(cases)
     counts = Counter(case.filter_status for case in cases)
     return (
         f"generated {len(cases)} cases for {config.capability.value} "
@@ -346,7 +343,7 @@ def _run_judge(stage: Stage) -> str:
     translator, scorer = stage.backends("translator", "scorer_ref_based")
     records = score_records(cases, pairs, translator, scorer, config.jobs)
     write_records(records, stage.output("records.jsonl"))
-    _fail_if_all_backend_errors(records, "translation")
+    _fail_if_all_backend_errors(records)
     verdicts = judge_records(records, config.judge)
     if not verdicts:
         raise EmptyVerdictSet("no scored records to judge")
@@ -366,26 +363,27 @@ def _run_judge(stage: Stage) -> str:
     )
 
 
-def _parse_floats(text: str, name: str) -> list[float]:
+def _parse_floats(text: str, non_negative: bool = False) -> list[float]:
+    """An argparse ``type``: comma-separated finite numbers, each listed once."""
     values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (part.strip() for part in text.split(","))):
         try:
-            values.append(float(part))
+            value = float(part)
         except ValueError:
-            raise ConfigError(f"{name} must be comma-separated numbers, got {part!r}")
-        _expect(math.isfinite(values[-1]), f"{name} must be finite numbers, got {part!r}")
-        _expect(values[-1] not in values[:-1], f"{name} lists {part} more than once")
-    _expect(bool(values), f"{name} must list at least one value")
+            raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {part!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite numbers, got {part!r}")
+        if non_negative and value < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative, got {part}")
+        if value in values:
+            raise argparse.ArgumentTypeError(f"lists {part} more than once")
+        values.append(value)
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one value")
     return values
 
 
-def _run_sweep(stage: Stage, alphas_text: str, betas_text: str) -> str:
-    alphas = _parse_floats(alphas_text, "--alphas")
-    betas = _parse_floats(betas_text, "--betas")
-    _expect(min(betas) >= 0, f"--betas must not be negative, got {min(betas):g}")
+def _run_sweep(stage: Stage, alphas: list[float], betas: list[float]) -> str:
     records = read_records(stage.artifact("records.jsonl", "judge"))
     grid = sweep(records, alphas, betas)
     json_path = stage.output("sweep.json")
@@ -435,7 +433,6 @@ def _run_eval(stage: Stage, gold_path: str) -> str:
 
 
 def _run_report(stage: Stage, fmt: str) -> str:
-    _expect(fmt in REPORT_FORMATS, f"unknown report format {fmt!r} (use one of {tuple(REPORT_FORMATS)})")
     verdicts_path = stage.artifact("verdicts.jsonl", "judge")
     cases_path = stage.artifact("cases.jsonl", "generate")
     verdicts = read_verdicts(verdicts_path)
@@ -477,14 +474,17 @@ _COMMANDS = {
         ("cache_root", "jobs", "alpha", "beta", "exclude_low_base"), {},
     ),
     "sweep": ("Re-judge existing score records over a grid of thresholds.", _run_sweep, (), {
-        "--alphas": {"default": "0.5,0.6,0.7,0.8", "help": "Alphas to try (default: %(default)s)."},
-        "--betas": {"default": "0.02,0.05,0.08,0.11", "help": "Betas to try (default: %(default)s)."},
+        "--alphas": {"type": _parse_floats, "default": "0.5,0.6,0.7,0.8",
+                     "help": "Alphas to try (default: %(default)s)."},
+        "--betas": {"type": functools.partial(_parse_floats, non_negative=True),
+                    "default": "0.02,0.05,0.08,0.11", "help": "Betas to try (default: %(default)s)."},
     }),
     "eval": ("Evaluate verdicts against gold error annotations.", _run_eval, (), {
         "--gold": {"required": True, "help": "Gold error annotations (JSONL)."},
     }),
     "report": ("Render the per-capability pass-rate table.", _run_report, (), {
-        "--format": {"default": "markdown", "help": "json, markdown, or csv (default: %(default)s)."},
+        "--format": {"choices": tuple(REPORT_FORMATS), "default": "markdown", "metavar": "FORMAT",
+                     "help": "Report format: %(choices)s (default: %(default)s)."},
     }),
 }
 

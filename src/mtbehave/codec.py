@@ -220,7 +220,8 @@ def read_lines(path) -> list[str]:
     try:
         return io.StringIO(blob.decode("utf-8"), newline=None).readlines()
     except UnicodeDecodeError as exc:
-        lineno = blob.count(b"\n", 0, exc.start) + 1
+        head = blob[: exc.start]  # line ends as text mode splits them: \n, \r, \r\n
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise CorpusError(f"{path}:{lineno}: {exc}") from None
 
 

@@ -17,6 +17,7 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mtbehave
 from mtbehave.backends import (
@@ -477,6 +478,37 @@ class TestMapDistinct:
         assert unwrap(firsts["a"]) == "A"
         with pytest.raises(HttpStatusError, match="HTTP 400"):
             unwrap(firsts["bad"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        work=st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 3)), max_size=10),
+        shared=st.lists(st.lists(st.sampled_from(["s", "t", "bad u"]), max_size=3), min_size=4, max_size=4),
+        bad_keys=st.sets(st.sampled_from("abcd")),
+    )
+    def test_jobs_1_and_jobs_4_give_the_same_answers(self, work, shared, bad_keys):
+        def first(key):
+            first_calls.append(key)
+            if key in bad_keys:
+                raise HttpStatusError(400, key)
+            return key.upper()
+
+        def follow(item, answer):  # requests other items share, and one of its own
+            return [*shared[item], f"{answer} {item}"]
+
+        def by_message(answers):  # an error compares by its message
+            return [(key, str(answer) if isinstance(answer, BackendError) else answer) for key, answer in answers]
+
+        expected_seconds = {
+            request for key, item in work if key not in bad_keys for request in follow(item, key.upper())
+        }
+        runs = []
+        for jobs in (1, 4):
+            first_calls, second_calls = [], []
+            firsts, seconds = pipeline(work, first, follow, self.shout(second_calls), jobs)
+            assert sorted(first_calls) == sorted({key for key, _ in work})
+            assert sorted(second_calls) == sorted(expected_seconds)
+            runs.append((by_message(firsts.items()), dict(by_message(seconds.items()))))
+        assert runs[0] == runs[1]
 
     def test_answers_keep_first_seen_order_on_threads(self):
         # the first keys sleep longest, so on four threads they finish last

@@ -343,7 +343,7 @@ class TestJudge:
         )
         result = invoke("judge", "--config", replay_config)
         assert result.exit_code == 3
-        assert "all 1 translation attempts failed" in result.output
+        assert "all 1 cases failed with backend errors" in result.output
 
 
 class TestSweep:
@@ -380,11 +380,10 @@ class TestSweep:
 
     def test_bad_threshold_list_is_a_usage_error(self, tmp_path):
         config = workspace(tmp_path)
-        run_ok("generate", "--config", config)
-        run_ok("judge", "--config", config)
         result = invoke("sweep", "--config", config, "--alphas", "abc")
         assert result.exit_code == 1
-        assert "--alphas must be comma-separated numbers" in result.output
+        assert result.stderr.startswith("usage: mtbehave sweep ")
+        assert "mtbehave sweep: error: argument --alphas: must be comma-separated numbers, got 'abc'" in result.stderr
 
     def test_needs_score_records_first(self, tmp_path):
         config = workspace(tmp_path)
@@ -498,7 +497,8 @@ class TestReport:
         config = self.prepare(tmp_path)
         result = invoke("report", "--config", config, "--format", "yaml")
         assert result.exit_code == 1
-        assert "unknown report format 'yaml'" in result.output
+        assert result.stderr.startswith("usage: mtbehave report ")
+        assert "mtbehave report: error: argument --format: invalid choice: 'yaml'" in result.stderr
 
     def test_empty_verdicts_file_is_a_data_error(self, tmp_path):
         config = self.prepare(tmp_path)
@@ -587,7 +587,10 @@ class TestManifest:
         assert [entry["stage"] for entry in manifest] == FULL_PIPELINE
         assert stale_outputs(manifest) == []
 
-    @pytest.mark.parametrize("stage, slot", [("generate", "infill"), ("judge", "translator")])
+    @pytest.mark.parametrize(
+        "stage, slot",
+        [("generate", "infill"), ("judge", "translator"), ("generate", "scorer_ref_free"), ("judge", "scorer_ref_based")],
+    )
     def test_a_stage_that_exits_3_records_the_files_it_wrote(self, tmp_path, monkeypatch, stage, slot):
         config = workspace(tmp_path)
         run_full_pipeline(tmp_path, config)
@@ -604,6 +607,7 @@ class TestManifest:
         cold_cache.mkdir()
         result = invoke(stage, "--config", config, "--cache-root", cold_cache)
         assert result.exit_code == 3, result.output
+        assert result.stderr == "error: all 1 cases failed with backend errors (first: HTTP 503)\n"
         assert stale_outputs(read_manifest(tmp_path)) == []
 
     def test_a_stage_that_exits_2_records_the_files_it_wrote(self, tmp_path):
@@ -907,7 +911,7 @@ class TestResponseCacheFile:
         monkeypatch.setattr("time.sleep", lambda seconds: None)
         result = invoke("generate", "--config", config)
         assert result.exit_code == 3, result.output
-        assert "all 1 infill attempts failed" in result.output
+        assert "all 1 cases failed with backend errors" in result.output
         assert sorted(sent) == [
             ("infill", None),
             ("scorer_ref_free", SENTENCES["base"]),
@@ -1307,11 +1311,13 @@ class TestConfigValidation:
         ],
     )
     def test_a_bad_sweep_grid_value_names_its_flag(self, tmp_path, flag, value, message):
-        # checked before the records are read: no judge stage has run here
+        # checked as the flags are parsed: no judge stage has run here
         config = workspace(tmp_path)
         result = invoke("sweep", "--config", config, f"{flag}={value}")
         assert result.exit_code == 1
-        assert f"error: {message}" in result.output
+        assert result.stderr.startswith("usage: mtbehave sweep ")
+        # argparse names the flag: "--alphas lists .5 ..." reads "argument --alphas: lists .5 ..."
+        assert f"mtbehave sweep: error: argument {flag}: {message.removeprefix(flag + ' ')}\n" in result.stderr
 
     @pytest.mark.parametrize(
         "slot, stub_params, message",
@@ -1393,27 +1399,28 @@ def test_the_readme_minimal_config_loads_with_its_paths_beside_it(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, command",
+    "name, command, newline",
     [
-        ("out/cases.jsonl", "judge"),
-        ("out/records.jsonl", "sweep"),
-        ("out/verdicts.jsonl", "report"),
-        ("gold.jsonl", "eval"),
-        ("annotations.jsonl", "extract"),
-        ("pairs.tsv", "extract"),
-        ("alignments.txt", "extract"),
+        ("out/cases.jsonl", "judge", b"\n"),
+        ("out/records.jsonl", "sweep", b"\n"),
+        ("out/verdicts.jsonl", "report", b"\n"),
+        ("out/verdicts.jsonl", "report", b"\r"),
+        ("gold.jsonl", "eval", b"\n"),
+        ("annotations.jsonl", "extract", b"\n"),
+        ("pairs.tsv", "extract", b"\n"),
+        ("alignments.txt", "extract", b"\n"),
     ],
-    ids=["cases", "records", "verdicts", "gold", "annotations", "pairs", "alignments"],
+    ids=["cases", "records", "verdicts", "verdicts with CR line ends", "gold", "annotations", "pairs", "alignments"],
 )
-def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, name, command):
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, name, command, newline):
     config = workspace(tmp_path)
     run_ok("generate", "--config", config)
     run_ok("judge", "--config", config)
     gold = write_gold(tmp_path, erroneous=True)
     path = tmp_path / name
-    text = path.read_bytes()
+    text = path.read_bytes().replace(b"\n", newline)
     path.write_bytes(text + b"\xff")
-    line = text.count(b"\n") + 1
+    line = text.count(newline) + 1
     result = invoke(command, "--config", config, *(["--gold", gold] if command == "eval" else []))
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == (
