@@ -161,40 +161,53 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One stage run in manifest.json: each field is a key, in the file's order;
+    ``inputs`` and ``outputs`` map each file read or written to its sha256 digest."""
+
+    stage: str
+    tool_version: str
+    config_digest: str
+    seed: int
+    inputs: Mapping[str, str]
+    outputs: Mapping[str, str]
+    started_at: str
+    finished_at: str
+
+
 @dataclass
 class RunManifest:
     """One entry per stage run that was the last to write one of this directory's files."""
 
     path: Path
-    entries: list[dict] = field(default_factory=list)
+    entries: list[ManifestEntry] = field(default_factory=list)
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
         try:
-            entries = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+            items = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CorpusError(f"{path}: unreadable manifest: {exc}") from exc
-        if not isinstance(entries, list) or not all(
-            isinstance(entry, dict) and isinstance(entry.get("outputs"), dict) for entry in entries
-        ):
-            raise CorpusError(f"{path}: the manifest is not a JSON list of stage entries")
+        malformed = f"{path}: the manifest is not a JSON list of stage entries"
+        if type(items) is not list:
+            raise CorpusError(malformed)
+        entries = []
+        for index, item in enumerate(items):
+            try:
+                entries.append(from_row(ManifestEntry, item))
+            except ValueError as exc:
+                raise CorpusError(f"{malformed}: entry {index}: {exc}") from None
         return cls(path, entries)
 
     def record_stage(self, name: str, stage: Stage, outputs: list[Path], started_at: str, finished_at: str) -> None:
-        entry = {
-            "stage": name,
-            "tool_version": __version__,
-            "config_digest": stage.config_digest,
-            "seed": stage.config.seed,
-            "inputs": {str(p): _file_digest(p) for p in stage.inputs},
-            "outputs": {str(p): _file_digest(p) for p in outputs},
-            "started_at": started_at,
-            "finished_at": finished_at,
-        }
-        for old in self.entries:
-            old["outputs"] = {k: v for k, v in old["outputs"].items() if k not in entry["outputs"]}
-        self.entries = [old for old in self.entries if old["outputs"]] + [entry]
-        write_json(self.path, self.entries)
+        entry = ManifestEntry(name, __version__, stage.config_digest, stage.config.seed,
+                              {str(p): _file_digest(p) for p in stage.inputs},
+                              {str(p): _file_digest(p) for p in outputs}, started_at, finished_at)
+        pruned = [replace(old, outputs={k: v for k, v in old.outputs.items() if k not in entry.outputs})
+                  for old in self.entries]
+        self.entries = [old for old in pruned if old.outputs] + [entry]
+        write_json(self.path, list(map(to_row, self.entries)))
 
 
 def _die(code: int, message: str) -> None:

@@ -6,7 +6,7 @@ indented JSON. A dataclass's fields give its row's keys in order:
 ``metadata={"key": ...}`` renames a key.
 
 Reading checks every key of a record (a JSON Lines row, a backend spec, the
-run config) against its field's type and converts the value in the same pass:
+run config, a manifest entry) against its field's type and converts the value in the same pass:
 a JSON integer reads as a number, and neither a boolean nor NaN nor an
 infinity is one; a path is a string; a dataclass is an object read the same
 way, and an error inside it names the key path (``judge.alpha``). A missing

@@ -8,6 +8,7 @@ defaults (OTHER tags, no past perfect, no NE or phrase spans).
 from __future__ import annotations
 
 import io
+import signal
 import sqlite3
 import threading
 from contextlib import closing, redirect_stderr, redirect_stdout
@@ -18,6 +19,15 @@ import pytest
 from mtbehave.backends import _SELECT_BACKEND, Backend, BackendSpec, ResponseCache
 from mtbehave.cli import main
 from mtbehave.corpus import AlignmentSet, Annotation, Corpus, TranslationPair
+
+
+def pytest_configure(config):
+    """A test run started with SIGINT ignored (as a background job of a non-interactive
+    shell, or under nohup) would hand the ignored signal on to every process it starts,
+    and a child mtbehave would never see the SIGINT a test sends it. A Python-level
+    handler is reset to the default in an exec'ed child, so each child starts with it."""
+    if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 def make_pair(pair_id="p1", source="the shop closed early", reference="商店 很早 关门"):

@@ -28,8 +28,16 @@ import mtbehave
 from mtbehave import __version__
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
-from mtbehave.cli import CorpusFiles, RunConfig, _freeze_the_heap_at_exit, build_parser, load_run_config
-from mtbehave.codec import from_row, to_row, write_jsonl
+from mtbehave.cli import (
+    CorpusFiles,
+    ManifestEntry,
+    RunConfig,
+    RunManifest,
+    _freeze_the_heap_at_exit,
+    build_parser,
+    load_run_config,
+)
+from mtbehave.codec import from_row, json_text, to_row, write_jsonl
 from mtbehave.corpus import load_annotations, load_pairs
 from mtbehave.judge import TranslationRecord, Verdict
 from mtbehave.report import GoldErrorAnnotation, load_gold
@@ -50,6 +58,18 @@ SENTENCES = {
 TRANSLATOR_TABLE = {
     SENTENCES["base"]: "商店 很早 关门",
     SENTENCES["edited"]: "门店 很早 关门",
+}
+
+# A well-formed manifest entry, for tests that break one of its keys.
+ENTRY = {
+    "stage": "generate",
+    "tool_version": __version__,
+    "config_digest": "0" * 64,
+    "seed": 7,
+    "inputs": {},
+    "outputs": {"out/cases.jsonl": "0" * 64},
+    "started_at": "2026-01-01T00:00:00+00:00",
+    "finished_at": "2026-01-01T00:00:01+00:00",
 }
 
 
@@ -657,11 +677,24 @@ class TestManifest:
         assert stale_outputs(manifest) == []
 
     @pytest.mark.parametrize(
-        "entries",
-        [[1], [["outputs"]], [{"stage": "generate"}], [{"stage": "generate", "outputs": []}]],
-        ids=["number", "list", "no outputs", "outputs list"],
+        "entries, reason",
+        [
+            ([1], ": entry 0: expected an object, got 1"),
+            ([["outputs"]], ": entry 0: expected an object, got ['outputs']"),
+            ([{"stage": "generate"}], ": entry 0: missing fields: ['tool_version', 'config_digest', 'seed', "
+             "'inputs', 'outputs', 'started_at', 'finished_at']"),
+            ([{"stage": "generate", "outputs": []}], ": entry 0: outputs must be an object, got []"),
+            ([ENTRY, {**ENTRY, "seed": "7"}], ": entry 1: seed must be an integer, got '7'"),
+            ([ENTRY, {**ENTRY, "inputs": []}], ": entry 1: inputs must be an object, got []"),
+            ([ENTRY, {k: v for k, v in ENTRY.items() if k != "finished_at"}],
+             ": entry 1: missing fields: ['finished_at']"),
+            ([ENTRY, {**ENTRY, "metrics": {}}], ": entry 1: unknown fields: ['metrics']"),
+            (ENTRY, ""),
+        ],
+        ids=["number", "list", "no outputs", "outputs list", "seed string", "inputs list", "no finished_at",
+             "unknown key", "an entry, not a list"],
     )
-    def test_a_manifest_of_other_items_is_a_data_error_before_any_write(self, tmp_path, entries):
+    def test_a_manifest_of_other_items_is_a_data_error_before_any_write(self, tmp_path, entries, reason):
         config = workspace(tmp_path)
         run_ok("generate", "--config", config)
         out = tmp_path / "out"
@@ -671,8 +704,30 @@ class TestManifest:
         result = invoke("judge", "--config", config)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
-        assert f"error: {manifest}: the manifest is not a JSON list of stage entries" in result.output
+        assert (result.stdout, result.stderr) == (
+            "", f"error: {manifest}: the manifest is not a JSON list of stage entries{reason}\n"
+        )
         assert file_states(tmp_path) == before
+
+    def test_a_c07_manifest_decodes_and_a_sweep_rerun_keeps_the_other_entries_bytes(self, tmp_path):
+        config = build_stub_workspace(tmp_path)
+        gold = write_c07_gold(tmp_path)
+        for stage in FULL_PIPELINE:
+            run_ok(stage, "--config", config, *(["--gold", gold] if stage == "eval" else []))
+        path = tmp_path / "out" / "manifest.json"
+
+        def decoded() -> list[ManifestEntry]:
+            """The manifest's entries, after checking that encoding them gives the file's bytes."""
+            entries = RunManifest.load(path).entries
+            assert path.read_text(encoding="utf-8") == json_text([to_row(entry) for entry in entries])
+            return entries
+
+        before = decoded()
+        assert [(type(entry), entry.stage) for entry in before] == [(ManifestEntry, stage) for stage in FULL_PIPELINE]
+        run_ok("sweep", "--config", config)
+        after = decoded()
+        assert after[:5] == [entry for entry in before if entry.stage != "sweep"]
+        assert (after[5].stage, after[5].outputs) == ("sweep", before[3].outputs)
 
 
 FULL_PIPELINE = ["extract", "generate", "judge", "sweep", "eval", "report"]
