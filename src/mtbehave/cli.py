@@ -319,7 +319,7 @@ def _run_extract(stage: Stage) -> str:
         for segment in extract_editable(pair, alignment, annotation)
     ]
     write_jsonl(out_path, ({"pair_id": pair_id, **to_row(seg)} for pair_id, seg in segments))
-    return f"extracted {len(segments)} editable segments from {len(corpus)} pairs -> {out_path}"
+    return f"extracted {len(segments)} editable segments from {len(corpus.pairs)} pairs -> {out_path}"
 
 
 def _run_generate(stage: Stage) -> str:

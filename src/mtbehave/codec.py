@@ -8,9 +8,10 @@ indented JSON. A dataclass's fields give its row's keys in order:
 Reading checks every key of a record (a JSON Lines row, a backend spec, the
 run config, a manifest entry) against its field's type and converts the value in the same pass:
 a JSON integer reads as a number, and neither a boolean nor NaN nor an
-infinity is one; a path is a string; a dataclass is an object read the same
-way, and an error inside it names the key path (``judge.alpha``). A missing
-key takes the field's default, or is an error where there is none; an unknown
+infinity is one; a path is a string; a ``Mapping[str, X]`` is an object whose
+values read as ``X`` (as read for ``object``); a dataclass is an object read the same
+way, and an error inside either names the key path (``judge.alpha``, ``inputs['a']``).
+A missing key takes the field's default, or is an error where there is none; an unknown
 key is an error. A bad line of a JSON Lines file raises CorpusError as
 ``path:line: bad <what>: <reason>``, the reason naming the key, and a byte
 that is not UTF-8 in a text input as ``path:line: <reason>``.
@@ -114,6 +115,15 @@ def _member(enum: type[Enum]) -> Callable[[object], Enum]:
     return decode
 
 
+def _item(decode: Callable[[object], object], value: object, key: int | str) -> object:
+    """``decode(value)`` for the item at ``key`` of a list or an object."""
+    try:
+        return decode(value)
+    except _Mismatch as exc:
+        exc.where = f"[{key!r}]{exc.where}"
+        raise
+
+
 def _tuple(items: tuple, variadic: bool, whole: set[type]) -> Callable[[object], tuple]:
     """A list as a tuple: every item decoded by ``items[0]``, or the k-th by ``items[k]``.
     A list whose items' types are all in ``whole`` is taken as it is, with no call per item."""
@@ -124,14 +134,7 @@ def _tuple(items: tuple, variadic: bool, whole: set[type]) -> Callable[[object],
             raise _Mismatch(expected, value)
         if set(map(type, value)) <= whole:
             return tuple(value)
-        decoded = []
-        for item, element in zip(repeat(items[0]) if variadic else items, value):
-            try:
-                decoded.append(item(element))
-            except _Mismatch as exc:
-                exc.where = f"[{len(decoded)}]{exc.where}"
-                raise
-        return tuple(decoded)
+        return tuple(map(_item, repeat(items[0]) if variadic else items, value, range(len(value))))
 
     return decode
 
@@ -151,8 +154,12 @@ def _decoder(hint) -> Callable[[object], object]:
         return lambda value: Path(string(value))
     if isinstance(hint, type) and issubclass(hint, Enum):
         return _member(hint)
-    if origin is Mapping:
-        return _exact(dict, "an object")
+    if origin is Mapping:  # a JSON object's keys are text; Mapping[str, object] keeps its values as read
+        whole = _exact(dict, "an object")
+        if args[1] is object:
+            return whole
+        value_decoder = _decoder(args[1])
+        return lambda value: {key: _item(value_decoder, item, key) for key, item in whole(value).items()}
     if origin is UnionType and len(args) == 2 and NoneType in args:
         inner = _decoder(args[0] if args[1] is NoneType else args[1])
         return lambda value: None if value is None else inner(value)

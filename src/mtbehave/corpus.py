@@ -14,7 +14,7 @@ Loaders validate aggressively and report the offending file and line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .codec import CorpusError, read_jsonl, read_lines
@@ -100,20 +100,12 @@ class Annotation:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Pairs plus their alignments and annotations, keyed by pair id."""
+    """Pairs plus their alignments and annotations, keyed by pair id; built by
+    :func:`load_corpus`, whose loaders give every pair one of each."""
 
     pairs: dict[str, TranslationPair]
     alignments: dict[str, AlignmentSet]
     annotations: dict[str, Annotation]
-
-    def __post_init__(self) -> None:
-        if set(self.alignments) != set(self.pairs):
-            raise ValueError("alignments do not cover exactly the corpus pairs")
-        if set(self.annotations) != set(self.pairs):
-            raise ValueError("annotations do not cover exactly the corpus pairs")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def triples(self) -> Iterator[tuple[TranslationPair, AlignmentSet, Annotation]]:
         """Yield (pair, alignment, annotation) in corpus order."""
@@ -180,8 +172,9 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
     """Read the JSONL annotation file; exactly one record per corpus pair.
 
     The codec checks each record's keys and types, and :class:`Annotation` its
-    POS tags, span validity and NE labels; the pair's lengths are checked here.
-    Repeated spans are dropped in order.
+    POS tags, span validity and NE labels; this loader checks the ids (no unknown,
+    repeated or missing pair) and each record's lengths and span ends against its
+    pair. A repeated span is kept as written: extraction reads spans as sets.
     """
     annotations: dict[str, Annotation] = {}
     for lineno, note in enumerate(read_jsonl(path, Annotation, "annotation record"), start=1):
@@ -193,17 +186,15 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
         n_src = len(pair.source)
         if len(note.pos) != n_src:
             _fail(path, lineno, f"pos must list one tag per source token ({n_src})")
-        deduped = {}
-        for name, what, limit in (
-            ("ne_spans", "NE span", n_src),
-            ("phrase_spans_src", "source phrase span", n_src),
-            ("phrase_spans_ref", "reference phrase span", len(pair.reference)),
+        for spans, what, limit in (
+            (note.ne_spans, "NE span", n_src),
+            (note.phrase_spans_src, "source phrase span", n_src),
+            (note.phrase_spans_ref, "reference phrase span", len(pair.reference)),
         ):
-            deduped[name] = tuple(dict.fromkeys(getattr(note, name)))
-            for start, end, *_ in deduped[name]:
+            for start, end, *_ in spans:
                 if end > limit:
                     _fail(path, lineno, f"{what} ({start}, {end}) out of range (length {limit})")
-        annotations[note.pair_id] = replace(note, **deduped)
+        annotations[note.pair_id] = note
     absent = [pair_id for pair_id in pairs if pair_id not in annotations]
     if absent:
         raise CorpusError(f"{path}: missing annotation records for pairs {absent}")
@@ -211,7 +202,9 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
 
 
 def load_corpus(pairs_path, alignments_path, annotations_path) -> Corpus:
-    """Load and cross-validate the three corpus files."""
+    """Load the three corpus files. :func:`load_pairs` checks each pair and its id,
+    :func:`load_alignments` gives line k to the k-th pair and checks its indices, and
+    :func:`load_annotations` gives each pair its one record; nothing is checked twice."""
     pairs = load_pairs(pairs_path)
     alignments = load_alignments(alignments_path, pairs)
     annotations = load_annotations(annotations_path, pairs)

@@ -217,10 +217,7 @@ def render_report_markdown(rows: Sequence[CapabilityReport]) -> str:
         averages[system] = round(sum(rates) / len(rates), 2)  # each system has a row
     best_average = max(averages.values())
 
-    lines = []
-    header = ["MT System"] + [cap.display for cap in capabilities] + ["Avg"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
+    body = []
     for system in systems:
         parts = [system]
         for capability in capabilities:
@@ -232,15 +229,21 @@ def render_report_markdown(rows: Sequence[CapabilityReport]) -> str:
                 parts.append(f"**{text}**" if row.is_best else text)
         text = f"{averages[system]:.2f}"
         parts.append(f"**{text}**" if averages[system] == best_average else text)
-        lines.append("| " + " | ".join(parts) + " |")
+        body.append(parts)
 
     sizes = []
     for capability in capabilities:
         size = next(row.size for row in rows if row.capability is capability)
         sizes.append(size)
-    size_parts = ["Size"] + [str(size) for size in sizes] + [str(sum(sizes))]
-    lines.append("| " + " | ".join(size_parts) + " |")
-    return "\n".join(lines) + "\n"
+    body.append(["Size"] + [str(size) for size in sizes] + [str(sum(sizes))])
+    return _markdown_table(["MT System"] + [cap.display for cap in capabilities] + ["Avg"], body)
+
+
+def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
+    """A Markdown table: the header, its separator, then one line per row."""
+    lines = ["| " + " | ".join(cells) + " |\n" for cells in (header, *rows)]
+    lines.insert(1, "|" + "---|" * len(header) + "\n")
+    return "".join(lines)
 
 
 def render_report_csv(rows: Sequence[CapabilityReport]) -> str:
@@ -279,13 +282,5 @@ def sweep_markdown(grid: Mapping[tuple[float, float], float]) -> str:
     """Render a sweep grid: alphas as rows, betas as columns."""
     alphas = sorted({alpha for alpha, _ in grid})
     betas = sorted({beta for _, beta in grid})
-    lines = []
-    header = ["alpha \\ beta"] + [f"{beta:g}" for beta in betas]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for alpha in alphas:
-        parts = [f"{alpha:g}"]
-        for beta in betas:
-            parts.append(f"{grid[(alpha, beta)]:.2f}")
-        lines.append("| " + " | ".join(parts) + " |")
-    return "\n".join(lines) + "\n"
+    rows = [[f"{alpha:g}"] + [f"{grid[(alpha, beta)]:.2f}" for beta in betas] for alpha in alphas]
+    return _markdown_table(["alpha \\ beta"] + [f"{beta:g}" for beta in betas], rows)

@@ -686,13 +686,14 @@ class TestManifest:
             ([{"stage": "generate", "outputs": []}], ": entry 0: outputs must be an object, got []"),
             ([ENTRY, {**ENTRY, "seed": "7"}], ": entry 1: seed must be an integer, got '7'"),
             ([ENTRY, {**ENTRY, "inputs": []}], ": entry 1: inputs must be an object, got []"),
+            ([{"inputs": {"a": 1}}], ": entry 0: inputs['a'] must be a string, got 1"),
             ([ENTRY, {k: v for k, v in ENTRY.items() if k != "finished_at"}],
              ": entry 1: missing fields: ['finished_at']"),
             ([ENTRY, {**ENTRY, "metrics": {}}], ": entry 1: unknown fields: ['metrics']"),
             (ENTRY, ""),
         ],
-        ids=["number", "list", "no outputs", "outputs list", "seed string", "inputs list", "no finished_at",
-             "unknown key", "an entry, not a list"],
+        ids=["number", "list", "no outputs", "outputs list", "seed string", "inputs list", "input digest number",
+             "no finished_at", "unknown key", "an entry, not a list"],
     )
     def test_a_manifest_of_other_items_is_a_data_error_before_any_write(self, tmp_path, entries, reason):
         config = workspace(tmp_path)

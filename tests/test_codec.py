@@ -33,6 +33,7 @@ class Typed:
     tokens: tuple[str, ...]
     triples: tuple[tuple[int, int, str], ...]
     params: Mapping[str, object]
+    weights: Mapping[str, float] = field(default_factory=dict)
 
 
 TYPED = {"flag": True, "count": 2, "score": 0.5, "tokens": ["a"], "triples": [[0, 1, "x"]], "params": {}}
@@ -114,9 +115,9 @@ class TestRows:
 
     def test_values_convert_to_the_field_types(self):
         params = {"k": [1]}
-        typed = codec.from_row(Typed, {**TYPED, "score": 1, "params": params})
-        assert typed == Typed(True, 2, 1.0, ("a",), ((0, 1, "x"),), params)
-        assert type(typed.score) is float and typed.params is params
+        typed = codec.from_row(Typed, {**TYPED, "score": 1, "params": params, "weights": {"w": 1}})
+        assert typed == Typed(True, 2, 1.0, ("a",), ((0, 1, "x"),), params, {"w": 1.0})
+        assert type(typed.score) is float and typed.params is params and type(typed.weights["w"]) is float
         assert codec.from_row(Typed, {**TYPED, "score": None}).score is None
 
     @pytest.mark.parametrize(
@@ -138,6 +139,7 @@ class TestRows:
             ({"score": float("nan")}, "score must be a number, got nan"),
             ({"score": float("inf")}, "score must be a number, got inf"),
             ({"score": float("-inf")}, "score must be a number, got -inf"),
+            ({"weights": {"w": 1, "v": "2"}}, r"weights\['v'\] must be a number, got '2'"),
         ],
     )
     def test_a_value_of_another_type_is_rejected_by_key(self, changes, reason):

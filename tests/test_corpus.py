@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mtbehave.corpus import (
     AlignmentSet,
@@ -21,6 +22,7 @@ from mtbehave.corpus import (
     load_corpus,
     load_pairs,
 )
+from mtbehave.segmentation import extract_editable
 
 from conftest import make_annotation, make_pair
 from dumpers import dump_corpus
@@ -195,13 +197,19 @@ class TestLoadAnnotations:
         assert note.phrase_spans_src == ((0, 2),)
         assert note.phrase_spans_ref == ((1, 3),)
 
-    def test_duplicate_spans_collapse_silently(self, tmp_path):
-        pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b\tx"))
+    def test_each_record_builds_one_annotation_and_keeps_repeated_spans(self, tmp_path, monkeypatch):
+        built = []
+        check = Annotation.__post_init__
+        monkeypatch.setattr(Annotation, "__post_init__", lambda note: built.append(note.pair_id) or check(note))
+        pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b\tx", "p2\tc\ty"))
         path = write_annotations(
             tmp_path / "ann.jsonl",
             annotation_record("p1", 2, phrases_src=[[0, 2], [0, 2]]),
+            annotation_record("p2", 1),
         )
-        assert load_annotations(path, pairs)["p1"].phrase_spans_src == ((0, 2),)
+        notes = load_annotations(path, pairs)
+        assert built == ["p1", "p2"]
+        assert notes["p1"].phrase_spans_src == ((0, 2), (0, 2))
 
     @pytest.mark.parametrize(
         "mutation, pattern",
@@ -314,11 +322,6 @@ class TestLoadAnnotations:
 
 
 class TestCorpus:
-    def test_requires_full_coverage(self):
-        pair = make_pair()
-        with pytest.raises(ValueError, match="alignments"):
-            Corpus({pair.pair_id: pair}, {}, {pair.pair_id: make_annotation(pair)})
-
     def test_triples_follow_corpus_order(self, tmp_path):
         write_lines(tmp_path / "p.tsv", "p2\ta\tx", "p1\tb\ty")
         write_lines(tmp_path / "a.txt", "0-0", "0-0")
@@ -335,6 +338,7 @@ class TestCorpus:
 
 _token = st.text(alphabet="abcdef", min_size=1, max_size=3)
 _pos_tag = st.sampled_from(["NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"])
+SPAN_FIELDS = ("ne_spans", "phrase_spans_src", "phrase_spans_ref")
 
 
 @st.composite
@@ -401,3 +405,18 @@ class TestRoundTrip:
             assert loaded.pairs == corpus.pairs
             assert loaded.alignments == corpus.alignments
             assert loaded.annotations == corpus.annotations
+
+
+class TestRepeatedSpans:
+    @settings(max_examples=50, deadline=None)
+    @given(corpora(), st.data())
+    def test_a_span_listed_again_right_after_itself_changes_no_segment(self, corpus, data):
+        """Extraction reads spans as sets, so the loader keeps a repeated span as written.
+        The copy goes right after its entry: of two labels for one NE span, the first listed wins."""
+        listed = [(triple, name) for triple in corpus.triples() for name in SPAN_FIELDS if getattr(triple[2], name)]
+        assume(listed)
+        (pair, alignment, note), name = data.draw(st.sampled_from(listed))
+        spans = getattr(note, name)
+        k = data.draw(st.integers(0, len(spans) - 1))
+        repeated = replace(note, **{name: spans[: k + 1] + spans[k:]})
+        assert extract_editable(pair, alignment, repeated) == extract_editable(pair, alignment, note)
