@@ -20,6 +20,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -368,22 +369,10 @@ def _chat_shape(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
-def _overlap_count(left: list[str], right: list[str]) -> int:
-    counts: dict[str, int] = {}
-    for token in right:
-        counts[token] = counts.get(token, 0) + 1
-    overlap = 0
-    for token in left:
-        if counts.get(token, 0) > 0:
-            counts[token] -= 1
-            overlap += 1
-    return overlap
-
-
 def _unigram_f1(hyp: list[str], ref: list[str]) -> float:
     if not hyp or not ref:
         return 0.0
-    overlap = _overlap_count(hyp, ref)
+    overlap = sum((Counter(hyp) & Counter(ref)).values())
     return 2 * overlap / (len(hyp) + len(ref))
 
 

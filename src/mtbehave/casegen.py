@@ -101,16 +101,6 @@ GENERAL_TEMPLATE = (
     "Sentence: [MASKED ENGLISH]. \\n Chinese Translation: [MASKED CHINESE]"
 )
 
-# How a POS tag class reads inside the POS template slots.
-POS_SLOT_WORDS = {
-    "NOUN": "noun",
-    "VERB": "verb",
-    "ADJ": "adjective",
-    "ADV": "adverb",
-    "ADP": "preposition",
-    "OTHER": "other",
-}
-
 EN_MARKER = "Filled English:"
 ZH_MARKER = "Filled Chinese:"
 
@@ -197,8 +187,7 @@ def mask_pair(pair: TranslationPair, segments: tuple[EditableSegment, ...]) -> M
 def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
     """Fill the capability's template with this masked pair's slot values."""
     if capability.tag is not None:
-        segment = masked.segments[0]
-        descriptor = f"{POS_SLOT_WORDS[segment.pos_class]} {segment.kind}"
+        descriptor = f"{capability.word} {masked.segments[0].kind}"
         text = POS_TEMPLATE.replace("{POS word/phrase}", descriptor)
         text = text.replace("{the original POS word/phrase}", masked.src_segments[0])
         template_id = "pos"

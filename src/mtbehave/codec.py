@@ -188,6 +188,11 @@ def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool, Callable[
     return tuple(plan)
 
 
+def row_keys(cls: type) -> list[str]:
+    """The keys of a ``cls`` row, in the order ``to_row`` writes them."""
+    return [key for _, key, _, _, _ in _plan(cls)]
+
+
 def to_row(obj: object) -> dict:
     row = {}
     for name, key, enum, _, _ in _plan(type(obj)):
@@ -215,7 +220,7 @@ def from_row(cls: type, row: object):
     if missing:
         raise ValueError(f"missing fields: {missing}")
     if len(kwargs) < len(row):
-        unknown = set(row).difference(key for _, key, _, _, _ in _plan(cls))
+        unknown = set(row).difference(row_keys(cls))
         raise ValueError(f"unknown fields: {sorted(unknown)}")
     return cls(**kwargs)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .casegen import STATUS_KEPT, TestCase
-from .codec import json_text, read_jsonl, to_row, write_text
+from .codec import json_text, read_jsonl, row_keys, to_row, write_text
 from .corpus import CorpusError, Span, check_span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
@@ -247,20 +247,13 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def render_report_csv(rows: Sequence[CapabilityReport]) -> str:
+    """The JSON report's rows under its keys: rates to two decimals, flags as true or false."""
+    cell = {float: "{:.2f}".format, bool: lambda flag: str(flag).lower()}
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["capability", "system_id", "pass_rate", "size", "errored", "best"])
+    writer = csv.DictWriter(buffer, row_keys(CapabilityReport), lineterminator="\n")
+    writer.writeheader()
     for row in rows:
-        writer.writerow(
-            [
-                row.capability.value,
-                row.system_id,
-                f"{row.pass_rate:.2f}",
-                row.size,
-                row.errored,
-                str(row.is_best).lower(),
-            ]
-        )
+        writer.writerow({key: cell.get(type(value), str)(value) for key, value in to_row(row).items()})
     return buffer.getvalue()
 
 

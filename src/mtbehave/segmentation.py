@@ -31,26 +31,28 @@ _CONTENT_TAGS = ("NOUN", "VERB", "ADJ", "ADV", "ADP")
 class Capability(str, Enum):
     """Behavioral capabilities a test case can target, in report column order.
 
-    A member's value is its name in configs, flags and artifacts. ``display``
-    heads its report column; ``tag`` is the POS class a POS capability masks,
-    and None for tense, NER and general.
+    A member's value is its name in configs, flags and artifacts; ``display``
+    heads its report column. A POS capability's ``tag`` is the POS class it
+    masks and ``word`` its infill prompt's name for that class; both are None
+    for tense, NER and general.
     """
 
-    NOUN = "noun", "Noun", "NOUN"
-    VERB = "verb", "Verb", "VERB"
-    ADJ = "adj", "Adj", "ADJ"
-    ADV = "adv", "Adv", "ADV"
-    PREP = "prep", "Prep", "ADP"
-    OTHERS = "others", "Others", "OTHER"
-    TENSE = "tense", "Tense", None
-    NER = "ner", "NER", None
-    GENERAL = "general", "General", None
+    NOUN = "noun", "Noun", "NOUN", "noun"
+    VERB = "verb", "Verb", "VERB", "verb"
+    ADJ = "adj", "Adj", "ADJ", "adjective"
+    ADV = "adv", "Adv", "ADV", "adverb"
+    PREP = "prep", "Prep", "ADP", "preposition"
+    OTHERS = "others", "Others", "OTHER", "other"
+    TENSE = "tense", "Tense", None, None
+    NER = "ner", "NER", None, None
+    GENERAL = "general", "General", None, None
 
-    def __new__(cls, value: str, display: str, tag: str | None):
+    def __new__(cls, value: str, display: str, tag: str | None, word: str | None):
         member = str.__new__(cls, value)
         member._value_ = value
         member.display = display
         member.tag = tag
+        member.word = word
         return member
 
 

@@ -27,6 +27,20 @@ SEGMENTS = {
     "tensed": EditableSegment((8, 9), (8, 9), "word", "VERB", None, True),
 }
 
+# What each capability's prompt says was masked: a POS prompt names the class
+# by ``Capability.word`` and the segment's kind, in the paper's own grammar.
+MASKED = {
+    Capability.NOUN: "an noun word",
+    Capability.VERB: "an verb word",
+    Capability.ADJ: "an adjective phrase",
+    Capability.ADV: "an adverb word",
+    Capability.PREP: "an preposition word",
+    Capability.OTHERS: "an other word",
+    Capability.TENSE: "a verb/verb phrase",
+    Capability.NER: "an PERSON",
+    Capability.GENERAL: "a word/phrase",
+}
+
 
 @pytest.mark.parametrize(
     "capability, kept, template_id, column",
@@ -50,6 +64,7 @@ def test_every_capability_filters_prompts_and_reports(capability, kept, template
 
     prompt = render_prompt(mask_pair(PAIR, (selected[0],)), capability)
     assert prompt.template_id == template_id
+    assert f"In each sentence, {MASKED[capability]} has been masked" in prompt.rendered_text
 
     row = CapabilityReport(capability, "sysA", 50.0, 2, 0, True)
     assert render_report_markdown([row]) == (

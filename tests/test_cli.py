@@ -1425,6 +1425,13 @@ def test_the_readme_lists_every_capability_in_order():
     assert re.findall(r"`(\w+)`", sentence) == [capability.value for capability in Capability]
 
 
+def test_the_readme_names_each_pos_prompt_word_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("prompts name the masked class ")[1].split(" respectively")[0]
+    words = [capability.word for capability in Capability if capability.tag is not None]
+    assert re.findall(r"`(\w+)`", sentence) == words
+
+
 def test_the_readme_examples_load(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```(?:json)?\n(.*?)```", readme, re.DOTALL)

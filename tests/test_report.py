@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -20,6 +22,7 @@ from mtbehave.report import (
     load_gold,
     precision_recall,
     render_report_csv,
+    render_report_json,
     render_report_markdown,
     sweep_markdown,
 )
@@ -260,6 +263,17 @@ class TestRenderers:
             "tense,sysB,100.00,2,0,true\n"
         )
         assert render_report_csv(self.rows()) == expected
+
+    def test_csv_header_is_the_json_rows_keys(self):
+        header = render_report_csv(self.rows()).splitlines()[0]
+        first = json.loads(render_report_json(self.rows()))["rows"][0]
+        assert header.split(",") == list(first)
+
+    def test_csv_quotes_a_system_id_holding_a_comma_and_a_quote(self):
+        row = CapabilityReport(Capability.NOUN, 'sys "A", v2', 50.0, 2, 0, True)
+        text = render_report_csv([row])
+        assert text.splitlines()[1] == 'noun,"sys ""A"", v2",50.00,2,0,true'
+        assert next(csv.DictReader(io.StringIO(text)))["system_id"] == row.system_id
 
     def test_json_round_trips(self, tmp_path):
         path = tmp_path / "report.json"
