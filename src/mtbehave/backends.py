@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .segmentation import MASK_TOKEN
+from .corpus import MASK_TOKEN
 
 if TYPE_CHECKING:  # pragma: no cover
     from .casegen import PromptRequest

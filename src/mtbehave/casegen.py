@@ -1,10 +1,10 @@
 """Test case generation: mask editable segments, infill them, filter the results.
 
 A test case perturbs one translation pair. The chosen segments are replaced by
-a mask token on both sides, a chat model fills the masks through a fixed
-prompt template, and the filled pair survives only if it differs from the
-original and a reference-free scorer finds its quality close to the original
-(the absolute score difference must stay within the judge's beta).
+a mask token on both sides, a chat model fills the masks through the infill
+prompt, and the filled pair survives only if it differs from the original and
+a reference-free scorer finds its quality close to the original (the absolute
+score difference must stay within the judge's beta).
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Iterable
 
 from .backends import Backend, BackendError, pipeline, unwrap
 from .codec import read_jsonl, to_row, write_jsonl
-from .corpus import Corpus, Span, TranslationPair
+from .corpus import MASK_TOKEN, Corpus, Span, TranslationPair
 from .segmentation import (
-    MASK_TOKEN,
     Capability,
     EditableSegment,
     extract_editable,
@@ -36,69 +35,26 @@ FILTER_STATUSES = frozenset(
     {STATUS_PENDING, STATUS_KEPT, STATUS_DROPPED_IDENTICAL, STATUS_DROPPED_QUALITY, STATUS_ERROR}
 )
 
-# Prompt templates. The two-character sequence backslash-n inside them is
-# deliberate: the model is told to reproduce that literal marker between the
-# two filled sentences, so the templates must spell it, not contain a newline.
-# Slots in curly braces are replaced verbatim by render_prompt; the bracketed
-# MASKED ENGLISH/CHINESE markers receive the masked sentences.
-
-POS_TEMPLATE = (
+# The infill prompt. It reproduces the paper's four prompts (POS, tense, NER,
+# general): they differ only in the phrases that name what was masked, what
+# to fill it with, the Chinese side's tense clause and what to preserve, which
+# render_prompt fills per capability; the two masked sentences are inserted
+# as given. One str.format call fills every field, so no inserted text is read
+# as a field. The two-character sequence backslash-n is deliberate: the model
+# is told to reproduce that literal marker between the two filled sentences,
+# so the prompt must spell it, not contain a newline.
+INFILL_PROMPT = (
     "You are given an English sentence and its Chinese translation. In each "
-    "sentence, an {POS word/phrase} has been masked with the '<mask>' token. "
-    "Your task is to first fill in the masked token in the English sentence "
-    "using an {POS word/phrase} other than {the original POS word/phrase} "
+    "sentence, {masked} has been masked with the '<mask>' token. Your task is "
+    "to first fill in the masked token in the English sentence using {fill} "
     "without modifying any of the unmasked tokens. Then, use the filled "
     "English sentence to fill in the masked token in its corresponding "
-    "Chinese translation. If necessary, make modifications to the filled "
-    "Chinese translation to ensure fluency while preserving the meaning. "
-    "Finally, please output the filled English sentence and its filled "
-    "Chinese translation in the format of 'Filled English:{} \\n Filled "
-    "Chinese:{}'. \\n English Sentence: [MASKED ENGLISH]. \\n Chinese "
-    "Translation: [MASKED CHINESE]"
-)
-
-TENSE_TEMPLATE = (
-    "You are given an English sentence and its Chinese translation. In each "
-    "sentence, a verb/verb phrase has been masked with the '<mask>' token. "
-    "Your task is to first fill in the masked token in the English sentence "
-    "using a past perfect tense verb/verb phrase without modifying any of "
-    "the unmasked tokens. Then, use the filled English sentence to fill in "
-    "the masked token in its corresponding Chinese translation in the past "
-    "perfect tense. If necessary, make modifications to the filled Chinese "
-    "translation to ensure the correctness of tense while preserving the "
+    "Chinese translation{zh_tense}. If necessary, make modifications to the "
+    "filled Chinese translation to ensure {preserve} while preserving the "
     "meaning. Finally, please output the filled English sentence and its "
-    "filled Chinese translation in the format of 'Filled English:{} \\n "
-    "Filled Chinese:{}'. \\n English Sentence: [MASKED ENGLISH]. \\n "
-    "Chinese Translation: [MASKED CHINESE]"
-)
-
-NER_TEMPLATE = (
-    "You are given an English sentence and its Chinese translation. In each "
-    "sentence, an {named entity type} has been masked with the '<mask>' "
-    "token. Your task is to first fill in the masked token in the English "
-    "sentence using an {named entity type} other than {the original named "
-    "entity} without modifying any of the unmasked tokens. Then, use the "
-    "filled English sentence to fill in the masked token in its "
-    "corresponding Chinese translation. If necessary, make modifications to "
-    "the filled Chinese translation to ensure fluency while preserving the "
-    "meaning. Finally, please output the filled English sentence and its "
-    "filled Chinese translation in the format of 'Filled English:{} \\n "
-    "Filled Chinese:{}'. \\n English Sentence: [MASKED ENGLISH]. \\n "
-    "Chinese Translation: [MASKED CHINESE]"
-)
-
-GENERAL_TEMPLATE = (
-    "You are given an English sentence and its Chinese translation. In each "
-    "sentence, a word/phrase has been masked with the '<mask>' token. Your "
-    "task is to first fill in the masked token in the English sentence "
-    "using a word/phrase other than the original without modifying any of "
-    "the unmasked tokens. Then, use the filled English sentence to fill in "
-    "the masked token in its corresponding Chinese translation. If "
-    "necessary, make modifications to the filled Chinese translation to "
-    "ensure fluency while preserving the meaning. Finally, please output "
-    "the filled English sentence and its filled Chinese translation in the "
-    "format of 'Filled English:{} \\n Filled Chinese:{}'. \\n English "
-    "Sentence: [MASKED ENGLISH]. \\n Chinese Translation: [MASKED CHINESE]"
+    "filled Chinese translation in the format of 'Filled English:{{}} \\n "
+    "Filled Chinese:{{}}'. \\n English Sentence: {source}. \\n Chinese "
+    "Translation: {reference}"
 )
 
 EN_MARKER = "Filled English:"
@@ -185,22 +141,30 @@ def mask_pair(pair: TranslationPair, segments: tuple[EditableSegment, ...]) -> M
 
 
 def render_prompt(masked: MaskedPair, capability: Capability) -> PromptRequest:
-    """Fill the capability's template with this masked pair's slot values."""
-    if capability.tag is not None:
-        descriptor = f"{capability.word} {masked.segments[0].kind}"
-        text = POS_TEMPLATE.replace("{POS word/phrase}", descriptor)
-        text = text.replace("{the original POS word/phrase}", masked.src_segments[0])
-        template_id = "pos"
-    elif capability is Capability.NER:
-        text = NER_TEMPLATE.replace("{named entity type}", masked.segments[0].ne_type)
-        text = text.replace("{the original named entity}", masked.src_segments[0])
-        template_id = "ner"
-    elif capability is Capability.TENSE:
-        template_id, text = "tense", TENSE_TEMPLATE
+    """Fill the infill prompt's phrases for the capability and insert the masked pair."""
+    zh_tense, preserve = "", "fluency"
+    if capability is Capability.TENSE:
+        template_id, what = "tense", "a verb/verb phrase"
+        fill = "a past perfect tense verb/verb phrase"
+        zh_tense, preserve = " in the past perfect tense", "the correctness of tense"
+    elif capability is Capability.GENERAL:
+        template_id, what = "general", "a word/phrase"
+        fill = f"{what} other than the original"
     else:
-        template_id, text = "general", GENERAL_TEMPLATE
-    text = text.replace("[MASKED ENGLISH]", " ".join(masked.masked_source))
-    text = text.replace("[MASKED CHINESE]", " ".join(masked.masked_reference))
+        segment = masked.segments[0]
+        if capability is Capability.NER:
+            template_id, what = "ner", f"an {segment.ne_type}"
+        else:
+            template_id, what = "pos", f"an {capability.word} {segment.kind}"
+        fill = f"{what} other than {masked.src_segments[0]}"
+    text = INFILL_PROMPT.format(
+        masked=what,
+        fill=fill,
+        zh_tense=zh_tense,
+        preserve=preserve,
+        source=" ".join(masked.masked_source),
+        reference=" ".join(masked.masked_reference),
+    )
     return PromptRequest(template_id, text)
 
 

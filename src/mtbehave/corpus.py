@@ -23,6 +23,10 @@ Span = tuple[int, int]
 
 POS_TAGS = frozenset({"NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"})
 
+# Literal placeholder substituted for a masked segment on either side; a corpus
+# token may not equal it, or the infill model would fill that token too.
+MASK_TOKEN = "<mask>"
+
 
 def _fail(path: object, lineno: int, message: str) -> None:
     raise CorpusError(f"{path}:{lineno}: {message}")
@@ -56,6 +60,8 @@ class TranslationPair:
             # An empty token, or one holding whitespace, changes how the joined side splits.
             if " ".join(tokens).split() != list(tokens):
                 raise ValueError(f"{side} contains an empty or whitespace token")
+            if MASK_TOKEN in tokens:
+                raise ValueError(f"{side} contains the mask token {MASK_TOKEN!r}")
 
 
 @dataclass(frozen=True)

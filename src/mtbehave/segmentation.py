@@ -22,9 +22,6 @@ from .corpus import Annotation, AlignmentSet, Span, TranslationPair
 MAX_PLANS_PER_PAIR = 20
 BUDGET_DENOMINATOR = 5
 
-# Literal placeholder substituted for a masked segment on either side.
-MASK_TOKEN = "<mask>"
-
 _CONTENT_TAGS = ("NOUN", "VERB", "ADJ", "ADV", "ADP")
 
 

@@ -443,7 +443,7 @@ class TestBackendCaching:
         assert len(cache_rows(response_cache)) == 5
 
 
-class TestMapDistinct:
+class TestPipeline:
     """``pipeline`` sends each distinct request of each of its two slots once."""
 
     @staticmethod

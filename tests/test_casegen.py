@@ -178,6 +178,34 @@ class TestRenderPrompt:
             "English Sentence: <mask> b. \\n Chinese Translation: <mask> y"
         )
 
+    # Tokens that look like prompt slots or format fields, beside plain words.
+    SLOT_LIKE = st.sampled_from(
+        ["[MASKED", "ENGLISH]", "CHINESE]", "{", "}", "{}", "{POS", "word/phrase}"]
+        + ["{named", "entity}", "type}", "{the", "original", "a", "商店"]
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(list(Capability)))
+    def test_sentences_and_original_words_are_inserted_as_given(self, data, capability):
+        source = data.draw(st.lists(self.SLOT_LIKE, min_size=2, max_size=8))
+        reference = data.draw(st.lists(self.SLOT_LIKE, min_size=2, max_size=8))
+        i = data.draw(st.integers(0, len(source) - 1))
+        i_end = data.draw(st.integers(i + 1, len(source)))
+        j = data.draw(st.integers(0, len(reference) - 1))
+        ne_type = data.draw(self.SLOT_LIKE) if capability is Capability.NER else None
+        segment = EditableSegment(
+            (i, i_end), (j, j + 1), "word" if i_end - i == 1 else "phrase",
+            capability.tag or "OTHER", ne_type, capability is Capability.TENSE,
+        )
+        masked = mask_pair(make_pair("p1", tuple(source), tuple(reference)), (segment,))
+        text = render_prompt(masked, capability).rendered_text
+        assert text.endswith(
+            f"English Sentence: {' '.join(masked.masked_source)}. \\n "
+            f"Chinese Translation: {' '.join(masked.masked_reference)}"
+        )
+        if capability.tag is not None or capability is Capability.NER:
+            assert f" other than {masked.src_segments[0]} without modifying" in text
+
 
 class TestParseResponse:
     def test_plain_reply(self):

@@ -286,6 +286,21 @@ class TestGenerate:
         assert cache_rows(cache)[key] == rows[key]
         assert (tmp_path / "out" / "cases.jsonl").read_bytes() == cases
 
+    def test_a_mask_token_in_the_pairs_file_is_a_data_error_before_any_request(
+        self, tmp_path, monkeypatch
+    ):
+        config = workspace(tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        text = pairs.read_text(encoding="utf-8")
+        pairs.write_text(text.replace("x y", "x <mask>"), encoding="utf-8")
+        monkeypatch.setattr(
+            _StubTransport, "send", lambda self, request: pytest.fail("a backend was called")
+        )
+        result = invoke("generate", "--config", config)
+        assert result.exit_code == 2
+        assert f"{pairs}:3: source contains the mask token '<mask>'" in result.output
+        assert not (tmp_path / "out" / "cases.jsonl").exists()
+
     def test_missing_backend_is_a_usage_error(self, tmp_path):
         write_corpus(tmp_path)
         config = write_config(tmp_path, "nobackends.json", backends={})

@@ -125,6 +125,18 @@ class TestLoadPairs:
         with pytest.raises(CorpusError, match=r"pairs\.tsv:1: .*empty or whitespace"):
             load_pairs(path)
 
+    @pytest.mark.parametrize(
+        "line, side",
+        [("p2\tthe <mask> cat sat\t猫 坐", "source"), ("p2\tthe cat sat\t猫 <mask>", "reference")],
+    )
+    def test_rejects_a_token_that_is_the_mask_token(self, tmp_path, line, side):
+        # The infill model, and the stub, would fill it as if it had been masked.
+        path = write_lines(tmp_path / "pairs.tsv", "p1\ta <masked>\tb", line)
+        with pytest.raises(
+            CorpusError, match=re.escape(f"{path}:2: {side} contains the mask token '<mask>'")
+        ):
+            load_pairs(path)
+
 
 class TestLoadAlignments:
     def test_parses_links(self, tmp_path):
