@@ -40,7 +40,10 @@ _BACKOFF_BASE_SECONDS = 0.25
 # On a ``pipeline`` worker thread, ``cancelled`` is that pipeline's cancellation signal.
 _worker = threading.local()
 
-# Every infill template ends with the masked sentences after these two anchors.
+# The infill prompt ends with the masked sentences after these two anchors. The stub
+# reads the English one after the first English anchor, nearest the fixed instruction
+# text, and the Chinese one after the last Chinese anchor, nearest the prompt's end, so
+# a reference that holds the English anchor's words is still read whole.
 _EN_ANCHOR = "English Sentence: "
 _ZH_ANCHOR = ". \\n Chinese Translation: "
 
@@ -347,7 +350,7 @@ class _StubTransport:
         return {"score": self._score(request)}
 
     def _infill_reply(self, prompt: str) -> str:
-        start = prompt.rfind(_EN_ANCHOR)
+        start = prompt.find(_EN_ANCHOR)
         split = prompt.rfind(_ZH_ANCHOR)
         if start < 0 or split < start:
             raise BackendError("stub infill prompt lacks the masked sentences")

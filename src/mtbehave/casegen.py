@@ -15,14 +15,8 @@ from typing import Iterable
 
 from .backends import Backend, BackendError, pipeline, unwrap
 from .codec import read_jsonl, to_row, write_jsonl
-from .corpus import MASK_TOKEN, Corpus, Span, TranslationPair
-from .segmentation import (
-    Capability,
-    EditableSegment,
-    extract_editable,
-    filter_by_capability,
-    plan_selection,
-)
+from .corpus import MASK_TOKEN, Span, TranslationPair
+from .segmentation import Capability, EditableSegment, filter_by_capability, plan_selection
 
 # Filter pipeline states for a generated case.
 STATUS_PENDING = "pending"
@@ -181,14 +175,17 @@ def _clean_fill(text: str) -> str:
 def parse_response(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Extract (filled source tokens, filled reference tokens) from a reply.
 
-    Anchors on the last "Filled English:" so leading chatter is ignored. A
-    whitespace-free Chinese fill is split into one token per character.
+    Splits at the last "Filled Chinese:" and the last "Filled English:" before
+    it, so leading chatter is ignored and a Chinese fill may hold the English
+    marker; a reply with no "Filled Chinese:" after a "Filled English:" lacks
+    the Chinese marker. A whitespace-free Chinese fill is split into one token
+    per character.
     """
-    anchor = raw.rfind(EN_MARKER)
-    if anchor < 0:
+    if EN_MARKER not in raw:
         raise ResponseParseError(f"reply lacks the {EN_MARKER!r} marker")
-    zh_anchor = raw.find(ZH_MARKER, anchor)
-    if zh_anchor < 0:
+    zh_anchor = raw.rfind(ZH_MARKER)
+    anchor = raw.rfind(EN_MARKER, 0, zh_anchor) if zh_anchor >= 0 else -1
+    if anchor < 0:
         raise ResponseParseError(f"reply lacks the {ZH_MARKER!r} marker")
     en_text = _clean_fill(raw[anchor + len(EN_MARKER) : zh_anchor])
     zh_text = _clean_fill(raw[zh_anchor + len(ZH_MARKER) :])
@@ -223,7 +220,7 @@ def quality_filter(case: TestCase, q_original: float, q_edited: float, beta: flo
 
 
 def generate_cases(
-    corpus: Corpus,
+    extracted: Iterable[tuple[TranslationPair, list[EditableSegment]]],
     capability: Capability,
     per_pair: int,
     infill: Backend,
@@ -232,7 +229,7 @@ def generate_cases(
     seed: int,
     jobs: int = 1,
 ) -> list[TestCase]:
-    """Generate test cases for one capability over the whole corpus.
+    """Generate test cases for one capability from each pair and its editable segments.
 
     Pairs without eligible segments (or without any budget-satisfiable segment
     for General) are skipped. A backend or parse failure is recorded on its
@@ -245,8 +242,8 @@ def generate_cases(
     seed when the backends are (stub or warm replay cache).
     """
     work: list[tuple[PromptRequest, tuple[TestCase, TranslationPair]]] = []
-    for pair, alignment, annotation in corpus.triples():
-        eligible = filter_by_capability(extract_editable(pair, alignment, annotation), capability)
+    for pair, segments in extracted:
+        eligible = filter_by_capability(segments, capability)
         pair_seed = derive_seed(seed, pair.pair_id)
         for index, plan in enumerate(plan_selection(pair, eligible, capability, per_pair, pair_seed)):
             prompt = render_prompt(mask_pair(pair, plan), capability)

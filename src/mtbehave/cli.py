@@ -42,7 +42,7 @@ from .casegen import (
     write_cases,
 )
 from .codec import from_row, to_row, write_json, write_jsonl, write_text
-from .corpus import Corpus, CorpusError, TranslationPair, load_corpus, load_pairs
+from .corpus import CorpusError, TranslationPair, load_corpus, load_pairs
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
     EmptyVerdictSet,
@@ -67,7 +67,7 @@ from .report import (
     precision_recall,
     sweep_markdown,
 )
-from .segmentation import MAX_PLANS_PER_PAIR, Capability, extract_editable
+from .segmentation import MAX_PLANS_PER_PAIR, Capability, EditableSegment, extract_editable
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -230,9 +230,11 @@ class Stage:
         new file over its target, so a finished one has another inode."""
         return [path for path, inode in self._outputs.items() if _inode(path) != inode]
 
-    def corpus(self) -> Corpus:
-        """All three corpus files, checked, loaded and cross-validated (extract, generate)."""
-        return load_corpus(*map(self._corpus_file, ("pairs", "alignments", "annotations")))
+    def segments(self) -> list[tuple[TranslationPair, list[EditableSegment]]]:
+        """Each pair and its editable segments, in corpus order, extracted once from all
+        three corpus files, checked, loaded and cross-validated (extract, generate)."""
+        corpus = load_corpus(*map(self._corpus_file, ("pairs", "alignments", "annotations")))
+        return [(pair, extract_editable(pair, links, annotation)) for pair, links, annotation in corpus]
 
     def pairs(self) -> dict[str, TranslationPair]:
         """The pairs file alone, for a stage that reads no alignment or annotation (judge)."""
@@ -311,24 +313,21 @@ def _fail_if_all_backend_errors(results: list) -> None:
 
 
 def _run_extract(stage: Stage) -> str:
-    corpus = stage.corpus()
+    extracted = stage.segments()
     out_path = stage.output("segments.jsonl")
-    segments = [
-        (pair.pair_id, segment)
-        for pair, alignment, annotation in corpus.triples()
-        for segment in extract_editable(pair, alignment, annotation)
-    ]
-    write_jsonl(out_path, ({"pair_id": pair_id, **to_row(seg)} for pair_id, seg in segments))
-    return f"extracted {len(segments)} editable segments from {len(corpus.pairs)} pairs -> {out_path}"
+    rows = ({"pair_id": pair.pair_id, **to_row(seg)} for pair, segments in extracted for seg in segments)
+    write_jsonl(out_path, rows)
+    count = sum(len(segments) for _, segments in extracted)
+    return f"extracted {count} editable segments from {len(extracted)} pairs -> {out_path}"
 
 
 def _run_generate(stage: Stage) -> str:
     config = stage.config
     _expect(config.capability is not None, "a capability is required (config or --capability)")
-    corpus = stage.corpus()
+    extracted = stage.segments()
     infill, scorer = stage.backends("infill", "scorer_ref_free")
     cases = generate_cases(
-        corpus,
+        extracted,
         config.capability,
         config.per_pair,
         infill,

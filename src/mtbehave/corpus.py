@@ -15,11 +15,13 @@ Loaders validate aggressively and report the offending file and line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .codec import CorpusError, read_jsonl, read_lines
 
 Span = tuple[int, int]
+# Word alignment links for one pair, as (source index, reference index).
+Links = frozenset[tuple[int, int]]
 
 POS_TAGS = frozenset({"NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"})
 
@@ -65,14 +67,6 @@ class TranslationPair:
 
 
 @dataclass(frozen=True)
-class AlignmentSet:
-    """Word alignment links for one pair, as (source index, reference index)."""
-
-    pair_id: str
-    links: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
 class Annotation:
     """Token-level and span-level annotations for one pair.
 
@@ -104,21 +98,6 @@ class Annotation:
             check_span(span, "reference phrase span")
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Pairs plus their alignments and annotations, keyed by pair id; built by
-    :func:`load_corpus`, whose loaders give every pair one of each."""
-
-    pairs: dict[str, TranslationPair]
-    alignments: dict[str, AlignmentSet]
-    annotations: dict[str, Annotation]
-
-    def triples(self) -> Iterator[tuple[TranslationPair, AlignmentSet, Annotation]]:
-        """Yield (pair, alignment, annotation) in corpus order."""
-        for pair_id, pair in self.pairs.items():
-            yield pair, self.alignments[pair_id], self.annotations[pair_id]
-
-
 def load_pairs(path) -> dict[str, TranslationPair]:
     """Read the tab-separated pairs file, preserving file order."""
     pairs: dict[str, TranslationPair] = {}
@@ -138,8 +117,8 @@ def load_pairs(path) -> dict[str, TranslationPair]:
     return pairs
 
 
-def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> dict[str, AlignmentSet]:
-    """Read the Pharaoh alignment file; line k belongs to the k-th corpus pair.
+def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> list[Links]:
+    """Read the Pharaoh alignment file; line k holds the links of the k-th corpus pair.
 
     Duplicate links on a line are dropped silently. Indices are checked against
     the pair's token counts.
@@ -149,7 +128,7 @@ def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Ali
         raise CorpusError(
             f"{path}: expected {len(pairs)} alignment lines, got {len(lines)}"
         )
-    alignments: dict[str, AlignmentSet] = {}
+    alignments: list[Links] = []
     for lineno, (line, pair) in enumerate(zip(lines, pairs.values()), start=1):
         links: set[tuple[int, int]] = set()
         for item in line.split():
@@ -170,7 +149,7 @@ def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Ali
                     f"ref index {j} out of range (reference has {len(pair.reference)} tokens)",
                 )
             links.add((i, j))
-        alignments[pair.pair_id] = AlignmentSet(pair.pair_id, frozenset(links))
+        alignments.append(frozenset(links))
     return alignments
 
 
@@ -207,11 +186,14 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
     return annotations
 
 
-def load_corpus(pairs_path, alignments_path, annotations_path) -> Corpus:
-    """Load the three corpus files. :func:`load_pairs` checks each pair and its id,
-    :func:`load_alignments` gives line k to the k-th pair and checks its indices, and
-    :func:`load_annotations` gives each pair its one record; nothing is checked twice."""
+def load_corpus(
+    pairs_path, alignments_path, annotations_path
+) -> list[tuple[TranslationPair, Links, Annotation]]:
+    """Each pair with its links and its annotation, in corpus order. :func:`load_pairs`
+    checks each pair and its id, :func:`load_alignments` gives line k to the k-th pair
+    and checks its indices, and :func:`load_annotations` gives each pair its one record;
+    nothing is checked twice."""
     pairs = load_pairs(pairs_path)
     alignments = load_alignments(alignments_path, pairs)
     annotations = load_annotations(annotations_path, pairs)
-    return Corpus(pairs, alignments, annotations)
+    return [(pair, links, annotations[pair.pair_id]) for pair, links in zip(pairs.values(), alignments)]

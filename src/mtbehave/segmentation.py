@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import Annotation, AlignmentSet, Span, TranslationPair
+from .corpus import Annotation, Links, Span, TranslationPair
 
 # Hard cap on masking plans per pair and the masked-token budget for the
 # General capability: the masked source tokens must total strictly less than
@@ -116,9 +116,7 @@ def _segment(src_span: Span, ref_span: Span, annotation: Annotation, ne_types: d
     return EditableSegment(src_span, ref_span, kind, pos_class, ne_types.get(src_span), tense_eligible)
 
 
-def extract_editable(
-    pair: TranslationPair, alignment: AlignmentSet, annotation: Annotation
-) -> list[EditableSegment]:
+def extract_editable(pair: TranslationPair, links: Links, annotation: Annotation) -> list[EditableSegment]:
     """Extract the overlap-free editable segments of one pair.
 
     Candidate source spans are the single words plus the annotated source
@@ -129,7 +127,7 @@ def extract_editable(
     """
     ref_by_src: dict[int, list[int]] = {}  # source index -> its linked reference indices
     src_by_ref: dict[int, list[int]] = {}  # and the converse
-    for i, j in alignment.links:
+    for i, j in links:
         ref_by_src.setdefault(i, []).append(j)
         src_by_ref.setdefault(j, []).append(i)
     ref_phrases = frozenset(annotation.phrase_spans_ref)

@@ -22,7 +22,7 @@ from mtbehave.casegen import (
     quality_filter,
     render_prompt,
 )
-from mtbehave.corpus import POS_TAGS, AlignmentSet, Annotation, TranslationPair
+from mtbehave.corpus import POS_TAGS, Annotation, TranslationPair
 from mtbehave.judge import (
     JudgeConfig,
     TranslationRecord,
@@ -46,7 +46,7 @@ from mtbehave.segmentation import (
     plan_selection,
 )
 
-from conftest import RecordingTransport, make_annotation, make_corpus, make_pair, run_cli
+from conftest import RecordingTransport, make_pair, run_cli
 from oracles import oracle_span_pairs
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -158,7 +158,7 @@ def random_corpus_triple(rng, trial):
         random_spans(n_src),
         random_spans(n_ref),
     )
-    return pair, AlignmentSet(pair.pair_id, links), annotation
+    return pair, links, annotation
 
 
 def test_c03_extraction_oracle(capsys):
@@ -167,10 +167,10 @@ def test_c03_extraction_oracle(capsys):
         rng = random.Random(33)
         mismatches = 0
         for trial in range(500):
-            pair, alignment, annotation = random_corpus_triple(rng, trial)
-            segments = extract_editable(pair, alignment, annotation)
+            pair, links, annotation = random_corpus_triple(rng, trial)
+            segments = extract_editable(pair, links, annotation)
             got = sorted((seg.src_span, seg.ref_span) for seg in segments)
-            expected = oracle_span_pairs(pair, alignment.links, annotation)
+            expected = oracle_span_pairs(pair, links, annotation)
             if got != expected:
                 mismatches += 1
         assert mismatches == 0
@@ -197,7 +197,7 @@ def test_c04_alignment_topology_fixture(capsys):
             ((0, 4),),
             (),
         )
-        segments = extract_editable(pair, AlignmentSet("topo", links), annotation)
+        segments = extract_editable(pair, links, annotation)
         span_pairs = [(seg.src_span, seg.ref_span) for seg in segments]
 
         assert ((7, 8), (2, 3)) in span_pairs  # Meta-universe <-> 元宇宙
@@ -560,10 +560,10 @@ def test_c10_precision_recall_fixture(capsys):
 
 def test_c11_cache_idempotence(capsys, tmp_path):
     with criterion(capsys, "C11", "cache-idempotence"):
-        corpus = make_corpus(
-            (make_pair("p1", "the shop closed", "商店 关门"), None, None),
-            (make_pair("p2", "he ran home", "他 跑了 回家"), None, None),
-        )
+        pairs = {
+            pair.pair_id: pair
+            for pair in (make_pair("p1", "the shop closed", "商店 关门"), make_pair("p2", "he ran home", "他 跑了 回家"))
+        }
         cases = [
             Case(
                 "c1",
@@ -599,13 +599,13 @@ def test_c11_cache_idempotence(capsys, tmp_path):
         )
 
         config = JudgeConfig()
-        first_records = score_records(cases, corpus.pairs, translator, scorer)
+        first_records = score_records(cases, pairs, translator, scorer)
         first_verdicts = judge_records(first_records, config)
         first_rate = pass_rate(first_verdicts)
         calls_after_first = (chat.call_count, rate.call_count)
         assert calls_after_first == (4, 4)  # two cases, two sides each
 
-        second_records = score_records(cases, corpus.pairs, translator, scorer)
+        second_records = score_records(cases, pairs, translator, scorer)
         second_verdicts = judge_records(second_records, config)
         assert (chat.call_count, rate.call_count) == calls_after_first  # zero new calls
         assert second_records == first_records

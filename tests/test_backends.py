@@ -212,6 +212,13 @@ class TestStubChat:
         filled_ref = " ".join(masked.masked_reference).replace("<mask>", "鲍勃")
         assert parse_response(reply) == (tuple(filled_src.split()), tuple(filled_ref.split()))
 
+    def test_infill_reads_a_reference_that_holds_the_english_anchor_whole(self):
+        # The English sentence follows the first anchor, the Chinese one the last.
+        pair = make_pair("p1", "the cat sat", "猫 English Sentence: 坐")
+        masked = mask_pair(pair, (EditableSegment((1, 2), (0, 1), "word", "NOUN", None, False),))
+        reply = stub_backend("fill", "infill", src="dog", ref="狗").infill(render_prompt(masked, Capability.NOUN))
+        assert reply == "Filled English: the dog sat\nFilled Chinese: 狗 English Sentence: 坐"
+
     def test_infill_prompt_without_the_masked_sentences_fails_without_retry(self):
         transport = RecordingTransport(_StubTransport(stub_spec("fill", "infill")))
         backend = Backend(stub_spec("fill", "infill"), transport=transport)

@@ -39,10 +39,12 @@ from conftest import (
     RecordingTransport,
     cache_rows,
     damage_cache_row,
+    extract_all,
     identity_links,
     make_annotation,
     make_corpus,
     make_pair,
+    pairs_by_id,
     signalling,
     stub_backend,
     stub_spec,
@@ -222,6 +224,12 @@ class TestParseResponse:
         assert en == ("right", "one")
         assert zh == ("对",)
 
+    def test_a_chinese_fill_may_hold_the_english_marker(self):
+        # The split is at the last Chinese marker and the last English one before it.
+        en, zh = parse_response("Filled English: the dog sat\nFilled Chinese: 狗 Filled English: 坐")
+        assert en == ("the", "dog", "sat")
+        assert zh == ("狗", "Filled", "English:", "坐")
+
     def test_trims_echoed_literal_backslash_n(self):
         raw = "Filled English: a shop \\n Filled Chinese: 商店 \\n"
         en, zh = parse_response(raw)
@@ -340,6 +348,11 @@ def generation_corpus():
     )
 
 
+def generation_segments():
+    """The generation corpus's pairs with their editable segments."""
+    return extract_all(generation_corpus())
+
+
 # The quality filter's default threshold.
 BETA = JudgeConfig().beta
 
@@ -355,7 +368,7 @@ def generation_backends(src="store", ref="门店"):
 class TestGenerateCases:
     def test_generates_kept_cases_with_stub_backends(self):
         cases = generate_cases(
-            generation_corpus(), Capability.NOUN, 1, *generation_backends(), BETA, seed=7
+            generation_segments(), Capability.NOUN, 1, *generation_backends(), BETA, seed=7
         )
         # Only p1 has a NOUN segment; p2 has none and p3 is unaligned.
         assert [case.case_id for case in cases] == ["p1-noun-000"]
@@ -370,14 +383,14 @@ class TestGenerateCases:
 
     def test_identity_fill_is_dropped_as_identical(self):
         cases = generate_cases(
-            generation_corpus(), Capability.NOUN, 1,
+            generation_segments(), Capability.NOUN, 1,
             *generation_backends(src="shop", ref="商店"), BETA, seed=7,
         )
         assert [case.filter_status for case in cases] == [STATUS_DROPPED_IDENTICAL]
 
     def test_case_ids_number_plans_per_pair(self):
         cases = generate_cases(
-            generation_corpus(), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7
+            generation_segments(), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7
         )
         by_pair = {}
         for case in cases:
@@ -394,7 +407,9 @@ class TestGenerateCases:
         spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
         transport = RecordingTransport(_StubTransport(spec))
         _, scorer = generation_backends()
-        cases = generate_cases(corpus, Capability.NER, 5, Backend(spec, transport=transport), scorer, BETA, seed=7)
+        cases = generate_cases(
+            extract_all(corpus), Capability.NER, 5, Backend(spec, transport=transport), scorer, BETA, seed=7
+        )
         assert [case.case_id for case in cases] == ["p1-ner-000", "p1-ner-001"]
         assert [case.template_id for case in cases] == ["ner", "ner"]
         assert sorted(case.masked_ref_spans for case in cases) == [((0, 1),), ((3, 4),)]
@@ -409,12 +424,12 @@ class TestGenerateCases:
     def test_general_skips_a_pair_whose_only_segment_breaks_the_budget(self):
         # p0's one segment masks 1 of 5 source tokens: 5 * 1 is not below 5.
         p0 = make_pair("p0", "one two three four five", "一 二 三 四 五")
-        corpus = make_corpus((p0, {(0, 0)}, None), *generation_corpus().triples())
-        assert len(extract_editable(p0, corpus.alignments["p0"], corpus.annotations["p0"])) == 1
-        cases = generate_cases(corpus, Capability.GENERAL, 3, *generation_backends(), BETA, seed=7)
+        corpus = make_corpus((p0, {(0, 0)}, None), *generation_corpus())
+        assert len(extract_editable(*corpus[0])) == 1
+        cases = generate_cases(extract_all(corpus), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7)
         assert {case.pair_id for case in cases} == {"p1", "p2"}
         assert cases == generate_cases(
-            generation_corpus(), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7
+            generation_segments(), Capability.GENERAL, 3, *generation_backends(), BETA, seed=7
         )
 
     def test_backend_failure_is_isolated_to_its_case(self):
@@ -432,7 +447,7 @@ class TestGenerateCases:
 
         spec = stub_spec("infill-stub", "infill", src="store", ref="门店")
         cases = generate_cases(
-            generation_corpus(),
+            generation_segments(),
             Capability.GENERAL,
             per_pair=1,
             infill=Backend(spec, transport=FailOnToday(spec)),
@@ -459,7 +474,7 @@ class TestGenerateCases:
 
         qe = RecordingTransport(lambda request: {"score": 0.9})
         cases = generate_cases(
-            generation_corpus(),
+            generation_segments(),
             Capability.GENERAL,
             per_pair=1,
             infill=Backend(spec, transport=RecordingTransport(send)),
@@ -493,7 +508,7 @@ class TestGenerateCases:
         scorer = Backend(stub_spec("qe-stub", "scorer_ref_free"), transport=qe)
         infill, _ = generation_backends()
         cases = generate_cases(
-            generation_corpus(), Capability.GENERAL, 2, infill, scorer, BETA, seed=7
+            generation_segments(), Capability.GENERAL, 2, infill, scorer, BETA, seed=7
         )
         p1_cases = [case for case in cases if case.pair_id == "p1"]
         assert len(p1_cases) == 2
@@ -514,7 +529,7 @@ class TestGenerateCases:
             stub_backend("infill-stub", "infill", response_cache, src="store", ref="门店"),
             stub_backend("qe-stub", "scorer_ref_free", response_cache, mode="constant", value=0.9),
         )
-        generate_cases(generation_corpus(), Capability.GENERAL, 1, *live, BETA, seed=7)
+        generate_cases(generation_segments(), Capability.GENERAL, 1, *live, BETA, seed=7)
         rows = cache_rows(response_cache)
         (p1_infill,) = [  # the reply to p1's prompt fills p1's source
             key for key, (_, value) in rows.items() if key[0] == "infill-stub" and "today" in value
@@ -524,7 +539,7 @@ class TestGenerateCases:
             Backend(BackendSpec("infill-stub", "infill", "replay_cache"), response_cache),
             Backend(BackendSpec("qe-stub", "scorer_ref_free", "replay_cache"), response_cache),
         )
-        cases = generate_cases(generation_corpus(), Capability.GENERAL, 1, *replay, BETA, seed=7)
+        cases = generate_cases(generation_segments(), Capability.GENERAL, 1, *replay, BETA, seed=7)
         by_pair = {case.pair_id: case for case in cases}
         assert by_pair["p1"].filter_status == STATUS_ERROR
         assert by_pair["p1"].error_kind == "backend"
@@ -533,10 +548,10 @@ class TestGenerateCases:
 
     def test_jobs_parameter_preserves_order(self):
         sequential = generate_cases(
-            generation_corpus(), Capability.GENERAL, 2, *generation_backends(), BETA, seed=7,
+            generation_segments(), Capability.GENERAL, 2, *generation_backends(), BETA, seed=7,
         )
         threaded = generate_cases(
-            generation_corpus(), Capability.GENERAL, 2, *generation_backends(), BETA, seed=7, jobs=4,
+            generation_segments(), Capability.GENERAL, 2, *generation_backends(), BETA, seed=7, jobs=4,
         )
         assert [c.case_id for c in threaded] == [c.case_id for c in sequential]
         assert [c.source_prime for c in threaded] == [c.source_prime for c in sequential]
@@ -551,7 +566,7 @@ class TestGenerateCases:
 
         def generate(infill_transport, qe_transport, jobs):
             return generate_cases(
-                generation_corpus(), Capability.GENERAL, 3,
+                generation_segments(), Capability.GENERAL, 3,
                 Backend(infill_spec, transport=infill_transport),
                 Backend(qe_spec, transport=qe_transport), BETA, seed=7, jobs=jobs,
             )
@@ -569,7 +584,7 @@ class TestGenerateCases:
 class TestCasesFile:
     def test_round_trip(self, tmp_path):
         cases = generate_cases(
-            generation_corpus(), Capability.NOUN, 1, *generation_backends(), BETA, seed=7
+            generation_segments(), Capability.NOUN, 1, *generation_backends(), BETA, seed=7
         )
         path = tmp_path / "cases.jsonl"
         write_cases(cases, path)
@@ -615,7 +630,7 @@ def recorded_pipeline(jobs, corpus=None):
 
     corpus = corpus or generation_corpus()
     cases = generate_cases(
-        corpus,
+        extract_all(corpus),
         Capability.GENERAL,
         3,
         backend("infill-stub", "infill", src="store", ref="门店"),
@@ -625,7 +640,7 @@ def recorded_pipeline(jobs, corpus=None):
         jobs=jobs,
     )
     records = score_records(
-        cases, corpus.pairs, backend("mt", "translator"), backend("f1", "scorer_ref_based"), jobs
+        cases, pairs_by_id(corpus), backend("mt", "translator"), backend("f1", "scorer_ref_based"), jobs
     )
     return cases, records, transports
 

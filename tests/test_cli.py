@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtbehave
-from mtbehave import __version__
+from mtbehave import __version__, corpus, segmentation
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
 from mtbehave.cli import (
@@ -235,6 +236,42 @@ class TestExtract:
         assert result.stderr.startswith("error: ") and str(blocker) in result.stderr
         assert "Traceback" not in result.stderr
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+class TestOneExtraction:
+    """``extract`` and ``generate`` extract each pair's segments once, the same way."""
+
+    @pytest.mark.parametrize("stage", ["extract", "generate"])
+    def test_a_stage_loads_the_corpus_once_and_extracts_each_pair_once(self, tmp_path, monkeypatch, stage):
+        calls = Counter()
+        for original in (corpus.load_corpus, segmentation.extract_editable):
+
+            def counted(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            # wherever a module of the package holds the function, as perfbench's tracer does
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] == "mtbehave":
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, counted)
+        run_ok(stage, "--config", build_stub_workspace(tmp_path))
+        assert calls == {"load_corpus": 1, "extract_editable": 50}
+
+    @pytest.mark.parametrize("capability", ["noun", "verb", "adv"])
+    def test_every_case_masks_reference_spans_that_extract_lists_for_its_pair(self, tmp_path, capability):
+        config = build_stub_workspace(tmp_path)
+        run_ok("extract", "--config", config)
+        run_ok("generate", "--config", config, "--capability", capability)
+        listed = {}
+        for line in (tmp_path / "out" / "segments.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            listed.setdefault(row["pair_id"], set()).add(tuple(row["ref_span"]))
+        cases = read_cases(tmp_path / "out" / "cases.jsonl")
+        assert len(cases) == 50
+        for case in cases:
+            assert case.masked_ref_spans and set(case.masked_ref_spans) <= listed[case.pair_id]
 
 
 class TestGenerate:

@@ -12,9 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mtbehave.corpus import (
-    AlignmentSet,
     Annotation,
-    Corpus,
     CorpusError,
     TranslationPair,
     load_alignments,
@@ -143,18 +141,18 @@ class TestLoadAlignments:
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b c\tx y"))
         path = write_lines(tmp_path / "align.txt", "0-0 2-1")
         alignments = load_alignments(path, pairs)
-        assert alignments["p1"].links == frozenset({(0, 0), (2, 1)})
+        assert alignments == [frozenset({(0, 0), (2, 1)})]
 
     def test_duplicate_links_collapse_silently(self, tmp_path):
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b\tx"))
         path = write_lines(tmp_path / "align.txt", "0-0 0-0 1-0")
         alignments = load_alignments(path, pairs)
-        assert alignments["p1"].links == frozenset({(0, 0), (1, 0)})
+        assert alignments == [frozenset({(0, 0), (1, 0)})]
 
     def test_empty_line_means_no_links(self, tmp_path):
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b\tx"))
         path = write_lines(tmp_path / "align.txt", "")
-        assert load_alignments(path, pairs)["p1"].links == frozenset()
+        assert load_alignments(path, pairs) == [frozenset()]
 
     def test_rejects_malformed_link(self, tmp_path):
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta\tx"))
@@ -343,7 +341,7 @@ class TestCorpus:
             annotation_record("p1", 1),
         )
         corpus = load_corpus(tmp_path / "p.tsv", tmp_path / "a.txt", tmp_path / "ann.jsonl")
-        assert [pair.pair_id for pair, _, _ in corpus.triples()] == ["p2", "p1"]
+        assert [pair.pair_id for pair, _, _ in corpus] == ["p2", "p1"]
 
 
 # -- round-trip property ------------------------------------------------------
@@ -356,9 +354,7 @@ SPAN_FIELDS = ("ne_spans", "phrase_spans_src", "phrase_spans_ref")
 @st.composite
 def corpora(draw):
     n_pairs = draw(st.integers(1, 3))
-    pairs = {}
-    alignments = {}
-    annotations = {}
+    corpus = []
     for index in range(n_pairs):
         pair_id = f"p{index}"
         source = tuple(draw(st.lists(_token, min_size=1, max_size=4)))
@@ -378,9 +374,7 @@ def corpora(draw):
         ne_spans = tuple(sorted((s, e, "GPE") for s, e in ne))
         phr_src = tuple(sorted(draw(st.lists(spans(len(source)), max_size=2, unique=True))))
         phr_ref = tuple(sorted(draw(st.lists(spans(len(reference)), max_size=2, unique=True))))
-        pairs[pair_id] = pair
-        alignments[pair_id] = AlignmentSet(pair_id, links)
-        annotations[pair_id] = Annotation(
+        annotation = Annotation(
             pair_id,
             tuple(draw(st.lists(_pos_tag, min_size=len(source), max_size=len(source)))),
             tuple(draw(st.lists(st.booleans(), min_size=len(source), max_size=len(source)))),
@@ -388,7 +382,8 @@ def corpora(draw):
             phr_src,
             phr_ref,
         )
-    return Corpus(pairs, alignments, annotations)
+        corpus.append((pair, links, annotation))
+    return corpus
 
 
 class TestRoundTrip:
@@ -413,10 +408,7 @@ class TestRoundTrip:
             base = Path(raw)
             paths = (base / "p.tsv", base / "a.txt", base / "ann.jsonl")
             dump_corpus(corpus, *paths)
-            loaded = load_corpus(*paths)
-            assert loaded.pairs == corpus.pairs
-            assert loaded.alignments == corpus.alignments
-            assert loaded.annotations == corpus.annotations
+            assert load_corpus(*paths) == corpus
 
 
 class TestRepeatedSpans:
@@ -425,10 +417,10 @@ class TestRepeatedSpans:
     def test_a_span_listed_again_right_after_itself_changes_no_segment(self, corpus, data):
         """Extraction reads spans as sets, so the loader keeps a repeated span as written.
         The copy goes right after its entry: of two labels for one NE span, the first listed wins."""
-        listed = [(triple, name) for triple in corpus.triples() for name in SPAN_FIELDS if getattr(triple[2], name)]
+        listed = [(triple, name) for triple in corpus for name in SPAN_FIELDS if getattr(triple[2], name)]
         assume(listed)
-        (pair, alignment, note), name = data.draw(st.sampled_from(listed))
+        (pair, links, note), name = data.draw(st.sampled_from(listed))
         spans = getattr(note, name)
         k = data.draw(st.integers(0, len(spans) - 1))
         repeated = replace(note, **{name: spans[: k + 1] + spans[k:]})
-        assert extract_editable(pair, alignment, repeated) == extract_editable(pair, alignment, note)
+        assert extract_editable(pair, links, repeated) == extract_editable(pair, links, note)

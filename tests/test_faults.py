@@ -33,10 +33,10 @@ from mtbehave.backends import (
 from mtbehave.casegen import generate_cases, write_cases
 from mtbehave.cli import RunConfig, load_run_config
 from mtbehave.codec import from_row
-from mtbehave.corpus import Corpus, load_corpus
+from mtbehave.corpus import load_corpus
 from mtbehave.judge import judge_records, score_records, write_records, write_verdicts
 
-from conftest import cache_rows
+from conftest import cache_rows, extract_all, pairs_by_id
 from test_acceptance import build_stub_workspace
 
 SLOTS = ("infill", "scorer_ref_free", "translator", "scorer_ref_based")
@@ -82,13 +82,13 @@ class FaultyTransport:
         return self.stub.send(request) if fault is None else fault(self.kind)
 
 
-def run_stages(config, corpus, backends, jobs: int, out: Path):
+def run_stages(config, extracted, backends, jobs: int, out: Path):
     """``generate`` then ``judge`` in process, writing their three artifacts to ``out``."""
     infill, qe, translator, scorer = backends
     cases = generate_cases(
-        corpus, config.capability, config.per_pair, infill, qe, config.judge.beta, config.seed, jobs
+        extracted, config.capability, config.per_pair, infill, qe, config.judge.beta, config.seed, jobs
     )
-    records = score_records(cases, corpus.pairs, translator, scorer, jobs)
+    records = score_records(cases, pairs_by_id(extracted), translator, scorer, jobs)
     out.mkdir()
     write_cases(cases, out / "cases.jsonl")
     write_records(records, out / "records.jsonl")
@@ -102,7 +102,7 @@ def specs(config) -> list[BackendSpec]:
 
 class FaultFree(NamedTuple):
     config: RunConfig
-    corpus: Corpus
+    extracted: list
     cases: list
     records: list
     artifacts: dict[str, bytes]
@@ -113,20 +113,20 @@ class FaultFree(NamedTuple):
 
 @pytest.fixture(scope="module")
 def fault_free(tmp_path_factory) -> FaultFree:
-    """The C07 config and corpus, and the fault-free run's cases, records and artifact bytes."""
+    """The C07 config and extracted corpus, and the fault-free run's cases, records and artifact bytes."""
     root = tmp_path_factory.mktemp("c07")
     config, _ = load_run_config(build_stub_workspace(root))
-    corpus = load_corpus(config.corpus.pairs, config.corpus.alignments, config.corpus.annotations)
-    cases, records = run_stages(config, corpus, [Backend(spec) for spec in specs(config)], 1, root / "out")
+    extracted = extract_all(load_corpus(config.corpus.pairs, config.corpus.alignments, config.corpus.annotations))
+    cases, records = run_stages(config, extracted, [Backend(spec) for spec in specs(config)], 1, root / "out")
     assert all(case.error is None for case in cases) and all(record.error is None for record in records)
-    return FaultFree(config, corpus, cases, records, {name: (root / "out" / name).read_bytes() for name in ARTIFACTS})
+    return FaultFree(config, extracted, cases, records, {name: (root / "out" / name).read_bytes() for name in ARTIFACTS})
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32), rate=st.sampled_from([0.05, 0.2, 0.5, 1.0]))
 def test_faults_fail_only_their_own_cases_and_a_rerun_converges(fault_free, jobs, seed, rate):
-    config, corpus, clean_cases, clean_records, clean_bytes = fault_free
+    config, extracted, clean_cases, clean_records, clean_bytes = fault_free
     slots = specs(config)
     with tempfile.TemporaryDirectory() as temp:
         temp = Path(temp)
@@ -136,7 +136,7 @@ def test_faults_fail_only_their_own_cases_and_a_rerun_converges(fault_free, jobs
             Backend(spec, cache, transport, sleep=lambda seconds: None)
             for spec, transport in zip(slots, transports)
         ]
-        cases, records = run_stages(config, corpus, backends, jobs, temp / "faulty")
+        cases, records = run_stages(config, extracted, backends, jobs, temp / "faulty")
 
         assert [case.case_id for case in cases] == [case.case_id for case in clean_cases]
         for case, clean in zip(cases, clean_cases):
@@ -152,6 +152,6 @@ def test_faults_fail_only_their_own_cases_and_a_rerun_converges(fault_free, jobs
             for request in transport.failed.values():
                 assert (spec.backend_id, canonical_request_digest(spec.backend_id, request)) not in rows
 
-        run_stages(config, corpus, [Backend(spec, cache) for spec in slots], jobs, temp / "rerun")
+        run_stages(config, extracted, [Backend(spec, cache) for spec in slots], jobs, temp / "rerun")
         cache.close()
         assert {name: (temp / "rerun" / name).read_bytes() for name in ARTIFACTS} == clean_bytes

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtbehave.corpus import AlignmentSet, Annotation, TranslationPair
+from mtbehave.corpus import Annotation, TranslationPair
 from mtbehave.segmentation import (
     MAX_PLANS_PER_PAIR,
     Capability,
@@ -18,13 +18,13 @@ from mtbehave.segmentation import (
     plan_selection,
 )
 
-from conftest import identity_links, make_alignment, make_annotation, make_pair
+from conftest import identity_links, make_annotation, make_pair
 from oracles import oracle_plans, oracle_segments, oracle_span_pairs
 
 
 def extract(pair, links, annotation=None):
     annotation = annotation or make_annotation(pair)
-    return extract_editable(pair, make_alignment(pair, links), annotation)
+    return extract_editable(pair, frozenset(links), annotation)
 
 
 def span_pairs(segments):
@@ -355,7 +355,7 @@ def aligned_pairs(draw):
         tuple(sorted(draw(st.lists(spans(n_src), max_size=4, unique=True)))),
         tuple(sorted(draw(st.lists(spans(n_ref), max_size=4, unique=True)))),
     )
-    return pair, AlignmentSet("p1", links), annotation
+    return pair, links, annotation
 
 
 @st.composite
@@ -380,20 +380,20 @@ class TestExtractionProperties:
     @settings(max_examples=200, deadline=None)
     @given(aligned_pairs())
     def test_matches_brute_force_oracle(self, example):
-        pair, alignment, annotation = example
-        segments = extract_editable(pair, alignment, annotation)
-        assert span_pairs(segments) == oracle_span_pairs(pair, alignment.links, annotation)
+        pair, links, annotation = example
+        segments = extract_editable(pair, links, annotation)
+        assert span_pairs(segments) == oracle_span_pairs(pair, links, annotation)
 
     @settings(max_examples=200, deadline=None)
     @given(aligned_pairs())
     def test_every_field_matches_the_field_level_oracle(self, example):
-        pair, alignment, annotation = example
-        segments = extract_editable(pair, alignment, annotation)
+        pair, links, annotation = example
+        segments = extract_editable(pair, links, annotation)
         fields = [
             (s.src_span, s.ref_span, s.kind, s.pos_class, s.ne_type, s.tense_eligible)
             for s in segments
         ]
-        assert fields == oracle_segments(pair, alignment.links, annotation)
+        assert fields == oracle_segments(pair, links, annotation)
         ne_spans = {(start, end) for start, end, _ in annotation.ne_spans}
         ner = [s for s in segments if s.src_span in ne_spans]
         assert filter_by_capability(segments, Capability.NER) == ner
@@ -401,14 +401,14 @@ class TestExtractionProperties:
     @settings(max_examples=200, deadline=None)
     @given(aligned_pairs())
     def test_segments_are_solely_aligned_and_disjoint(self, example):
-        pair, alignment, annotation = example
-        segments = extract_editable(pair, alignment, annotation)
+        pair, links, annotation = example
+        segments = extract_editable(pair, links, annotation)
         for segment in segments:
             (s0, s1), (r0, r1) = segment.src_span, segment.ref_span
             assert 0 <= s0 < s1 <= len(pair.source)
             assert 0 <= r0 < r1 <= len(pair.reference)
             # No link may cross the segment boundary in either direction.
-            for i, j in alignment.links:
+            for i, j in links:
                 src_in = s0 <= i < s1
                 ref_in = r0 <= j < r1
                 assert src_in == ref_in
@@ -422,8 +422,8 @@ class TestExtractionProperties:
     @settings(max_examples=100, deadline=None)
     @given(aligned_pairs())
     def test_resolution_is_idempotent(self, example):
-        pair, alignment, annotation = example
-        span_pairs = [(s.src_span, s.ref_span) for s in extract_editable(pair, alignment, annotation)]
+        pair, links, annotation = example
+        span_pairs = [(s.src_span, s.ref_span) for s in extract_editable(pair, links, annotation)]
         assert _overlap_free(span_pairs) == span_pairs
 
 
