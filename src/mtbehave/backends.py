@@ -40,13 +40,6 @@ _BACKOFF_BASE_SECONDS = 0.25
 # On a ``pipeline`` worker thread, ``cancelled`` is that pipeline's cancellation signal.
 _worker = threading.local()
 
-# The infill prompt ends with the masked sentences after these two anchors. The stub
-# reads the English one after the first English anchor, nearest the fixed instruction
-# text, and the Chinese one after the last Chinese anchor, nearest the prompt's end, so
-# a reference that holds the English anchor's words is still read whole.
-_EN_ANCHOR = "English Sentence: "
-_ZH_ANCHOR = ". \\n Chinese Translation: "
-
 # The spec fields that can change an answer; timeout, retries and auth cannot.
 _ANSWER_FIELDS = ("kind", "transport", "endpoint", "model_name", "stub_params")
 # Request digests encode with this one encoder; json.dumps would build one per call.
@@ -314,11 +307,14 @@ class _StubTransport:
     """Deterministic local stand-in for an upstream model.
 
     ``stub_params`` configure it. Infill: ``src``/``ref`` are the fill strings
-    substituted for each mask in the two masked sentences that end the prompt.
-    Translator: optional ``table`` maps exact source strings to outputs,
-    identity otherwise. Scorers: ``mode`` is one of
-    ``unigram_f1`` (default for scorer_ref_based), ``length_ratio`` (default
-    for scorer_ref_free), or ``constant`` with ``value``. The parameters are checked when the transport is built.
+    substituted for each mask in the two masked sentences that end the prompt:
+    the reference, read after the last ``casegen.REFERENCE_ANCHOR``, and the source,
+    read after the last ``casegen.SOURCE_ANCHOR`` before it. The reply has ``casegen``'s
+    markers. Only a reference that holds the one or a source that holds the other is misread.
+    Translator: optional ``table`` maps exact source strings to outputs, identity
+    otherwise. Scorers: ``mode`` is one of ``unigram_f1`` (default for
+    scorer_ref_based), ``length_ratio`` (default for scorer_ref_free), or
+    ``constant`` with ``value``. The parameters are checked when the transport is built.
     """
 
     def __init__(self, spec: BackendSpec):
@@ -340,25 +336,25 @@ class _StubTransport:
                     ) from None
 
     def send(self, request: Mapping[str, object]) -> object:
-        kind = self.spec.kind
-        if kind == "infill":
-            return _chat_shape(self._infill_reply(request["messages"][-1]["content"]))
-        if kind == "translator":
-            user = request["messages"][-1]["content"]
-            table = self.params.get("table") or {}
-            return _chat_shape(table.get(user, user))
-        return {"score": self._score(request)}
+        if self.spec.kind.startswith("scorer_"):
+            return {"score": self._score(request)}
+        user = request["messages"][-1]["content"]
+        table = self.params.get("table") or {}
+        content = self._infill_reply(user) if self.spec.kind == "infill" else table.get(user, user)
+        return {"choices": [{"message": {"content": content}}]}
 
     def _infill_reply(self, prompt: str) -> str:
-        start = prompt.find(_EN_ANCHOR)
-        split = prompt.rfind(_ZH_ANCHOR)
-        if start < 0 or split < start:
+        # Imported here, since casegen imports this module.
+        from .casegen import EN_MARKER, REFERENCE_ANCHOR, SOURCE_ANCHOR, ZH_MARKER
+        split = prompt.rfind(REFERENCE_ANCHOR)
+        start = prompt.rfind(SOURCE_ANCHOR, 0, split) if split >= 0 else -1
+        if start < 0:
             raise BackendError("stub infill prompt lacks the masked sentences")
         src_fill = str(self.params.get("src", "thing"))
         ref_fill = str(self.params.get("ref", "东西"))
-        filled_src = prompt[start + len(_EN_ANCHOR) : split].replace(MASK_TOKEN, src_fill)
-        filled_ref = prompt[split + len(_ZH_ANCHOR) :].replace(MASK_TOKEN, ref_fill)
-        return f"Filled English: {filled_src}\nFilled Chinese: {filled_ref}"
+        filled_src = prompt[start + len(SOURCE_ANCHOR) : split].replace(MASK_TOKEN, src_fill)
+        filled_ref = prompt[split + len(REFERENCE_ANCHOR) :].replace(MASK_TOKEN, ref_fill)
+        return f"{EN_MARKER} {filled_src}\n{ZH_MARKER} {filled_ref}"
 
     def _score(self, request: Mapping[str, object]) -> float:
         if self.mode == "constant":
@@ -366,10 +362,6 @@ class _StubTransport:
         ref = request.get("ref")
         other = str(ref) if ref is not None else str(request.get("src", ""))
         return _STUB_SCORERS[self.mode](str(request.get("hyp", "")).split(), other.split())
-
-
-def _chat_shape(content: str) -> dict:
-    return {"choices": [{"message": {"content": content}}]}
 
 
 def _unigram_f1(hyp: list[str], ref: list[str]) -> float:
@@ -471,11 +463,14 @@ class Backend:
     def _extract(self, raw: object) -> object:
         if self.spec.kind in ("infill", "translator"):
             try:
-                content = raw["choices"][0]["message"]["content"]
+                choice = raw["choices"][0]
+                content = choice["message"]["content"]
             except (TypeError, KeyError, IndexError) as exc:
                 raise BackendError(f"unexpected chat reply shape: {raw!r}") from exc
             if not isinstance(content, str):
                 raise BackendError(f"chat content is not text: {content!r}")
+            if choice.get("finish_reason") not in (None, "stop"):  # cut at a token limit, or filtered
+                raise BackendError(f"chat reply did not finish: finish_reason {choice['finish_reason']!r}")
             return content
         return _extract_score(raw)
 

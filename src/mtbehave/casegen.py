@@ -10,6 +10,7 @@ score difference must stay within the judge's beta).
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Iterable
 
@@ -51,6 +52,9 @@ INFILL_PROMPT = (
     "Translation: {reference}"
 )
 
+# The prompt's fixed texts just before the masked source (the instruction after
+# {preserve}) and the masked reference, cut out at a field filler it never holds.
+SOURCE_ANCHOR, REFERENCE_ANCHOR = INFILL_PROMPT.format_map(defaultdict(lambda: "\0")).split("\0")[-3:-1]
 EN_MARKER = "Filled English:"
 ZH_MARKER = "Filled Chinese:"
 

@@ -26,7 +26,7 @@ Links = frozenset[tuple[int, int]]
 POS_TAGS = frozenset({"NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"})
 
 # Literal placeholder substituted for a masked segment on either side; a corpus
-# token may not equal it, or the infill model would fill that token too.
+# token may not hold it, or the infill model would fill inside that token too.
 MASK_TOKEN = "<mask>"
 
 
@@ -60,9 +60,10 @@ class TranslationPair:
             if not tokens:
                 raise ValueError(f"{side} has no tokens")
             # An empty token, or one holding whitespace, changes how the joined side splits.
-            if " ".join(tokens).split() != list(tokens):
+            text = " ".join(tokens)
+            if text.split() != list(tokens):
                 raise ValueError(f"{side} contains an empty or whitespace token")
-            if MASK_TOKEN in tokens:
+            if MASK_TOKEN in text:  # the tokens hold no space, so one of them holds the mask
                 raise ValueError(f"{side} contains the mask token {MASK_TOKEN!r}")
 
 

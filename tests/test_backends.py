@@ -36,8 +36,9 @@ from mtbehave.backends import (
     pipeline,
     unwrap,
 )
-from mtbehave.casegen import PromptRequest, mask_pair, parse_response, render_prompt
+from mtbehave.casegen import EN_MARKER, ZH_MARKER, PromptRequest, mask_pair, parse_response, render_prompt
 from mtbehave.codec import from_row
+from mtbehave.corpus import MASK_TOKEN
 from mtbehave.segmentation import Capability, EditableSegment
 
 from conftest import (
@@ -213,11 +214,54 @@ class TestStubChat:
         assert parse_response(reply) == (tuple(filled_src.split()), tuple(filled_ref.split()))
 
     def test_infill_reads_a_reference_that_holds_the_english_anchor_whole(self):
-        # The English sentence follows the first anchor, the Chinese one the last.
+        # The reference follows the prompt's last reference anchor, which ends the fixed
+        # text, and the source the last instruction text before that.
         pair = make_pair("p1", "the cat sat", "猫 English Sentence: 坐")
         masked = mask_pair(pair, (EditableSegment((1, 2), (0, 1), "word", "NOUN", None, False),))
         reply = stub_backend("fill", "infill", src="dog", ref="狗").infill(render_prompt(masked, Capability.NOUN))
         assert reply == "Filled English: the dog sat\nFilled Chinese: 狗 English Sentence: 坐"
+
+    def test_infill_reads_a_masked_phrase_that_the_instruction_names_as_masked(self):
+        # The noun prompt names the masked words in its instruction, before the source.
+        pair = make_pair("p1", "say English Sentence: now", "说 英语 句子 现在")
+        masked = mask_pair(pair, (EditableSegment((1, 3), (1, 3), "phrase", "NOUN", None, False),))
+        reply = stub_backend("fill", "infill").infill(render_prompt(masked, Capability.NOUN))
+        assert reply == "Filled English: say thing now\nFilled Chinese: 说 东西 现在"
+
+    # Words of the prompt's fixed texts and of the reply's markers, beside plain words.
+    # "Translation:" is left out: a reference that holds the reference anchor, which
+    # ends in it, is the one input the stub cannot tell from the prompt's own text.
+    PROMPT_WORDS = st.sampled_from(
+        ["English", "Sentence:", "Filled", "English:", "Chinese:", "Chinese", "{}", "'.", ".", "\\n"]
+        + ["the", "cat", "猫", "坐"]
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(list(Capability)))
+    def test_infill_fills_exactly_the_masked_sentences(self, data, capability):
+        source = data.draw(st.lists(self.PROMPT_WORDS, min_size=1, max_size=8))
+        reference = data.draw(st.lists(self.PROMPT_WORDS, min_size=1, max_size=8))
+        most = min(3, (len(source) + 1) // 2, (len(reference) + 1) // 2)
+        count = data.draw(st.integers(1, most)) if capability is Capability.GENERAL else 1
+
+        def spans(length):  # count disjoint spans, from 2 * count distinct cut points
+            cuts = sorted(data.draw(st.lists(st.integers(0, length), min_size=2 * count,
+                                             max_size=2 * count, unique=True)))
+            return list(zip(cuts[::2], cuts[1::2]))
+
+        segments = tuple(
+            EditableSegment(src, ref, "word" if src[1] - src[0] == 1 else "phrase",
+                            capability.tag or "OTHER", "PERSON", capability is Capability.TENSE)
+            for src, ref in zip(spans(len(source)), spans(len(reference)))
+        )
+        masked = mask_pair(make_pair("p1", tuple(source), tuple(reference)), segments)
+        reply = stub_backend("fill", "infill", src="Bob", ref="鲍勃").infill(render_prompt(masked, capability))
+
+        def filled(tokens, fill):
+            return " ".join(fill if token == MASK_TOKEN else token for token in tokens)
+
+        en, zh = filled(masked.masked_source, "Bob"), filled(masked.masked_reference, "鲍勃")
+        assert reply == f"{EN_MARKER} {en}\n{ZH_MARKER} {zh}"
 
     def test_infill_prompt_without_the_masked_sentences_fails_without_retry(self):
         transport = RecordingTransport(_StubTransport(stub_spec("fill", "infill")))
@@ -865,6 +909,30 @@ class TestReplyExtraction:
         backend = Backend(stub_spec("t", "translator"), transport=transport)
         with pytest.raises(BackendError, match="chat content is not text"):
             backend.translate("hello")
+
+    @pytest.mark.parametrize("finish_reason", ["length", "content_filter"])
+    def test_an_unfinished_chat_reply_is_an_error_that_is_not_cached(self, tmp_path, finish_reason):
+        reply = {"choices": [{"message": {"content": "the cat sat on"}, "finish_reason": finish_reason}]}
+        transport = FlakyTransport(value=reply)
+        for run in (1, 2):  # each run opens a new cache on the same directory
+            cache = ResponseCache(tmp_path)
+            backend = Backend(stub_spec("t", "translator"), cache, transport)
+            with pytest.raises(BackendError, match=f"did not finish: finish_reason '{finish_reason}'") as raised:
+                backend.translate("the cat sat on the mat")
+            cache.close()
+            assert not raised.value.retryable
+            assert transport.calls == run  # the rerun sends the request again
+        assert not (tmp_path / "cache.sqlite").exists()  # no answer came, so no row and no file
+
+    @pytest.mark.parametrize("finish", [{"finish_reason": "stop"}, {"finish_reason": None}, {}],
+                             ids=["stop", "null", "missing"])
+    def test_a_finished_chat_reply_is_an_answer_that_is_cached(self, tmp_path, finish):
+        transport = FlakyTransport(value={"choices": [{"message": {"content": "猫 坐"}, **finish}]})
+        for run in (1, 2):
+            cache = ResponseCache(tmp_path)
+            assert Backend(stub_spec("t", "translator"), cache, transport).translate("the cat sat") == "猫 坐"
+            cache.close()
+        assert transport.calls == 1  # the rerun is served from the cache
 
     def test_chat_request_shape(self):
         request = chat_request("gpt-test", "translate this")

@@ -125,10 +125,16 @@ class TestLoadPairs:
 
     @pytest.mark.parametrize(
         "line, side",
-        [("p2\tthe <mask> cat sat\t猫 坐", "source"), ("p2\tthe cat sat\t猫 <mask>", "reference")],
+        [
+            ("p2\tthe <mask> cat sat\t猫 坐", "source"),
+            ("p2\tthe cat sat\t猫 <mask>", "reference"),
+            ("p2\tthe x<mask>y cat\t猫 坐", "source"),
+            ("p2\tthe cat sat\t<mask>s 坐", "reference"),
+        ],
     )
     def test_rejects_a_token_that_is_the_mask_token(self, tmp_path, line, side):
-        # The infill model, and the stub, would fill it as if it had been masked.
+        # A token that is or holds the mask: the infill model, and the stub, would fill
+        # it as if it had been masked.
         path = write_lines(tmp_path / "pairs.tsv", "p1\ta <masked>\tb", line)
         with pytest.raises(
             CorpusError, match=re.escape(f"{path}:2: {side} contains the mask token '<mask>'")

@@ -47,14 +47,23 @@ def _raise(exc: Exception):
     raise exc
 
 
-# Each fault takes the backend kind: four raise, the last returns a reply that
-# the backend cannot read (a chat reply without choices, or a score that is text).
+def _cut_short(kind: str, reply: dict) -> dict:
+    """The reply cut short: a chat reply stopped at its token limit, a score under another key."""
+    if kind.startswith("scorer_"):
+        return {"value": reply["score"]}
+    return {"choices": [{**reply["choices"][0], "finish_reason": "length"}]}
+
+
+# Each fault takes the backend kind and the stub's reply: four raise, the other two
+# return a reply that the backend cannot read (a chat reply without choices or one
+# cut short, a score that is text or one that has no score field).
 FAULTS = (
-    lambda kind: _raise(BackendTimeout("injected timeout")),
-    lambda kind: _raise(HttpStatusError(429)),
-    lambda kind: _raise(HttpStatusError(503)),
-    lambda kind: _raise(HttpStatusError(400)),
-    lambda kind: {"score": "high"} if kind.startswith("scorer_") else {"choices": []},
+    lambda kind, reply: _raise(BackendTimeout("injected timeout")),
+    lambda kind, reply: _raise(HttpStatusError(429)),
+    lambda kind, reply: _raise(HttpStatusError(503)),
+    lambda kind, reply: _raise(HttpStatusError(400)),
+    lambda kind, reply: {"score": "high"} if kind.startswith("scorer_") else {"choices": []},
+    _cut_short,
 )
 
 
@@ -79,7 +88,8 @@ class FaultyTransport:
                 self.failed.pop(text, None)
             else:
                 self.failed[text] = request
-        return self.stub.send(request) if fault is None else fault(self.kind)
+        reply = self.stub.send(request)
+        return reply if fault is None else fault(self.kind, reply)
 
 
 def run_stages(config, extracted, backends, jobs: int, out: Path):
