@@ -311,36 +311,47 @@ class _StubTransport:
     the reference, read after the last ``casegen.REFERENCE_ANCHOR``, and the source,
     read after the last ``casegen.SOURCE_ANCHOR`` before it. The reply has ``casegen``'s
     markers. Only a reference that holds the one or a source that holds the other is misread.
-    Translator: optional ``table`` maps exact source strings to outputs, identity
+    Translator: optional ``table`` maps exact source strings to output strings, identity
     otherwise. Scorers: ``mode`` is one of ``unigram_f1`` (default for
     scorer_ref_based), ``length_ratio`` (default for scorer_ref_free), or
-    ``constant`` with ``value``. The parameters are checked when the transport is built.
+    ``constant`` with ``value``. The parameters are checked and read once, when it is built.
     """
 
     def __init__(self, spec: BackendSpec):
         self.spec = spec
-        self.params = dict(spec.stub_params)
-        if spec.kind == "translator" and not isinstance(self.params.get("table") or {}, dict):
-            raise ValueError(f"stub 'table' must be an object, got {self.params['table']!r}")
-        if spec.kind.startswith("scorer_"):
+        params = spec.stub_params
+        if unknown := sorted(set(params).difference(_STUB_PARAMS)):
+            raise ValueError(f"unknown stub parameter {unknown[0]!r}; a stub reads {', '.join(_STUB_PARAMS)}")
+        if spec.kind == "infill":
+            self.fills = params.get("src", "thing"), params.get("ref", "东西")
+            for name, fill in zip(("src", "ref"), self.fills):
+                if not isinstance(fill, str):
+                    raise ValueError(f"stub {name!r} must be a string, got {fill!r}")
+        elif spec.kind == "translator":
+            self.table = params.get("table", {})
+            if not isinstance(self.table, dict):
+                raise ValueError(f"stub 'table' must be an object, got {self.table!r}")
+            for source, output in self.table.items():
+                if not (isinstance(source, str) and isinstance(output, str)):
+                    raise ValueError(f"stub 'table' must map strings to strings, got {source!r}: {output!r}")
+        else:
             default = "unigram_f1" if spec.kind == "scorer_ref_based" else "length_ratio"
-            self.mode = self.params.get("mode", default)
+            self.mode = params.get("mode", default)
             if self.mode not in ("constant", *_STUB_SCORERS):
                 raise ValueError(f"unknown stub scorer mode {self.mode!r}")
             if self.mode == "constant":
                 try:
-                    self.value = float(self.params["value"])
+                    self.value = float(params["value"])
                 except (KeyError, TypeError, ValueError, OverflowError):
                     raise ValueError(
-                        f"stub scorer mode 'constant' needs a numeric 'value', got {self.params.get('value')!r}"
+                        f"stub scorer mode 'constant' needs a numeric 'value', got {params.get('value')!r}"
                     ) from None
 
     def send(self, request: Mapping[str, object]) -> object:
         if self.spec.kind.startswith("scorer_"):
             return {"score": self._score(request)}
         user = request["messages"][-1]["content"]
-        table = self.params.get("table") or {}
-        content = self._infill_reply(user) if self.spec.kind == "infill" else table.get(user, user)
+        content = self._infill_reply(user) if self.spec.kind == "infill" else self.table.get(user, user)
         return {"choices": [{"message": {"content": content}}]}
 
     def _infill_reply(self, prompt: str) -> str:
@@ -350,10 +361,8 @@ class _StubTransport:
         start = prompt.rfind(SOURCE_ANCHOR, 0, split) if split >= 0 else -1
         if start < 0:
             raise BackendError("stub infill prompt lacks the masked sentences")
-        src_fill = str(self.params.get("src", "thing"))
-        ref_fill = str(self.params.get("ref", "东西"))
-        filled_src = prompt[start + len(SOURCE_ANCHOR) : split].replace(MASK_TOKEN, src_fill)
-        filled_ref = prompt[split + len(REFERENCE_ANCHOR) :].replace(MASK_TOKEN, ref_fill)
+        filled_src = prompt[start + len(SOURCE_ANCHOR) : split].replace(MASK_TOKEN, self.fills[0])
+        filled_ref = prompt[split + len(REFERENCE_ANCHOR) :].replace(MASK_TOKEN, self.fills[1])
         return f"{EN_MARKER} {filled_src}\n{ZH_MARKER} {filled_ref}"
 
     def _score(self, request: Mapping[str, object]) -> float:
@@ -378,6 +387,7 @@ def _length_ratio(hyp: list[str], ref: list[str]) -> float:
 
 
 _STUB_SCORERS = {"unigram_f1": _unigram_f1, "length_ratio": _length_ratio}
+_STUB_PARAMS = ("mode", "ref", "src", "table", "value")  # read by some stub; any kind may carry each
 
 
 class Backend:
@@ -412,7 +422,7 @@ class Backend:
         if spec.transport != "replay_cache":
             answer_fields = {name: getattr(spec, name) for name in _ANSWER_FIELDS}
             self.fingerprint = canonical_request_digest(spec.backend_id, answer_fields)
-        self._sleep = _backoff if sleep is None else sleep
+        self._sleep = sleep
 
     def infill(self, prompt: "PromptRequest") -> str:
         return self._request("infill", chat_request(self.spec.model_name, prompt.rendered_text))
@@ -447,6 +457,7 @@ class Backend:
                 f"{digest[:12]}"
             )
         cancelled = getattr(_worker, "cancelled", None)
+        sleep = self._sleep or (time.sleep if cancelled is None else cancelled.wait)
         attempt = 0
         while True:
             try:
@@ -455,7 +466,7 @@ class Backend:
             except BackendError as exc:
                 if not exc.retryable or attempt >= self.spec.max_retries:
                     raise
-                self._sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
+                sleep(_BACKOFF_BASE_SECONDS * (2**attempt))
                 if cancelled is not None and cancelled.is_set():
                     raise
                 attempt += 1
@@ -564,11 +575,6 @@ def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: C
         for pool in pools:
             pool.shutdown()
     return firsts, seconds
-
-
-def _backoff(seconds: float) -> None:
-    cancelled = getattr(_worker, "cancelled", None)
-    (time.sleep if cancelled is None else cancelled.wait)(seconds)
 
 
 def _answer(fn: Callable, key) -> object:

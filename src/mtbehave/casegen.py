@@ -37,26 +37,27 @@ FILTER_STATUSES = frozenset(
 # as given. One str.format call fills every field, so no inserted text is read
 # as a field. The two-character sequence backslash-n is deliberate: the model
 # is told to reproduce that literal marker between the two filled sentences,
-# so the prompt must spell it, not contain a newline.
+# so the prompt must spell it, not contain a newline. The mask token and the
+# reply markers are joined in as text, not as fields, so the anchors below span them.
+EN_MARKER = "Filled English:"
+ZH_MARKER = "Filled Chinese:"
 INFILL_PROMPT = (
     "You are given an English sentence and its Chinese translation. In each "
-    "sentence, {masked} has been masked with the '<mask>' token. Your task is "
+    "sentence, {masked} has been masked with the '" + MASK_TOKEN + "' token. Your task is "
     "to first fill in the masked token in the English sentence using {fill} "
     "without modifying any of the unmasked tokens. Then, use the filled "
     "English sentence to fill in the masked token in its corresponding "
     "Chinese translation{zh_tense}. If necessary, make modifications to the "
     "filled Chinese translation to ensure {preserve} while preserving the "
     "meaning. Finally, please output the filled English sentence and its "
-    "filled Chinese translation in the format of 'Filled English:{{}} \\n "
-    "Filled Chinese:{{}}'. \\n English Sentence: {source}. \\n Chinese "
+    "filled Chinese translation in the format of '" + EN_MARKER + "{{}} \\n "
+    + ZH_MARKER + "{{}}'. \\n English Sentence: {source}. \\n Chinese "
     "Translation: {reference}"
 )
 
 # The prompt's fixed texts just before the masked source (the instruction after
 # {preserve}) and the masked reference, cut out at a field filler it never holds.
 SOURCE_ANCHOR, REFERENCE_ANCHOR = INFILL_PROMPT.format_map(defaultdict(lambda: "\0")).split("\0")[-3:-1]
-EN_MARKER = "Filled English:"
-ZH_MARKER = "Filled Chinese:"
 
 
 class ResponseParseError(Exception):

@@ -119,18 +119,15 @@ class RunConfig:
 def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> tuple[RunConfig, str]:
     """The config file decoded, its relative paths resolved against its directory,
     and the non-None flag overrides applied on top, with the file's sha256 digest.
-    A JSON null counts as absent; ``alpha``/``beta`` override the judge section's keys."""
+    A JSON null counts as absent in every object; ``alpha``/``beta`` override the judge section's keys."""
     path = Path(config_path)
     _expect(path.is_file(), f"config file not found: {path}")
     blob = path.read_bytes()
     try:
-        data = json.loads(blob)
+        data = json.loads(blob, object_hook=lambda members: {k: v for k, v in members.items() if v is not None})
     except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8 text, nested too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     _expect(isinstance(data, dict), f"{path}: config must be a JSON object")
-    data = {key: value for key, value in data.items() if value is not None}
-    if isinstance(data.get("judge"), dict):  # where a null counts as absent too
-        data["judge"] = {key: value for key, value in data["judge"].items() if value is not None}
     try:
         config = from_row(RunConfig, data)
     except ValueError as exc:

@@ -1355,6 +1355,20 @@ class TestConfigValidation:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest[0]["seed"] == 0
 
+    def test_a_null_is_absent_in_every_object(self, tmp_path):
+        write_corpus(tmp_path)
+        backends = backend_section()
+        backends["infill"].update(timeout=None, stub_params={"src": None, "ref": "门店"})
+        config = write_config(tmp_path, "nulls.json", backends=backends)
+        run_ok("generate", "--config", config)
+        cases = [json.loads(line) for line in (tmp_path / "out" / "cases.jsonl").read_text().splitlines()]
+        assert cases and all("thing" in case["x_prime"] for case in cases)
+        # a null slot is absent, whether its name is a backend kind or not
+        config = write_config(tmp_path, "null_slots.json", backends={**backend_section(), "infill": None, "mt": None})
+        result = invoke("generate", "--config", config)
+        assert result.exit_code == 1
+        assert "config declares no 'infill' backend" in result.output
+
     def test_a_flag_overrides_one_judge_key_and_keeps_the_other(self, tmp_path):
         config = write_config(tmp_path, judge={"alpha": 0.5, "beta": 0.2})
         write_corpus(tmp_path)
@@ -1438,8 +1452,17 @@ class TestConfigValidation:
             ),
             ("scorer_ref_free", {"mode": "bogus"}, "unknown stub scorer mode 'bogus'"),
             ("translator", {"table": ["x"]}, "stub 'table' must be an object, got ['x']"),
+            (
+                "scorer_ref_free",
+                {"mdoe": "constant", "value": 0.9},
+                "unknown stub parameter 'mdoe'; a stub reads mode, ref, src, table, value",
+            ),
+            ("translator", {"table": {"x": 7}}, "stub 'table' must map strings to strings, got 'x': 7"),
+            ("infill", {"src": 7, "ref": "门店"}, "stub 'src' must be a string, got 7"),
+            ("infill", {"src": "store", "ref": ["门店"]}, "stub 'ref' must be a string, got ['门店']"),
         ],
-        ids=["constant without value", "constant value abc", "unknown mode", "table list"],
+        ids=["constant without value", "constant value abc", "unknown mode", "table list",
+             "unknown key", "table value 7", "src 7", "ref list"],
     )
     def test_bad_stub_params_exit_1_when_the_backend_is_built(self, tmp_path, slot, stub_params, message):
         config = workspace(tmp_path)
