@@ -184,7 +184,7 @@ def parse_response(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     it, so leading chatter is ignored and a Chinese fill may hold the English
     marker; a reply with no "Filled Chinese:" after a "Filled English:" lacks
     the Chinese marker. A whitespace-free Chinese fill is split into one token
-    per character.
+    per character; a fill that still holds the mask token is an error.
     """
     if EN_MARKER not in raw:
         raise ResponseParseError(f"reply lacks the {EN_MARKER!r} marker")
@@ -194,10 +194,11 @@ def parse_response(raw: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         raise ResponseParseError(f"reply lacks the {ZH_MARKER!r} marker")
     en_text = _clean_fill(raw[anchor + len(EN_MARKER) : zh_anchor])
     zh_text = _clean_fill(raw[zh_anchor + len(ZH_MARKER) :])
-    if not en_text:
-        raise ResponseParseError("the English fill is empty")
-    if not zh_text:
-        raise ResponseParseError("the Chinese fill is empty")
+    for side, text in (("English", en_text), ("Chinese", zh_text)):
+        if not text:
+            raise ResponseParseError(f"the {side} fill is empty")
+        if MASK_TOKEN in text:  # no corpus token holds it, so the model left it unfilled
+            raise ResponseParseError(f"the {side} fill still holds {MASK_TOKEN!r}")
     en_tokens = tuple(en_text.split())
     if any(ch.isspace() for ch in zh_text):
         zh_tokens = tuple(zh_text.split())
@@ -309,4 +310,4 @@ def write_cases(cases: Iterable[TestCase], path) -> None:
 
 def read_cases(path) -> list[TestCase]:
     """Read a cases file back; raw responses are not stored, only digests."""
-    return read_jsonl(path, TestCase, "case record")
+    return list(read_jsonl(path, TestCase, "case record", lambda case: case.case_id).values())

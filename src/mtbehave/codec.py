@@ -13,8 +13,9 @@ values read as ``X`` (as read for ``object``); a dataclass is an object read the
 way, and an error inside either names the key path (``judge.alpha``, ``inputs['a']``).
 A missing key takes the field's default, or is an error where there is none; an unknown
 key is an error. A bad line of a JSON Lines file raises CorpusError as
-``path:line: bad <what>: <reason>``, the reason naming the key, and a byte
-that is not UTF-8 in a text input as ``path:line: <reason>``.
+``path:line: bad <what>: <reason>``, the reason naming the key; a line whose record
+key an earlier line has as ``path:line: duplicate <what> <key>``; and a byte that is
+not UTF-8 in a text input as ``path:line: <reason>``. A leading byte-order mark is read past.
 
 Every write fills a temporary file beside the target and renames it over the
 target, so an interrupted stage leaves the previous file, never half of one.
@@ -226,25 +227,29 @@ def from_row(cls: type, row: object):
 
 
 def read_lines(path) -> list[str]:
-    """A UTF-8 file's lines as text mode reads them; a byte that is not UTF-8
-    raises CorpusError ``path:line: …``."""
+    """A UTF-8 file's lines as text mode reads them, past a leading byte-order mark;
+    a byte that is not UTF-8 raises CorpusError ``path:line: …``."""
     blob = Path(path).read_bytes()
     try:
-        return io.StringIO(blob.decode("utf-8"), newline=None).readlines()
+        return io.StringIO(blob.decode("utf-8-sig"), newline=None).readlines()
     except UnicodeDecodeError as exc:
-        head = blob[: exc.start]  # line ends as text mode splits them: \n, \r, \r\n
+        head = exc.object[: exc.start]  # the bytes after any mark; line ends as text mode splits them
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise CorpusError(f"{path}:{lineno}: {exc}") from None
 
 
-def read_jsonl(path, cls: type, what: str) -> list:
-    """One ``cls`` per line; a bad line raises CorpusError naming file and line."""
-    rows = []
+def read_jsonl(path, cls: type, what: str, key: Callable[[object], object]) -> dict:
+    """One ``cls`` per line, each under ``key(record)`` in file order; a bad line, or one
+    whose key an earlier line has, raises CorpusError naming file and line."""
+    records = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
             if not line.strip():
                 raise ValueError("blank line")
-            rows.append(from_row(cls, json.loads(line)))
+            record = from_row(cls, json.loads(line))
         except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise CorpusError(f"{path}:{lineno}: bad {what}: {exc}") from exc
-    return rows
+        if (name := key(record)) in records:
+            raise CorpusError(f"{path}:{lineno}: duplicate {what} {name!r}")
+        records[name] = record
+    return records

@@ -157,18 +157,16 @@ def load_alignments(path, pairs: Mapping[str, TranslationPair]) -> list[Links]:
 def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, Annotation]:
     """Read the JSONL annotation file; exactly one record per corpus pair.
 
-    The codec checks each record's keys and types, and :class:`Annotation` its
-    POS tags, span validity and NE labels; this loader checks the ids (no unknown,
-    repeated or missing pair) and each record's lengths and span ends against its
-    pair. A repeated span is kept as written: extraction reads spans as sets.
+    The codec checks each record's keys and types and that no id repeats, and
+    :class:`Annotation` its POS tags, span validity and NE labels; this loader checks
+    the ids (no unknown or missing pair) and each record's lengths and span ends against
+    its pair. A repeated span is kept as written: extraction reads spans as sets.
     """
-    annotations: dict[str, Annotation] = {}
-    for lineno, note in enumerate(read_jsonl(path, Annotation, "annotation record"), start=1):
+    annotations = read_jsonl(path, Annotation, "annotation record", lambda note: note.pair_id)
+    for lineno, note in enumerate(annotations.values(), start=1):
         pair = pairs.get(note.pair_id)
         if pair is None:
             _fail(path, lineno, f"unknown pair id {note.pair_id!r}")
-        if note.pair_id in annotations:
-            _fail(path, lineno, f"duplicate annotation for pair {note.pair_id!r}")
         n_src = len(pair.source)
         if len(note.pos) != n_src:
             _fail(path, lineno, f"pos must list one tag per source token ({n_src})")
@@ -180,7 +178,6 @@ def load_annotations(path, pairs: Mapping[str, TranslationPair]) -> dict[str, An
             for start, end, *_ in spans:
                 if end > limit:
                     _fail(path, lineno, f"{what} ({start}, {end}) out of range (length {limit})")
-        annotations[note.pair_id] = note
     absent = [pair_id for pair_id in pairs if pair_id not in annotations]
     if absent:
         raise CorpusError(f"{path}: missing annotation records for pairs {absent}")

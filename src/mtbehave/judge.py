@@ -184,7 +184,7 @@ def write_records(records: Iterable[TranslationRecord], path) -> None:
 
 
 def read_records(path) -> list[TranslationRecord]:
-    return read_jsonl(path, TranslationRecord, "record")
+    return list(read_jsonl(path, TranslationRecord, "record", lambda row: (row.case_id, row.system_id)).values())
 
 
 def write_verdicts(verdicts: Iterable[Verdict], path) -> None:
@@ -192,4 +192,4 @@ def write_verdicts(verdicts: Iterable[Verdict], path) -> None:
 
 
 def read_verdicts(path) -> list[Verdict]:
-    return read_jsonl(path, Verdict, "verdict")
+    return list(read_jsonl(path, Verdict, "verdict", lambda row: (row.case_id, row.system_id)).values())

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .casegen import STATUS_KEPT, TestCase
 from .codec import json_text, read_jsonl, row_keys, to_row, write_text
-from .corpus import CorpusError, Span, check_span, spans_overlap
+from .corpus import Span, check_span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
 
@@ -184,13 +184,7 @@ def error_position_analysis(
 
 def load_gold(path) -> dict[tuple[str, str], GoldErrorAnnotation]:
     """Read gold error annotations, keyed by (case_id, system_id)."""
-    gold: dict[tuple[str, str], GoldErrorAnnotation] = {}
-    for lineno, row in enumerate(read_jsonl(path, GoldErrorAnnotation, "gold row"), start=1):
-        key = (row.case_id, row.system_id)
-        if key in gold:
-            raise CorpusError(f"{path}:{lineno}: duplicate gold row for {key}")
-        gold[key] = row
-    return gold
+    return read_jsonl(path, GoldErrorAnnotation, "gold row", lambda row: (row.case_id, row.system_id))
 
 
 def render_report_json(rows: Sequence[CapabilityReport]) -> str:

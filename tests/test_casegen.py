@@ -260,6 +260,19 @@ class TestParseResponse:
         with pytest.raises(ResponseParseError, match="the Chinese fill is empty"):
             parse_response("Filled English: ok\nFilled Chinese: ")
 
+    @pytest.mark.parametrize(
+        "raw, side",
+        [
+            ("Filled English: the <mask> closed\nFilled Chinese: 门店 关门", "English"),
+            ("Filled English: the store closed\nFilled Chinese: <mask> 关门", "Chinese"),
+            ("Filled English: the x<mask>y closed\nFilled Chinese: 门店 关门", "English"),
+            ("Filled English: the store closed\nFilled Chinese: 门<mask>店", "Chinese"),
+        ],
+    )
+    def test_a_fill_that_keeps_the_mask_is_an_error(self, raw, side):
+        with pytest.raises(ResponseParseError, match=f"^the {side} fill still holds '<mask>'$"):
+            parse_response(raw)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.text("abcdef", min_size=1, max_size=4), min_size=1, max_size=5),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import atexit
+import codecs
 import gc
 import hashlib
 import json
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtbehave
-from mtbehave import __version__, corpus, segmentation
+from mtbehave import __version__, codec, corpus, segmentation
 from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
 from mtbehave.cli import (
@@ -47,7 +49,7 @@ from mtbehave.segmentation import MAX_PLANS_PER_PAIR, Capability
 from conftest import backend_reads, cache_rows, damage_cache_row, run_cli
 from dumpers import load_report
 from test_acceptance import build_stub_workspace
-from test_pipeline_bytes import write_gold as write_c07_gold
+from test_pipeline_bytes import EXPECTED_SHA256, write_gold as write_c07_gold
 
 SENTENCES = {
     "base": "the little shop closed early today",
@@ -337,6 +339,20 @@ class TestGenerate:
         assert result.exit_code == 2
         assert f"{pairs}:3: source contains the mask token '<mask>'" in result.output
         assert not (tmp_path / "out" / "cases.jsonl").exists()
+
+    def test_a_fill_that_leaves_the_mask_errors_its_case(self, tmp_path):
+        # No corpus token holds the mask, so one in a fill is a slot the model left
+        # unfilled; kept, its case would blame the MT system for translating it.
+        config = build_stub_workspace(tmp_path)
+        document = json.loads(config.read_text(encoding="utf-8"))
+        document["backends"]["infill"]["stub_params"] = {"src": "<mask>", "ref": "<mask>"}
+        write_document(config, document)
+        result = run_ok("generate", "--config", config)
+        assert "(kept 0, identical 0, quality-dropped 0, errors 50)" in result.output
+        cases = read_cases(tmp_path / "out" / "cases.jsonl")
+        assert {(case.error_kind, case.error) for case in cases} == {
+            ("parse", "the English fill still holds '<mask>'")
+        }
 
     def test_missing_backend_is_a_usage_error(self, tmp_path):
         write_corpus(tmp_path)
@@ -797,6 +813,38 @@ def judged_c07(tmp_path_factory) -> Path:
     return root
 
 
+def run_c07(root: Path, *report_formats: str) -> None:
+    """Every stage on the C07 workspace at ``root``, the report once in each format."""
+    config = root / "config.json"
+    for stage in FULL_PIPELINE[:-1]:
+        run_ok(stage, "--config", config, *(["--gold", root / "gold.jsonl"] if stage == "eval" else []))
+    for report_format in report_formats:
+        run_ok("report", "--config", config, "--format", report_format)
+
+
+def test_every_stage_plans_its_records_without_a_warning(tmp_path):
+    # A record type's codec plan evaluates its fields' annotations and builds their
+    # decoders the first time a stage reads or writes one; the json report plans
+    # CapabilityReport, and the run config its nested records.
+    build_stub_workspace(tmp_path)
+    write_c07_gold(tmp_path)
+    codec._plan.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_c07(tmp_path, "json")
+
+
+def test_a_leading_byte_order_mark_leaves_every_artifact_byte(tmp_path):
+    build_stub_workspace(tmp_path)
+    write_c07_gold(tmp_path)
+    for name in ("pairs.tsv", "alignments.txt", "annotations.jsonl", "gold.jsonl"):
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    run_c07(tmp_path, "markdown", "json", "csv")
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in EXPECTED_SHA256}
+    assert digests == EXPECTED_SHA256
+
+
 # Each row artifact a stage reads back: the stage, the row's type, and how a bad row is named.
 READERS = {
     "out/cases.jsonl": (["judge"], Case, "case record"),
@@ -892,6 +940,32 @@ class TestMistypedRows:
                 run = (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
             with edited_copy(judged_c07, artifact, key, to_row(decoded)[key]) as (root, result, outputs):
                 assert run == (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
+
+
+@pytest.mark.parametrize(
+    "artifact, what, key",
+    [
+        ("annotations.jsonl", "annotation record", "p00"),
+        ("out/cases.jsonl", "case record", "p00-noun-000"),
+        ("out/records.jsonl", "record", ("p00-noun-000", "stub-mt")),
+        ("out/verdicts.jsonl", "verdict", ("p00-noun-000", "stub-mt")),
+        ("gold.jsonl", "gold row", ("p00-noun-000", "stub-mt")),
+    ],
+    ids=["annotations", "cases", "records", "verdicts", "gold"],
+)
+def test_a_repeated_row_exits_2_naming_file_line_and_key(judged_c07, tmp_path, artifact, what, key):
+    # Each pass rate counts every case, record and verdict once, and eval each gold row.
+    root = shutil.copytree(judged_c07, tmp_path / "c07")
+    path = root / artifact
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    if artifact in READERS:
+        result = run_reader(root, artifact)
+    else:
+        result = invoke("extract", "--config", root / "config.json")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == f"error: {path}:{len(lines) + 1}: duplicate {what} {key!r}\n"
 
 
 JSON_VALUES = st.one_of(

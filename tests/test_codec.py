@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import codecs
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -34,6 +36,10 @@ class Typed:
     triples: tuple[tuple[int, int, str], ...]
     params: Mapping[str, object]
     weights: Mapping[str, float] = field(default_factory=dict)
+
+
+def by_name(row: Row) -> str:
+    return row.name
 
 
 TYPED = {"flag": True, "count": 2, "score": 0.5, "tokens": ["a"], "triples": [[0, 1, "x"]], "params": {}}
@@ -91,7 +97,8 @@ class TestRows:
         path = tmp_path / "rows.jsonl"
         rows = [Row("a", Shade.DARK, ((0, 1), (2, 4))), Row("b", Shade.LIGHT)]
         codec.write_jsonl(path, map(codec.to_row, rows))
-        assert codec.read_jsonl(path, Row, "row") == rows
+        read = codec.read_jsonl(path, Row, "row", by_name)
+        assert list(read.items()) == [("a", rows[0]), ("b", rows[1])]  # in file order
 
     def test_a_missing_key_takes_the_default(self):
         assert codec.from_row(Row, {"name": "a", "shade": "light"}) == Row("a", Shade.LIGHT)
@@ -111,7 +118,22 @@ class TestRows:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"name": "ok", "shade": "dark"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=f"rows.jsonl:2: bad row: {reason}"):
-            codec.read_jsonl(path, Row, "row")
+            codec.read_jsonl(path, Row, "row", by_name)
+
+    def test_a_repeated_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        codec.write_jsonl(path, map(codec.to_row, [Row("a", Shade.DARK), Row("b", Shade.DARK), Row("a", Shade.LIGHT)]))
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}:3: duplicate row 'a'") + "$"):
+            codec.read_jsonl(path, Row, "row", by_name)
+        assert len(codec.read_jsonl(path, Row, "row", lambda row: (row.name, row.shade))) == 3
+
+    def test_a_leading_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"a\nb\n")
+        assert codec.read_lines(path) == ["a\n", "b\n"]
+        path.write_bytes(codecs.BOM_UTF8 + b"a\nb\nc\xff\n")  # lines count from the file's start
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}:3: 'utf-8' codec can't decode byte 0xff")):
+            codec.read_lines(path)
 
     def test_values_convert_to_the_field_types(self):
         params = {"k": [1]}
@@ -175,6 +197,6 @@ class TestRows:
         monkeypatch.setattr(codec, "fields", lambda cls: calls.append(cls) or real(cls))
         codec._plan.cache_clear()
         path = tmp_path / "rows.jsonl"
-        codec.write_jsonl(path, map(codec.to_row, [Row("a", Shade.DARK)] * 3))
-        assert len(codec.read_jsonl(path, Row, "row")) == 3
+        codec.write_jsonl(path, map(codec.to_row, [Row(name, Shade.DARK) for name in "abc"]))
+        assert len(codec.read_jsonl(path, Row, "row", by_name)) == 3
         assert calls == [Row]
