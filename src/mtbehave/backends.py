@@ -124,9 +124,6 @@ _CREATE_TABLE = (
     "fingerprint TEXT, value TEXT, PRIMARY KEY (backend_id, digest)) WITHOUT ROWID"
 )
 _SELECT_BACKEND = "SELECT digest, fingerprint, value FROM entries WHERE backend_id = ?"
-# int() raises ValueError on NaN and the infinities, so a row that holds one (written
-# before scores had to be finite) reads as corrupt: a miss, never a score for the judge.
-_VALUE_DECODER = json.JSONDecoder(parse_constant=int)
 
 
 class ResponseCache:
@@ -156,9 +153,9 @@ class ResponseCache:
 
     def get(self, backend_id: str, digest: str,
             fingerprint: str | None = None) -> tuple[bool, object]:
-        """(hit, value); an absent row, or one whose value is not JSON text, is a miss,
-        and so is one stored under another ``fingerprint`` unless that is None.
-        The first call for a ``backend_id`` reads that backend's committed rows."""
+        """(hit, value) with the value as JSON decodes it; an absent row, or one whose value is
+        not JSON text, is a miss, and so is one stored under another ``fingerprint`` unless that
+        is None. The first call for a ``backend_id`` reads that backend's committed rows."""
         with self._lock:
             row = self._pending.get((backend_id, digest))  # so a repeat before the commit is a hit
             if row is None:
@@ -168,12 +165,10 @@ class ResponseCache:
                         lambda db: {d: (f, v) for d, f, v in db.execute(_SELECT_BACKEND, (backend_id,))}
                     )
                 row = None if rows is None else rows.get(digest)
-        if row is None or not isinstance(row[1], str):
-            return False, None
-        if fingerprint is not None and row[0] != fingerprint:
+        if row is None or not isinstance(row[1], str) or fingerprint not in (None, row[0]):
             return False, None
         try:
-            return True, _VALUE_DECODER.decode(row[1])
+            return True, json.loads(row[1])
         except ValueError:
             return False, None
 
@@ -445,7 +440,7 @@ class Backend:
         if self.cache is None:
             return self._call_upstream(request, digest)
         hit, value = self.cache.get(self.spec.backend_id, digest, self.fingerprint)
-        if not hit:
+        if not (hit and _is_answer(kind, value)):  # a row of another type is refetched and replaced
             value = self._call_upstream(request, digest)
             self.cache.put(self.spec.backend_id, digest, value, self.fingerprint)
         return value
@@ -478,12 +473,21 @@ class Backend:
                 content = choice["message"]["content"]
             except (TypeError, KeyError, IndexError) as exc:
                 raise BackendError(f"unexpected chat reply shape: {raw!r}") from exc
-            if not isinstance(content, str):
+            if not _is_answer(self.spec.kind, content):
                 raise BackendError(f"chat content is not text: {content!r}")
             if choice.get("finish_reason") not in (None, "stop"):  # cut at a token limit, or filtered
                 raise BackendError(f"chat reply did not finish: finish_reason {choice['finish_reason']!r}")
             return content
         return _extract_score(raw)
+
+
+def _is_answer(kind: str, value: object) -> bool:
+    """Whether ``value`` is an answer a ``kind`` backend may hand out, upstream's or the
+    cache's: text for a chat kind, a finite float for a scorer (NaN passes every judge
+    comparison and is not valid JSON in records.jsonl)."""
+    if kind in ("infill", "translator"):
+        return isinstance(value, str)
+    return type(value) is float and math.isfinite(value)
 
 
 def _extract_score(raw: object) -> float:
@@ -492,16 +496,13 @@ def _extract_score(raw: object) -> float:
         if "score" not in raw:
             raise BackendError(f"scorer reply has no score field: {raw!r}")
         value = raw["score"]
-    # NaN passes every judge comparison and is not valid JSON in records.jsonl.
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            score = float(value)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if math.isfinite(score):
-                return score
-    raise BackendError(f"scorer reply is not a finite number: {value!r}")
+    try:  # a bool is an int to float(), but no score
+        score = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        score = None
+    if not _is_answer("scorer_ref_free", score):  # one rule for both scorer kinds
+        raise BackendError(f"scorer reply is not a finite number: {value!r}")
+    return score
 
 
 def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: Callable,

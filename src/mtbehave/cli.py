@@ -161,7 +161,7 @@ def _now() -> str:
 @dataclass(frozen=True)
 class ManifestEntry:
     """One stage run in manifest.json: each field is a key, in the file's order;
-    ``inputs`` and ``outputs`` map each file read or written to its sha256 digest."""
+    ``inputs`` and ``outputs`` map each file read or written, by absolute path, to its sha256 digest."""
 
     stage: str
     tool_version: str
@@ -198,10 +198,11 @@ class RunManifest:
         return cls(path, entries)
 
     def record_stage(self, name: str, stage: Stage, outputs: list[Path], started_at: str, finished_at: str) -> None:
+        key = os.path.abspath  # a file's one key, however the config's path was spelled
         entry = ManifestEntry(name, __version__, stage.config_digest, stage.config.seed,
-                              {str(p): _file_digest(p) for p in stage.inputs},
-                              {str(p): _file_digest(p) for p in outputs}, started_at, finished_at)
-        pruned = [replace(old, outputs={k: v for k, v in old.outputs.items() if k not in entry.outputs})
+                              {key(p): _file_digest(p) for p in stage.inputs},
+                              {key(p): _file_digest(p) for p in outputs}, started_at, finished_at)
+        pruned = [replace(old, outputs={k: v for k, v in old.outputs.items() if key(k) not in entry.outputs})
                   for old in self.entries]
         self.entries = [old for old in pruned if old.outputs] + [entry]
         write_json(self.path, list(map(to_row, self.entries)))

@@ -230,12 +230,13 @@ def read_lines(path) -> list[str]:
     """A UTF-8 file's lines as text mode reads them, past a leading byte-order mark;
     a byte that is not UTF-8 raises CorpusError ``path:line: …``."""
     blob = Path(path).read_bytes()
-    try:
-        return io.StringIO(blob.decode("utf-8-sig"), newline=None).readlines()
+    try:  # not "utf-8-sig": it decodes the bytes after the mark, so a bad byte's position would be off by 3
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = exc.object[: exc.start]  # the bytes after any mark; line ends as text mode splits them
+        head = blob[: exc.start]  # line ends as text mode splits them
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise CorpusError(f"{path}:{lineno}: {exc}") from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None).readlines()
 
 
 def read_jsonl(path, cls: type, what: str, key: Callable[[object], object]) -> dict:

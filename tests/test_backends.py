@@ -470,6 +470,37 @@ class TestBackendCaching:
         assert transport.call_count == 1
         assert cache_rows(response_cache) == {("s", digest): (backend.fingerprint, "0.5")}
 
+    @pytest.mark.parametrize(
+        "kind, stored",
+        [
+            ("infill", 7), ("infill", None), ("translator", 7), ("translator", None),
+            ("scorer_ref_free", "0.5"), ("scorer_ref_free", True), ("scorer_ref_free", None),
+            ("scorer_ref_based", "0.5"), ("scorer_ref_based", True), ("scorer_ref_based", None),
+        ],
+    )
+    def test_a_cached_row_of_another_type_is_refetched_once_and_replaced(self, response_cache, kind, stored):
+        scorer = kind.startswith("scorer_")
+        reply = {"score": 0.5} if scorer else {"choices": [{"message": {"content": "答案"}}]}
+        transport = RecordingTransport(lambda request: reply)
+        backend = Backend(stub_spec("b", kind), cache=response_cache, transport=transport)
+        ask = {
+            "infill": lambda backend: backend.infill(PromptRequest("general", "fill the <mask>")),
+            "translator": lambda backend: backend.translate("hello"),
+            "scorer_ref_free": lambda backend: backend.score("a", "b"),
+            "scorer_ref_based": lambda backend: backend.score("a", "b", "c"),
+        }[kind]
+        answer = ask(backend)
+        ((key, row),) = cache_rows(response_cache).items()
+        damage_cache_row(response_cache, *key, value=json.dumps(stored))
+        assert (ask(backend), ask(backend)) == (answer, answer)
+        assert transport.call_count == 2
+        assert cache_rows(response_cache) == {key: row}
+
+        damage_cache_row(response_cache, *key, value=json.dumps(stored))
+        replay = Backend(BackendSpec("b", kind, "replay_cache"), cache=response_cache)
+        with pytest.raises(BackendError, match="no cached response for request"):
+            ask(replay)
+
     def test_no_cache_means_every_call_goes_up(self):
         transport = RecordingTransport(lambda request: {"score": 0.5})
         backend = Backend(stub_spec("s", "scorer_ref_free"), transport=transport)

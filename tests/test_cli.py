@@ -623,6 +623,26 @@ class TestManifest:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert len(manifest) == 4 and manifest[3]["stage"] == "sweep"
 
+    def test_a_file_has_one_key_however_the_config_path_is_spelled(self, tmp_path, monkeypatch):
+        config = workspace(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for spelling in ("config.json", config):
+            run_ok("extract", "--config", spelling)
+            run_ok("generate", "--config", spelling)
+        expected = [("extract", [str(tmp_path / "out" / "segments.jsonl")]),
+                    ("generate", [str(tmp_path / "out" / "cases.jsonl")])]
+        manifest = read_manifest(tmp_path)
+        assert [(entry["stage"], list(entry["outputs"])) for entry in manifest] == expected
+        assert stale_outputs(manifest) == []
+
+        # a manifest written with relative keys collapses on the next run from its directory
+        for entry in manifest:
+            entry["outputs"] = {os.path.relpath(name): digest for name, digest in entry["outputs"].items()}
+        (tmp_path / "out" / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        run_ok("extract", "--config", "config.json")
+        run_ok("generate", "--config", "config.json")
+        assert [(entry["stage"], list(entry["outputs"])) for entry in read_manifest(tmp_path)] == expected
+
     def test_corrupt_manifest_is_a_data_error_before_any_write(self, tmp_path):
         config = workspace(tmp_path)
         run_ok("generate", "--config", config)
@@ -843,6 +863,27 @@ def test_a_leading_byte_order_mark_leaves_every_artifact_byte(tmp_path):
     run_c07(tmp_path, "markdown", "json", "csv")
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in EXPECTED_SHA256}
     assert digests == EXPECTED_SHA256
+
+
+def test_a_cached_row_of_another_type_leaves_every_artifact_byte(tmp_path):
+    config = build_stub_workspace(tmp_path)
+    cache = ResponseCache(tmp_path / "cache")
+    for stage in ("generate", "judge"):
+        run_ok(stage, "--config", config, "--cache-root", cache.root)
+    rows = cache_rows(cache)
+    # a value of another JSON type in one row per slot, and a NaN score
+    stored = [("stub-infill", "7"), ("stub-qe", "true"), ("stub-mt", "7"), ("stub-f1", '"abc"'), ("stub-f1", "NaN")]
+    damaged = {}
+    for backend_id, value in stored:
+        key = sorted(key for key in rows if key[0] == backend_id and key not in damaged)[0]
+        damage_cache_row(cache, *key, value=value)
+        damaged[key] = rows[key]
+    for stage in ("generate", "judge"):
+        run_ok(stage, "--config", config, "--cache-root", cache.root)
+    names = ("cases.jsonl", "records.jsonl", "verdicts.jsonl")
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in names}
+    assert digests == {name: EXPECTED_SHA256[name] for name in names}
+    assert cache_rows(cache) == rows  # each damaged row holds its answer again
 
 
 # Each row artifact a stage reads back: the stage, the row's type, and how a bad row is named.

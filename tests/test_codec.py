@@ -135,6 +135,12 @@ class TestRows:
         with pytest.raises(CorpusError, match="^" + re.escape(f"{path}:3: 'utf-8' codec can't decode byte 0xff")):
             codec.read_lines(path)
 
+    def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_file_offset(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"a\nb\nc\xff")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}:3: ") + ".* in position 8: "):
+            codec.read_lines(path)
+
     def test_values_convert_to_the_field_types(self):
         params = {"k": [1]}
         typed = codec.from_row(Typed, {**TYPED, "score": 1, "params": params, "weights": {"w": 1}})

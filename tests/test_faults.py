@@ -6,15 +6,18 @@ the seed, the request and k, so the threads of ``jobs`` 4 meet the same
 faults as ``jobs`` 1. Under every schedule hypothesis draws, ``generate_cases``
 and ``score_records`` return normally, each case and record that carries no
 error equals the fault-free run's, no failed request leaves a cache row, and a
-fault-free rerun on the same cache writes the fault-free run's bytes.
+fault-free rerun on the same cache writes the fault-free run's bytes, even after
+a share of the cache rows were given values of another JSON type.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sqlite3
 import tempfile
 import threading
+from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
 
@@ -132,6 +135,28 @@ def fault_free(tmp_path_factory) -> FaultFree:
     return FaultFree(config, extracted, cases, records, {name: (root / "out" / name).read_bytes() for name in ARTIFACTS})
 
 
+# Stored values of another JSON type than a backend's answer: text for a chat kind, a finite float for a scorer.
+WRONG_TYPES = {
+    "chat": ("7", "null", "true", "[]", '{"content": "x"}'),
+    "scorer": ('"0.5"', "true", "null", "1", "[0.5]", '{"score": 0.5}', "NaN"),
+}
+
+
+def corrupt_rows(cache: ResponseCache, rows: dict, kinds: dict[str, str], seed: int, rate: float) -> None:
+    """Give a ``rate`` share of the cache ``rows``, drawn from ``seed``, a value of another JSON type."""
+    draw = random.Random(f"{seed}:corrupt")
+    damage = [
+        (draw.choice(WRONG_TYPES["scorer" if kinds[backend_id].startswith("scorer_") else "chat"]), backend_id, digest)
+        for backend_id, digest in sorted(rows)
+        if draw.random() < rate
+    ]
+    cache.close()
+    if not damage:  # the file may not exist: no answer came
+        return
+    with closing(sqlite3.connect(cache.path)) as db, db:
+        db.executemany("UPDATE entries SET value = ? WHERE backend_id = ? AND digest = ?", damage)
+
+
 @pytest.mark.parametrize("jobs", [1, 4])
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32), rate=st.sampled_from([0.05, 0.2, 0.5, 1.0]))
@@ -162,6 +187,7 @@ def test_faults_fail_only_their_own_cases_and_a_rerun_converges(fault_free, jobs
             for request in transport.failed.values():
                 assert (spec.backend_id, canonical_request_digest(spec.backend_id, request)) not in rows
 
+        corrupt_rows(cache, rows, {spec.backend_id: spec.kind for spec in slots}, seed, rate)
         run_stages(config, extracted, [Backend(spec, cache) for spec in slots], jobs, temp / "rerun")
         cache.close()
         assert {name: (temp / "rerun" / name).read_bytes() for name in ARTIFACTS} == clean_bytes
