@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
+from .codec import from_row
 from .corpus import MASK_TOKEN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -298,6 +299,17 @@ class _HttpTransport:
             raise BackendError("response body is not JSON") from exc
 
 
+@dataclass(frozen=True)
+class StubParams:
+    """A stub's ``stub_params``, read by the codec like every other config record."""
+
+    src: str = "thing"
+    ref: str = "东西"
+    table: Mapping[str, str] = field(default_factory=dict)
+    mode: str | None = None
+    value: float | None = None
+
+
 class _StubTransport:
     """Deterministic local stand-in for an upstream model.
 
@@ -309,44 +321,28 @@ class _StubTransport:
     Translator: optional ``table`` maps exact source strings to output strings, identity
     otherwise. Scorers: ``mode`` is one of ``unigram_f1`` (default for
     scorer_ref_based), ``length_ratio`` (default for scorer_ref_free), or
-    ``constant`` with ``value``. The parameters are checked and read once, when it is built.
+    ``constant`` with ``value``. The codec reads the parameters once, when it is built.
     """
 
     def __init__(self, spec: BackendSpec):
         self.spec = spec
-        params = spec.stub_params
-        if unknown := sorted(set(params).difference(_STUB_PARAMS)):
-            raise ValueError(f"unknown stub parameter {unknown[0]!r}; a stub reads {', '.join(_STUB_PARAMS)}")
-        if spec.kind == "infill":
-            self.fills = params.get("src", "thing"), params.get("ref", "东西")
-            for name, fill in zip(("src", "ref"), self.fills):
-                if not isinstance(fill, str):
-                    raise ValueError(f"stub {name!r} must be a string, got {fill!r}")
-        elif spec.kind == "translator":
-            self.table = params.get("table", {})
-            if not isinstance(self.table, dict):
-                raise ValueError(f"stub 'table' must be an object, got {self.table!r}")
-            for source, output in self.table.items():
-                if not (isinstance(source, str) and isinstance(output, str)):
-                    raise ValueError(f"stub 'table' must map strings to strings, got {source!r}: {output!r}")
-        else:
+        try:
+            self.params = from_row(StubParams, spec.stub_params)
+        except ValueError as exc:
+            raise ValueError(f"stub_params: {exc}") from None
+        if spec.kind.startswith("scorer_"):
             default = "unigram_f1" if spec.kind == "scorer_ref_based" else "length_ratio"
-            self.mode = params.get("mode", default)
+            self.mode = default if self.params.mode is None else self.params.mode
             if self.mode not in ("constant", *_STUB_SCORERS):
                 raise ValueError(f"unknown stub scorer mode {self.mode!r}")
-            if self.mode == "constant":
-                try:
-                    self.value = float(params["value"])
-                except (KeyError, TypeError, ValueError, OverflowError):
-                    raise ValueError(
-                        f"stub scorer mode 'constant' needs a numeric 'value', got {params.get('value')!r}"
-                    ) from None
+            if self.mode == "constant" and self.params.value is None:
+                raise ValueError("stub scorer mode 'constant' needs a 'value'")
 
     def send(self, request: Mapping[str, object]) -> object:
         if self.spec.kind.startswith("scorer_"):
             return {"score": self._score(request)}
         user = request["messages"][-1]["content"]
-        content = self._infill_reply(user) if self.spec.kind == "infill" else self.table.get(user, user)
+        content = self._infill_reply(user) if self.spec.kind == "infill" else self.params.table.get(user, user)
         return {"choices": [{"message": {"content": content}}]}
 
     def _infill_reply(self, prompt: str) -> str:
@@ -356,13 +352,13 @@ class _StubTransport:
         start = prompt.rfind(SOURCE_ANCHOR, 0, split) if split >= 0 else -1
         if start < 0:
             raise BackendError("stub infill prompt lacks the masked sentences")
-        filled_src = prompt[start + len(SOURCE_ANCHOR) : split].replace(MASK_TOKEN, self.fills[0])
-        filled_ref = prompt[split + len(REFERENCE_ANCHOR) :].replace(MASK_TOKEN, self.fills[1])
+        filled_src = prompt[start + len(SOURCE_ANCHOR) : split].replace(MASK_TOKEN, self.params.src)
+        filled_ref = prompt[split + len(REFERENCE_ANCHOR) :].replace(MASK_TOKEN, self.params.ref)
         return f"{EN_MARKER} {filled_src}\n{ZH_MARKER} {filled_ref}"
 
     def _score(self, request: Mapping[str, object]) -> float:
         if self.mode == "constant":
-            return self.value
+            return self.params.value
         ref = request.get("ref")
         other = str(ref) if ref is not None else str(request.get("src", ""))
         return _STUB_SCORERS[self.mode](str(request.get("hyp", "")).split(), other.split())
@@ -382,7 +378,6 @@ def _length_ratio(hyp: list[str], ref: list[str]) -> float:
 
 
 _STUB_SCORERS = {"unigram_f1": _unigram_f1, "length_ratio": _length_ratio}
-_STUB_PARAMS = ("mode", "ref", "src", "table", "value")  # read by some stub; any kind may carry each
 
 
 class Backend:

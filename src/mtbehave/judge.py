@@ -64,6 +64,12 @@ class Verdict:
     passed: bool
     fail_reason: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.fail_reason not in (None, FAIL_LOW_BASE_QUALITY, FAIL_LARGE_DIFF):
+            raise ValueError(f"unknown fail_reason {self.fail_reason!r}")
+        if self.passed != (self.fail_reason is None):
+            raise ValueError(f"fail_reason {self.fail_reason!r} contradicts passed {self.passed!r}")
+
 
 def judge_case(record: TranslationRecord, config: JudgeConfig) -> Verdict:
     """Judge one scored record. Low base quality takes precedence as the reason."""

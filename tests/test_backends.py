@@ -155,7 +155,10 @@ class TestCanonicalDigest:
             "mt", "translator", "http", endpoint="http://localhost:9/v1/chat",
             model_name="模型-1", timeout=2.5,
         )
-        assert Backend(stub).fingerprint == (
+        # a table value that is no string fails the stub's build; the pin needs only the spec
+        with pytest.raises(ValueError, match=r"stub_params: table\['x'\] must be a string, got \{'y': 1.5\}"):
+            Backend(stub)
+        assert Backend(stub, transport=RecordingTransport(lambda request: {"score": 0.5})).fingerprint == (
             "99958a7851726e5805e8f7291bf18d280561b15a65f80cf0ad8b0aae4d389414"
         )
         assert Backend(http).fingerprint == (

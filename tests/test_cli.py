@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import mtbehave
 from mtbehave import __version__, codec, corpus, segmentation
-from mtbehave.backends import HttpStatusError, ResponseCache, _StubTransport
+from mtbehave.backends import HttpStatusError, ResponseCache, StubParams, _StubTransport
 from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
 from mtbehave.cli import (
     CorpusFiles,
@@ -926,6 +926,10 @@ def failing_verdict(index, row) -> bool:
     return row["passed"] is False
 
 
+def passing_verdict(index, row) -> bool:
+    return row["passed"] is True
+
+
 class TestMistypedRows:
     @pytest.mark.parametrize(
         "artifact, key, value, select, reason",
@@ -944,6 +948,11 @@ class TestMistypedRows:
                          "qual_y must be a number, got nan", id="qual_y NaN"),
             pytest.param("out/records.jsonl", "qual_y", float("inf"), first_row,
                          "qual_y must be a number, got inf", id="qual_y Infinity"),
+            # a verdict's reason is one the judge gives, and a passing case has none
+            pytest.param("out/verdicts.jsonl", "fail_reason", "bogus", failing_verdict,
+                         "unknown fail_reason 'bogus'", id="fail_reason unknown"),
+            pytest.param("out/verdicts.jsonl", "fail_reason", "large_diff", passing_verdict,
+                         "fail_reason 'large_diff' contradicts passed True", id="fail_reason on a pass"),
         ],
     )
     def test_exits_2_naming_file_line_and_key(self, judged_c07, tmp_path, artifact, key, value, select, reason):
@@ -1559,25 +1568,34 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "slot, stub_params, message",
         [
-            ("scorer_ref_free", {"mode": "constant"}, "stub scorer mode 'constant' needs a numeric 'value', got None"),
+            ("scorer_ref_free", {"mode": "constant"}, "stub scorer mode 'constant' needs a 'value'"),
             (
                 "scorer_ref_free",
                 {"mode": "constant", "value": "abc"},
-                "stub scorer mode 'constant' needs a numeric 'value', got 'abc'",
+                "stub_params: value must be a number, got 'abc'",
             ),
             ("scorer_ref_free", {"mode": "bogus"}, "unknown stub scorer mode 'bogus'"),
-            ("translator", {"table": ["x"]}, "stub 'table' must be an object, got ['x']"),
+            ("translator", {"table": ["x"]}, "stub_params: table must be an object, got ['x']"),
             (
                 "scorer_ref_free",
                 {"mdoe": "constant", "value": 0.9},
-                "unknown stub parameter 'mdoe'; a stub reads mode, ref, src, table, value",
+                "stub_params: unknown fields: ['mdoe']",
             ),
-            ("translator", {"table": {"x": 7}}, "stub 'table' must map strings to strings, got 'x': 7"),
-            ("infill", {"src": 7, "ref": "门店"}, "stub 'src' must be a string, got 7"),
-            ("infill", {"src": "store", "ref": ["门店"]}, "stub 'ref' must be a string, got ['门店']"),
+            ("translator", {"table": {"x": 7}}, "stub_params: table['x'] must be a string, got 7"),
+            ("infill", {"src": 7, "ref": "门店"}, "stub_params: src must be a string, got 7"),
+            ("infill", {"src": "store", "ref": ["门店"]}, "stub_params: ref must be a string, got ['门店']"),
+            # the codec's number rule: a bool, text, NaN or an infinity is no score
+            ("scorer_ref_free", {"mode": "constant", "value": True}, "stub_params: value must be a number, got True"),
+            ("scorer_ref_free", {"mode": "constant", "value": "0.5"}, "stub_params: value must be a number, got '0.5'"),
+            ("scorer_ref_free", {"mode": "constant", "value": "nan"}, "stub_params: value must be a number, got 'nan'"),
+            ("scorer_ref_free", {"mode": "constant", "value": float("inf")},
+             "stub_params: value must be a number, got inf"),
+            # any kind's parameter must be well-typed, not only the one its stub reads
+            ("scorer_ref_free", {"table": {"x": 7}}, "stub_params: table['x'] must be a string, got 7"),
         ],
         ids=["constant without value", "constant value abc", "unknown mode", "table list",
-             "unknown key", "table value 7", "src 7", "ref list"],
+             "unknown key", "table value 7", "src 7", "ref list", "value true", "value text",
+             "value text nan", "value Infinity", "scorer table value 7"],
     )
     def test_bad_stub_params_exit_1_when_the_backend_is_built(self, tmp_path, slot, stub_params, message):
         config = workspace(tmp_path)
@@ -1607,6 +1625,12 @@ def test_the_readme_lists_every_config_key():
     rows = table.split("\n\n")[0].splitlines()
     listed = [row.split("|")[1].strip().strip("`") for row in rows]
     assert listed == [item.name for item in fields(RunConfig)]
+
+
+def test_the_readme_lists_every_stub_parameter():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = " ".join(readme.split()).split("The stub parameters are ")[1].split(".")[0]
+    assert re.findall(r"`(\w+)`", sentence) == [item.name for item in fields(StubParams)]
 
 
 def test_the_readme_lists_every_capability_in_order():

@@ -357,7 +357,10 @@ class TestScoreRecords:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_a_non_finite_score_errors_the_record_instead_of_judging_it(self, value):
-        scorer = stub_backend("f1", "scorer_ref_based", mode="constant", value=value)
+        scorer = Backend(
+            BackendSpec("f1", "scorer_ref_based", "stub"),
+            transport=RecordingTransport(lambda request: {"score": float(value)}),
+        )
         records = score_records(self.cases(), scoring_pairs(), translator(), scorer)
         assert len(records) == 2
         for failed in records:
