@@ -18,12 +18,13 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, Mapping
 
 from .codec import from_row
 from .corpus import MASK_TOKEN
@@ -31,8 +32,8 @@ from .corpus import MASK_TOKEN
 if TYPE_CHECKING:  # pragma: no cover
     from .casegen import PromptRequest
 
-KINDS = ("infill", "translator", "scorer_ref_based", "scorer_ref_free")
-TRANSPORTS = ("http", "replay_cache", "stub")
+# A backend's role, and the name of the config slot that declares it.
+Kind = Literal["infill", "translator", "scorer_ref_based", "scorer_ref_free"]
 
 # System message sent with every chat call, infill and direct translation alike.
 CHAT_SYSTEM_LINE = "You are a helpful assistant that translates English to Chinese."
@@ -73,8 +74,8 @@ class BackendSpec:
     """Declarative description of one backend, as found in the run config."""
 
     backend_id: str
-    kind: str
-    transport: str
+    kind: Kind
+    transport: Literal["http", "replay_cache", "stub"]
     endpoint: str | None = None
     model_name: str | None = None
     auth_env_var: str | None = None
@@ -85,10 +86,6 @@ class BackendSpec:
     def __post_init__(self) -> None:
         if not self.backend_id:
             raise ValueError("backend_id must not be empty")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.transport!r}")
         if self.transport == "http" and not self.endpoint:
             raise ValueError("http transport requires an endpoint")
         if self.transport == "http" and not _is_web_url(self.endpoint):
@@ -491,10 +488,8 @@ def _extract_score(raw: object) -> float:
         if "score" not in raw:
             raise BackendError(f"scorer reply has no score field: {raw!r}")
         value = raw["score"]
-    try:  # a bool is an int to float(), but no score
-        score = None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        score = None
+    # Only a JSON number is a score: not a bool, nor text, and no int too large for a float.
+    score = float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
     if not _is_answer("scorer_ref_free", score):  # one rule for both scorer kinds
         raise BackendError(f"scorer reply is not a finite number: {value!r}")
     return score

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Iterable
+from typing import Iterable, Literal, get_args
 
 from .backends import Backend, BackendError, pipeline, unwrap
 from .codec import read_jsonl, to_row, write_jsonl
@@ -20,15 +20,8 @@ from .corpus import MASK_TOKEN, Span, TranslationPair
 from .segmentation import Capability, EditableSegment, filter_by_capability, plan_selection
 
 # Filter pipeline states for a generated case.
-STATUS_PENDING = "pending"
-STATUS_KEPT = "kept"
-STATUS_DROPPED_IDENTICAL = "dropped_identical"
-STATUS_DROPPED_QUALITY = "dropped_quality"
-STATUS_ERROR = "error"
-
-FILTER_STATUSES = frozenset(
-    {STATUS_PENDING, STATUS_KEPT, STATUS_DROPPED_IDENTICAL, STATUS_DROPPED_QUALITY, STATUS_ERROR}
-)
+FilterStatus = Literal["pending", "kept", "dropped_identical", "dropped_quality", "error"]
+STATUS_PENDING, STATUS_KEPT, STATUS_DROPPED_IDENTICAL, STATUS_DROPPED_QUALITY, STATUS_ERROR = get_args(FilterStatus)
 
 # The infill prompt. It reproduces the paper's four prompts (POS, tense, NER,
 # general): they differ only in the phrases that name what was masked, what
@@ -104,7 +97,7 @@ class TestCase:
     _: KW_ONLY
     source_prime: tuple[str, ...] | None = field(default=None, metadata={"key": "x_prime"})
     reference_prime: tuple[str, ...] | None = field(default=None, metadata={"key": "r_prime"})
-    filter_status: str = STATUS_PENDING
+    filter_status: FilterStatus = STATUS_PENDING
     seed: int
     template_id: str | None = None
     raw_response_digest: str | None = None
@@ -112,10 +105,6 @@ class TestCase:
     error: str | None = None
     error_kind: str | None = None
     masked_ref_spans: tuple[Span, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.filter_status not in FILTER_STATUSES:
-            raise ValueError(f"unknown filter status {self.filter_status!r}")
 
 
 def derive_seed(master_seed: int, pair_id: str) -> int:

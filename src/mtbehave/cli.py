@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import __version__
-from .backends import KINDS, Backend, BackendError, BackendSpec, CacheError, ResponseCache
+from .backends import Backend, BackendError, BackendSpec, CacheError, Kind, ResponseCache
 from .casegen import (
     STATUS_DROPPED_IDENTICAL,
     STATUS_DROPPED_QUALITY,
@@ -103,7 +103,7 @@ class RunConfig:
     judge: JudgeConfig = JudgeConfig()
     cache_root: Path | None = None
     output_dir: Path = Path("out")
-    backends: Mapping[str, object] = field(default_factory=dict)
+    backends: Mapping[Kind, object] = field(default_factory=dict)
     exclude_low_base: bool = False
 
     def __post_init__(self) -> None:
@@ -111,9 +111,6 @@ class RunConfig:
             raise ValueError(f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {self.per_pair}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        for slot in self.backends:
-            if slot not in KINDS:
-                raise ValueError(f"backend {slot!r}: unknown backend kind {slot!r}")
 
 
 def load_run_config(config_path, overrides: Mapping[str, object] | None = None) -> tuple[RunConfig, str]:

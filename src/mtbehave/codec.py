@@ -8,8 +8,9 @@ indented JSON. A dataclass's fields give its row's keys in order:
 Reading checks every key of a record (a JSON Lines row, a backend spec, the
 run config, a manifest entry) against its field's type and converts the value in the same pass:
 a JSON integer reads as a number, and neither a boolean nor NaN nor an
-infinity is one; a path is a string; a ``Mapping[str, X]`` is an object whose
-values read as ``X`` (as read for ``object``); a dataclass is an object read the same
+infinity is one; a path is a string; an enum or a ``Literal`` field is one of its texts;
+a ``Mapping[K, V]`` is an object whose keys read as ``K`` and values as ``V`` (``object``
+is any JSON value, kept as read); a dataclass is an object read the same
 way, and an error inside either names the key path (``judge.alpha``, ``inputs['a']``).
 A missing key takes the field's default, or is an error where there is none; an unknown
 key is an error. A bad line of a JSON Lines file raises CorpusError as
@@ -37,7 +38,7 @@ from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Callable, Iterable, get_args, get_origin
+from typing import Callable, Iterable, Literal, Union, get_args, get_origin
 
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
@@ -105,8 +106,8 @@ def _number(value) -> float:
     raise _Mismatch("a number", value)
 
 
-def _member(enum: type[Enum]) -> Callable[[object], Enum]:
-    members = {member.value: member for member in enum}  # every enum read here has text values
+def _member(members: Mapping[str, object]) -> Callable[[object], object]:
+    """A text that is one of ``members``' keys, decoded as its value."""
 
     def decode(value):
         if type(value) is not str or value not in members:
@@ -153,15 +154,19 @@ def _decoder(hint) -> Callable[[object], object]:
     if hint is Path:
         string = _exact(str, "a string")
         return lambda value: Path(string(value))
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return _member(hint)
-    if origin is Mapping:  # a JSON object's keys are text; Mapping[str, object] keeps its values as read
+    if hint is object:  # any JSON value
+        return lambda value: value
+    if isinstance(hint, type) and issubclass(hint, Enum):  # every enum read here has text values
+        return _member({member.value: member for member in hint})
+    if origin is Literal:  # and so has every Literal
+        return _member(dict(zip(args, args)))
+    if origin is Mapping:  # a JSON object; Mapping[str, object] is kept as read
         whole = _exact(dict, "an object")
-        if args[1] is object:
+        if args == (str, object):
             return whole
-        value_decoder = _decoder(args[1])
-        return lambda value: {key: _item(value_decoder, item, key) for key, item in whole(value).items()}
-    if origin is UnionType and len(args) == 2 and NoneType in args:
+        keys, values = map(_decoder, args)
+        return lambda value: {_item(keys, key, key): _item(values, item, key) for key, item in whole(value).items()}
+    if origin in (UnionType, Union) and len(args) == 2 and NoneType in args:  # Literal[...] | None is a Union
         inner = _decoder(args[0] if args[1] is NoneType else args[1])
         return lambda value: None if value is None else inner(value)
     if origin is tuple:

@@ -15,7 +15,7 @@ Loaders validate aggressively and report the offending file and line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Literal, Mapping, get_args
 
 from .codec import CorpusError, read_jsonl, read_lines
 
@@ -23,7 +23,8 @@ Span = tuple[int, int]
 # Word alignment links for one pair, as (source index, reference index).
 Links = frozenset[tuple[int, int]]
 
-POS_TAGS = frozenset({"NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"})
+PosTag = Literal["NOUN", "VERB", "ADJ", "ADV", "ADP", "OTHER"]
+POS_TAGS = get_args(PosTag)
 
 # Literal placeholder substituted for a masked segment on either side; a corpus
 # token may not hold it, or the infill model would fill inside that token too.
@@ -77,21 +78,18 @@ class Annotation:
     """
 
     pair_id: str = field(metadata={"key": "id"})
-    pos: tuple[str, ...]
+    pos: tuple[PosTag, ...]
     past_perfect: tuple[bool, ...]
     ne_spans: tuple[tuple[int, int, str], ...] = field(metadata={"key": "ne"})
     phrase_spans_src: tuple[Span, ...] = field(metadata={"key": "phrases_src"})
     phrase_spans_ref: tuple[Span, ...] = field(metadata={"key": "phrases_ref"})
 
     def __post_init__(self) -> None:
-        for tag in self.pos:
-            if not isinstance(tag, str) or tag not in POS_TAGS:
-                raise ValueError(f"unknown POS tag {tag!r}")
         if len(self.past_perfect) != len(self.pos):
             raise ValueError("past_perfect length differs from pos length")
         for start, end, label in self.ne_spans:
             check_span((start, end), "NE span")
-            if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
+            if not label or any(ch.isspace() for ch in label):
                 raise ValueError(f"invalid NE type {label!r}")
         for span in self.phrase_spans_src:
             check_span(span, "source phrase span")

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 from .backends import Backend, BackendError, pipeline, unwrap
 from .casegen import STATUS_KEPT, TestCase
 from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import TranslationPair
 
-FAIL_LOW_BASE_QUALITY = "low_base_quality"
-FAIL_LARGE_DIFF = "large_diff"
+FailReason = Literal["low_base_quality", "large_diff"]
+FAIL_LOW_BASE_QUALITY, FAIL_LARGE_DIFF = get_args(FailReason)
 
 
 class EmptyVerdictSet(ValueError):
@@ -62,11 +62,9 @@ class Verdict:
     qual_y_prime: float
     diff: float
     passed: bool
-    fail_reason: str | None = None
+    fail_reason: FailReason | None = None
 
     def __post_init__(self) -> None:
-        if self.fail_reason not in (None, FAIL_LOW_BASE_QUALITY, FAIL_LARGE_DIFF):
-            raise ValueError(f"unknown fail_reason {self.fail_reason!r}")
         if self.passed != (self.fail_reason is None):
             raise ValueError(f"fail_reason {self.fail_reason!r} contradicts passed {self.passed!r}")
 

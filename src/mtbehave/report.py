@@ -73,7 +73,8 @@ def capability_table(
 
     ``size`` counts the kept cases of the capability; ``errored`` is how many
     of them produced no verdict for the row's system (their records errored).
-    Ties for the best pass rate flag every tied row.
+    Ties for the best pass rate flag every tied row. A verdict whose case is
+    unknown or not kept raises ValueError.
     """
     case_by_id = {case.case_id: case for case in cases}
     kept_by_capability: dict[Capability, int] = defaultdict(int)
@@ -85,6 +86,8 @@ def capability_table(
         case = case_by_id.get(verdict.case_id)
         if case is None:
             raise ValueError(f"verdict references unknown case {verdict.case_id!r}")
+        if case.filter_status != STATUS_KEPT:  # a stale verdict: only a kept case is judged
+            raise ValueError(f"verdict for case {verdict.case_id!r}, which is {case.filter_status}, not kept")
         groups[(case.capability, verdict.system_id)].append(verdict)
 
     raw_rows = []

@@ -67,8 +67,14 @@ class TestBackendSpec:
         "kwargs, pattern",
         [
             (dict(backend_id="", kind="infill", transport="stub"), "backend_id"),
-            (dict(backend_id="b", kind="oracle", transport="stub"), "unknown backend kind"),
-            (dict(backend_id="b", kind="infill", transport="carrier-pigeon"), "unknown transport"),
+            (
+                dict(backend_id="b", kind="oracle", transport="stub"),
+                r"kind must be one of \['infill', 'translator', 'scorer_ref_based', 'scorer_ref_free'\], got 'oracle'",
+            ),
+            (
+                dict(backend_id="b", kind="infill", transport="carrier-pigeon"),
+                r"transport must be one of \['http', 'replay_cache', 'stub'\], got 'carrier-pigeon'",
+            ),
             (dict(backend_id="b", kind="infill", transport="http"), "requires an endpoint"),
             (dict(backend_id="b", kind="infill", transport="stub", timeout=0), "timeout"),
             (dict(backend_id="b", kind="infill", transport="stub", max_retries=-1), "max_retries"),
@@ -912,7 +918,6 @@ class TestReplyExtraction:
             ({"score": 0.5}, 0.5),
             ({"score": 1}, 1.0),
             (0.8312, 0.8312),
-            ("0.8312", 0.8312),
             (-0.25, -0.25),  # scores are never clamped
         ],
     )
@@ -924,6 +929,8 @@ class TestReplyExtraction:
         [
             True, {"value": 1}, "not a number", None, [0.5],
             float("nan"), "NaN", "inf", {"score": float("-inf")},
+            # only a JSON number is a score: float() would read each of these texts
+            "0.8312", {"score": "0.5"}, "1_0", " 0.5 ", {"score": 10**400},
         ],
     )
     def test_non_numeric_scores_raise(self, raw):
@@ -931,6 +938,17 @@ class TestReplyExtraction:
         message = "has no score field" if unscored else "is not a finite number"
         with pytest.raises(BackendError, match=f"scorer reply {message}"):
             _extract_score(raw)
+
+    @pytest.mark.parametrize("raw", [{"score": "0.5"}, "0.75"])
+    def test_a_text_score_is_an_error_that_is_not_cached(self, tmp_path, raw):
+        transport = FlakyTransport(value=raw)
+        cache = ResponseCache(tmp_path)
+        backend = Backend(stub_spec("q", "scorer_ref_free"), cache, transport)
+        with pytest.raises(BackendError, match="scorer reply is not a finite number") as raised:
+            backend.score("a", "b")
+        cache.close()
+        assert not raised.value.retryable and transport.calls == 1
+        assert not (tmp_path / "cache.sqlite").exists()  # no answer came, so no row and no file
 
     def test_chat_reply_must_have_the_expected_shape(self):
         transport = FlakyTransport(value={"choices": []})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 from collections import Counter
 from pathlib import Path
@@ -628,7 +629,8 @@ class TestCasesFile:
             '"filter_status":"limbo"}\n',
             encoding="utf-8",
         )
-        with pytest.raises(CorpusError, match="unknown filter status 'limbo'"):
+        reason = "filter_status must be one of ['pending', 'kept', 'dropped_identical', 'dropped_quality', 'error']"
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:1: bad case record: {reason}, got 'limbo'")):
             read_cases(path)
 
 

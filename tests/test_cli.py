@@ -22,15 +22,15 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtbehave
 from mtbehave import __version__, codec, corpus, segmentation
-from mtbehave.backends import HttpStatusError, ResponseCache, StubParams, _StubTransport
-from mtbehave.casegen import STATUS_KEPT, TestCase as Case, read_cases
+from mtbehave.backends import BackendSpec, HttpStatusError, Kind, ResponseCache, StubParams, _StubTransport
+from mtbehave.casegen import STATUS_KEPT, FilterStatus, TestCase as Case, read_cases
 from mtbehave.cli import (
     CorpusFiles,
     ManifestEntry,
@@ -42,7 +42,7 @@ from mtbehave.cli import (
 )
 from mtbehave.codec import from_row, json_text, to_row, write_jsonl
 from mtbehave.corpus import load_annotations, load_pairs
-from mtbehave.judge import TranslationRecord, Verdict
+from mtbehave.judge import FailReason, TranslationRecord, Verdict
 from mtbehave.report import GoldErrorAnnotation, load_gold
 from mtbehave.segmentation import MAX_PLANS_PER_PAIR, Capability
 
@@ -950,7 +950,8 @@ class TestMistypedRows:
                          "qual_y must be a number, got inf", id="qual_y Infinity"),
             # a verdict's reason is one the judge gives, and a passing case has none
             pytest.param("out/verdicts.jsonl", "fail_reason", "bogus", failing_verdict,
-                         "unknown fail_reason 'bogus'", id="fail_reason unknown"),
+                         "fail_reason must be one of ['low_base_quality', 'large_diff'], got 'bogus'",
+                         id="fail_reason unknown"),
             pytest.param("out/verdicts.jsonl", "fail_reason", "large_diff", passing_verdict,
                          "fail_reason 'large_diff' contradicts passed True", id="fail_reason on a pass"),
         ],
@@ -990,6 +991,19 @@ class TestMistypedRows:
                 run = (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
             with edited_copy(judged_c07, artifact, key, to_row(decoded)[key]) as (root, result, outputs):
                 assert run == (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
+
+
+def test_a_verdict_whose_case_is_not_kept_exits_2_naming_the_case(judged_c07, tmp_path):
+    # A verdict left from an earlier generate would count in the pass rate, and so
+    # would hide that a kept case has none.
+    root = shutil.copytree(judged_c07, tmp_path / "c07")
+    set_key(root / "out/cases.jsonl", "filter_status", "dropped_quality", lambda _, row: row["case_id"] == "p00-noun-000")
+    verdicts = root / "out/verdicts.jsonl"
+    write_jsonl(verdicts, [row for row in read_rows(verdicts) if row["case_id"] != "p01-noun-000"])
+    result = invoke("report", "--config", root / "config.json")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: verdict for case 'p00-noun-000', which is dropped_quality, not kept\n"
+    assert not (root / "out/report.md").exists()
 
 
 @pytest.mark.parametrize(
@@ -1298,13 +1312,14 @@ CONFIG_ERRORS = [
     ),
     pytest.param(
         config_document(backends={**backend_section(), "ranker": {}}),
-        "{config}: backend 'ranker': unknown backend kind 'ranker'",
+        "{config}: backends['ranker'] must be one of "
+        "['infill', 'translator', 'scorer_ref_based', 'scorer_ref_free'], got 'ranker'",
         id="unknown slot",
     ),
     pytest.param(with_slot("infill", "stub"), "backend 'infill' must be an object", id="slot string"),
     pytest.param(
         with_slot("infill", {"backend_id": "i", "transport": "pigeon"}),
-        "backend 'infill': unknown transport 'pigeon'",
+        "backend 'infill': transport must be one of ['http', 'replay_cache', 'stub'], got 'pigeon'",
         id="unknown transport",
     ),
     pytest.param(
@@ -1542,7 +1557,8 @@ class TestConfigValidation:
         run_ok("report", "--config", config)
         result = invoke("judge", "--config", config)
         assert result.exit_code == 1
-        assert "error: backend 'translator': unknown transport 'nope'" in result.output
+        reason = "transport must be one of ['http', 'replay_cache', 'stub'], got 'nope'"
+        assert f"error: backend 'translator': {reason}" in result.output
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -1637,6 +1653,23 @@ def test_the_readme_lists_every_capability_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     sentence = readme.split("\nCapabilities: ")[1].split(".")[0]
     assert re.findall(r"`(\w+)`", sentence) == [capability.value for capability in Capability]
+
+
+@pytest.mark.parametrize(
+    "opening, closing, values",
+    [
+        ("Valid POS tags are ", ".", corpus.POS_TAGS),
+        ("`filter_status` (", ";", get_args(FilterStatus)),
+        ("A `fail_reason` is `null`, ", ", and", get_args(FailReason)),
+        ("`transport` is one of ", ":", get_args(get_type_hints(BackendSpec)["transport"])),
+        ("Four slots, ", ", all", get_args(Kind)),
+    ],
+    ids=["POS tags", "filter_status", "fail_reason", "transports", "kinds"],
+)
+def test_the_readme_lists_each_closed_set_in_order(opening, closing, values):
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split())
+    sentence = readme.split(opening)[1].split(closing)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(values)
 
 
 def test_the_readme_names_each_pos_prompt_word_in_order():

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Literal, Mapping
 
 import pytest
 
@@ -36,6 +36,17 @@ class Typed:
     triples: tuple[tuple[int, int, str], ...]
     params: Mapping[str, object]
     weights: Mapping[str, float] = field(default_factory=dict)
+
+
+Tone = Literal["warm", "cool"]
+
+
+@dataclass(frozen=True)
+class Toned:
+    tone: Tone
+    tones: tuple[Tone, ...] = ()
+    maybe: Tone | None = None
+    by_tone: Mapping[Tone, int] = field(default_factory=dict)
 
 
 def by_name(row: Row) -> str:
@@ -192,6 +203,29 @@ class TestRows:
     def test_an_error_inside_a_nested_record_names_its_key_path(self, changes, reason):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             codec.from_row(Nested, {"home": "h", **changes})
+
+    def test_a_literal_field_reads_as_its_text(self):
+        row = {"tone": "warm", "tones": ["cool", "warm"], "maybe": "cool", "by_tone": {"cool": 1}}
+        assert codec.from_row(Toned, row) == Toned("warm", ("cool", "warm"), "cool", {"cool": 1})
+        assert codec.to_row(codec.from_row(Toned, row)) == {**row, "tones": ("cool", "warm")}
+        assert codec.from_row(Toned, {"tone": "cool", "maybe": None}) == Toned("cool")
+
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"tone": "hot"}, "tone must be one of ['warm', 'cool'], got 'hot'"),
+            ({"tone": 1}, "tone must be one of ['warm', 'cool'], got 1"),
+            ({"tone": ["warm"]}, "tone must be one of ['warm', 'cool'], got ['warm']"),
+            ({"tones": ["warm", "Warm"]}, "tones[1] must be one of ['warm', 'cool'], got 'Warm'"),
+            ({"maybe": "hot"}, "maybe must be one of ['warm', 'cool'], got 'hot'"),
+            ({"by_tone": {"warm": 1, "hot": 2}}, "by_tone['hot'] must be one of ['warm', 'cool'], got 'hot'"),
+            ({"by_tone": {"warm": "1"}}, "by_tone['warm'] must be an integer, got '1'"),
+        ],
+        ids=["not a member", "not text", "a list", "in a tuple", "or None", "a mapping key", "a mapping value"],
+    )
+    def test_a_value_outside_a_literal_is_rejected_by_key(self, changes, reason):
+        with pytest.raises(ValueError, match="^" + re.escape(reason) + "$"):
+            codec.from_row(Toned, {"tone": "warm", **changes})
 
     def test_every_missing_key_is_named(self):
         with pytest.raises(ValueError, match=r"^missing fields: \['flag', 'params'\]$"):

@@ -33,6 +33,7 @@ def write_lines(path: Path, *lines: str) -> Path:
 
 # How a record the codec rejects is reported: file, line, then the key.
 BAD = "ann.jsonl:1: bad annotation record:"
+POS_LIST = re.escape("['NOUN', 'VERB', 'ADJ', 'ADV', 'ADP', 'OTHER']")
 
 
 def annotation_record(pair_id: str, n_src: int, **extra) -> dict:
@@ -70,11 +71,6 @@ class TestTranslationPair:
 
 
 class TestAnnotation:
-    def test_rejects_unknown_pos_tag(self):
-        pair = make_pair("p1", "a", "b")
-        with pytest.raises(ValueError):
-            make_annotation(pair, pos=("NN",))
-
     def test_rejects_length_mismatch(self):
         pair = make_pair("p1", "a b", "c")
         with pytest.raises(ValueError):
@@ -86,11 +82,6 @@ class TestAnnotation:
             make_annotation(pair, ne=((1, 1, "GPE"),))
         with pytest.raises(ValueError):
             make_annotation(pair, phrases_src=((2, 1),))
-
-    def test_rejects_a_non_text_ne_type(self):
-        pair = make_pair("p1", "a b", "c")
-        with pytest.raises(ValueError, match="invalid NE type 5"):
-            make_annotation(pair, ne=((0, 1, 5),))
 
 
 class TestLoadPairs:
@@ -233,7 +224,11 @@ class TestLoadAnnotations:
             (lambda r: r.pop("pos"), "missing fields"),
             (lambda r: r.update(extra=1), "unknown fields"),
             (lambda r: r.update(pos=["OTHER"], past_perfect=[False]), "one tag per source token"),
-            (lambda r: r.update(pos=["NN", "OTHER"]), "unknown POS tag"),
+            pytest.param(
+                lambda r: r.update(pos=["NN", "OTHER"]),
+                rf"{BAD} pos\[0\] must be one of {POS_LIST}, got 'NN'",
+                id="unknown POS tag",
+            ),
             pytest.param(
                 lambda r: r.update(past_perfect=[False, 0]),
                 rf"{BAD} past_perfect\[1\] must be a boolean, got 0",
@@ -270,7 +265,7 @@ class TestLoadAnnotations:
             ),
             pytest.param(
                 lambda r: r.update(pos=[[1], "OTHER"]),
-                rf"{BAD} pos\[0\] must be a string, got \[1\]",
+                rf"{BAD} pos\[0\] must be one of {POS_LIST}, got \[1\]",
                 id="POS tag not text",
             ),
             pytest.param(

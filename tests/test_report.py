@@ -96,6 +96,11 @@ class TestCapabilityTable:
         with pytest.raises(ValueError, match="unknown case 'ghost'"):
             capability_table([passing("ghost")], [case("n1")])
 
+    def test_a_verdict_whose_case_is_not_kept_is_rejected(self):
+        cases = [case("n1"), case("n2", status=STATUS_DROPPED_IDENTICAL)]
+        with pytest.raises(ValueError, match="^verdict for case 'n2', which is dropped_identical, not kept$"):
+            capability_table([passing("n1"), passing("n2")], cases)
+
     def test_more_verdicts_than_kept_cases_is_rejected(self):
         verdicts = [passing("n1"), passing("n1")]
         with pytest.raises(ValueError, match="more verdicts"):
