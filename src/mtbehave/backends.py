@@ -22,11 +22,10 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Literal, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, Mapping, NamedTuple
 
-from .codec import from_row
+from .codec import checked, from_row
 from .corpus import MASK_TOKEN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,8 +68,8 @@ class HttpStatusError(BackendError):
         self.retryable = status == 429 or status >= 500
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+@checked
+class BackendSpec(NamedTuple):
     """Declarative description of one backend, as found in the run config."""
 
     backend_id: str
@@ -81,9 +80,9 @@ class BackendSpec:
     auth_env_var: str | None = None
     timeout: float = 30.0
     max_retries: int = 2
-    stub_params: Mapping[str, object] = field(default_factory=dict)
+    stub_params: Mapping[str, object] = {}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.backend_id:
             raise ValueError("backend_id must not be empty")
         if self.transport == "http" and not self.endpoint:
@@ -267,11 +266,8 @@ class _HttpTransport:
         self._headers = {"Content-Type": "application/json"}
         if spec.auth_env_var:
             key = os.environ.get(spec.auth_env_var)
-            if not key:
-                raise BackendError(
-                    f"backend {spec.backend_id!r}: environment variable "
-                    f"{spec.auth_env_var} is not set"
-                )
+            if not key:  # a config error: no request has been sent
+                raise ValueError(f"environment variable {spec.auth_env_var} is not set")
             self._headers["Authorization"] = f"Bearer {key}"
 
     def send(self, request: Mapping[str, object]) -> object:
@@ -296,13 +292,12 @@ class _HttpTransport:
             raise BackendError("response body is not JSON") from exc
 
 
-@dataclass(frozen=True)
-class StubParams:
+class StubParams(NamedTuple):
     """A stub's ``stub_params``, read by the codec like every other config record."""
 
     src: str = "thing"
     ref: str = "东西"
-    table: Mapping[str, str] = field(default_factory=dict)
+    table: Mapping[str, str] = {}
     mode: str | None = None
     value: float | None = None
 

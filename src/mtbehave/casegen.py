@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import KW_ONLY, dataclass, field
-from typing import Iterable, Literal, get_args
+from typing import Iterable, Literal, NamedTuple, get_args
 
 from .backends import Backend, BackendError, pipeline, unwrap
-from .codec import read_jsonl, to_row, write_jsonl
+from .codec import REQUIRED, checked, read_jsonl, to_row, write_jsonl
 from .corpus import MASK_TOKEN, Span, TranslationPair
 from .segmentation import Capability, EditableSegment, filter_by_capability, plan_selection
 
@@ -59,8 +58,7 @@ class ResponseParseError(Exception):
     error_kind = "parse"
 
 
-@dataclass(frozen=True)
-class MaskedPair:
+class MaskedPair(NamedTuple):
     """A pair with mask placeholders plus the surfaces that were masked out.
 
     ``src_segments`` holds the original surface of each masked source span in
@@ -75,36 +73,41 @@ class MaskedPair:
     segments: tuple[EditableSegment, ...]
 
 
-@dataclass(frozen=True)
-class PromptRequest:
+class PromptRequest(NamedTuple):
     """A rendered infill prompt: the request text and the template it came from."""
 
     template_id: str
     rendered_text: str
 
 
-@dataclass
-class TestCase:
-    """One generated perturbation and its journey through the filters.
+@checked
+class TestCase(NamedTuple):
+    """One generated perturbation and the outcome of its filters.
 
-    The fields after ``capability`` are keyword-only so that the field order
-    can be the cases file's key order.
+    The field order is the cases file's key order. ``seed`` is required, but a
+    NamedTuple field after a defaulted one needs a default: its default is the
+    codec's ``REQUIRED`` placeholder, which the codec reads as no default and
+    the check rejects.
     """
 
     case_id: str
     pair_id: str
     capability: Capability
-    _: KW_ONLY
-    source_prime: tuple[str, ...] | None = field(default=None, metadata={"key": "x_prime"})
-    reference_prime: tuple[str, ...] | None = field(default=None, metadata={"key": "r_prime"})
+    source_prime: tuple[str, ...] | None = None
+    reference_prime: tuple[str, ...] | None = None
     filter_status: FilterStatus = STATUS_PENDING
-    seed: int
+    seed: int = REQUIRED
     template_id: str | None = None
     raw_response_digest: str | None = None
     score_diff: float | None = None
     error: str | None = None
     error_kind: str | None = None
     masked_ref_spans: tuple[Span, ...] = ()
+    _keys = {"source_prime": "x_prime", "reference_prime": "r_prime"}
+
+    def _check(self) -> None:
+        if self.seed is REQUIRED:
+            raise TypeError("TestCase() missing required argument: 'seed'")
 
 
 def derive_seed(master_seed: int, pair_id: str) -> int:
@@ -207,11 +210,10 @@ def quality_filter(case: TestCase, q_original: float, q_edited: float, beta: flo
     """Keep the case iff the reference-free score moved by at most beta.
 
     ``q_original`` and ``q_edited`` are the scorer's ratings of the reference
-    given the source, for the original pair and the edited pair; the absolute
-    difference is recorded on the case.
+    given the source, for the original pair and the edited pair; the caller
+    records their absolute difference on the case.
     """
-    case.score_diff = abs(q_original - q_edited)
-    return STATUS_KEPT if case.score_diff <= beta else STATUS_DROPPED_QUALITY
+    return STATUS_KEPT if abs(q_original - q_edited) <= beta else STATUS_DROPPED_QUALITY
 
 
 def generate_cases(
@@ -252,30 +254,37 @@ def generate_cases(
             )
             work.append((prompt, (case, pair)))
 
+    replied: dict[str, TestCase] = {}  # case id -> the case as its infill reply left it
+
     def filter_requests(entry: tuple[TestCase, TranslationPair], raw: str):
         """Parse and dedup the case's reply; the quality filter's requests if it passes."""
         case, pair = entry
-        case.raw_response_digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
+        case = case._replace(raw_response_digest=hashlib.sha256(raw.encode("utf-8")).hexdigest())
         try:
-            case.source_prime, case.reference_prime = parse_response(raw)
+            source_prime, reference_prime = parse_response(raw)
         except ResponseParseError as exc:
-            _record_error(case, exc)
+            replied[case.case_id] = _failed(case, exc)
             return ()
-        case.filter_status = dedup(case, pair)
+        case = case._replace(source_prime=source_prime, reference_prime=reference_prime)
+        case = replied[case.case_id] = case._replace(filter_status=dedup(case, pair))
         return _qe_requests(case, pair) if case.filter_status == STATUS_PENDING else ()
 
     replies, scores = pipeline(
         work, infill.infill, filter_requests, lambda request: scorer.score(*request), jobs
     )
+    cases = []
     for prompt, (case, pair) in work:
+        case = replied.get(case.case_id, case)
         try:
             unwrap(replies[prompt])
             if case.filter_status == STATUS_PENDING:
                 q_original, q_edited = (unwrap(scores[request]) for request in _qe_requests(case, pair))
-                case.filter_status = quality_filter(case, q_original, q_edited, beta)
+                case = case._replace(filter_status=quality_filter(case, q_original, q_edited, beta),
+                                     score_diff=abs(q_original - q_edited))
         except BackendError as exc:
-            _record_error(case, exc)
-    return [case for _, (case, _) in work]
+            case = _failed(case, exc)
+        cases.append(case)
+    return cases
 
 
 def _qe_requests(case: TestCase, pair: TranslationPair) -> tuple[tuple[str, str], tuple[str, str]]:
@@ -286,10 +295,8 @@ def _qe_requests(case: TestCase, pair: TranslationPair) -> tuple[tuple[str, str]
     )
 
 
-def _record_error(case: TestCase, exc: Exception) -> None:
-    case.filter_status = STATUS_ERROR
-    case.error = str(exc)
-    case.error_kind = exc.error_kind
+def _failed(case: TestCase, exc: Exception) -> TestCase:
+    return case._replace(filter_status=STATUS_ERROR, error=str(exc), error_kind=exc.error_kind)
 
 
 def write_cases(cases: Iterable[TestCase], path) -> None:

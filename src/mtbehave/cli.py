@@ -25,10 +25,9 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import __version__
 from .backends import Backend, BackendError, BackendSpec, CacheError, Kind, ResponseCache
@@ -41,7 +40,7 @@ from .casegen import (
     read_cases,
     write_cases,
 )
-from .codec import from_row, to_row, write_json, write_jsonl, write_text
+from .codec import checked, from_row, to_row, write_json, write_jsonl, write_text
 from .corpus import CorpusError, TranslationPair, load_corpus, load_pairs
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
@@ -84,15 +83,14 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
-class CorpusFiles:
+class CorpusFiles(NamedTuple):
     pairs: Path
     alignments: Path
     annotations: Path
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     """A run config: each field is a config key, decoded by the codec."""
 
     corpus: CorpusFiles
@@ -103,10 +101,10 @@ class RunConfig:
     judge: JudgeConfig = JudgeConfig()
     cache_root: Path | None = None
     output_dir: Path = Path("out")
-    backends: Mapping[Kind, object] = field(default_factory=dict)
+    backends: Mapping[Kind, object] = {}
     exclude_low_base: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1 <= self.per_pair <= MAX_PLANS_PER_PAIR:
             raise ValueError(f"per_pair must be between 1 and {MAX_PLANS_PER_PAIR}, got {self.per_pair}")
         if self.jobs < 1:
@@ -133,13 +131,13 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
     flags = {key: value for key, value in (overrides or {}).items() if value is not None}
     if "capability" in flags:  # argparse has checked it against the capabilities
         flags["capability"] = Capability(flags["capability"])
-    judge_flags = {item.name: flags.pop(item.name) for item in fields(JudgeConfig) if item.name in flags}
+    judge_flags = {name: flags.pop(name) for name in JudgeConfig._fields if name in flags}
     try:
-        config = replace(config, **{
+        config = config._replace(**{
             "corpus": CorpusFiles(base / files.pairs, base / files.alignments, base / files.annotations),
             "cache_root": None if config.cache_root is None else base / config.cache_root,
             "output_dir": base / config.output_dir,
-            "judge": replace(config.judge, **judge_flags),
+            "judge": config.judge._replace(**judge_flags),
             **flags,
         })
     except ValueError as exc:  # a flag's value
@@ -155,8 +153,7 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     """One stage run in manifest.json: each field is a key, in the file's order;
     ``inputs`` and ``outputs`` map each file read or written, by absolute path, to its sha256 digest."""
 
@@ -170,17 +167,16 @@ class ManifestEntry:
     finished_at: str
 
 
-@dataclass
 class RunManifest:
     """One entry per stage run that was the last to write one of this directory's files."""
 
-    path: Path
-    entries: list[ManifestEntry] = field(default_factory=list)
+    def __init__(self, path: Path, entries: list[ManifestEntry]):
+        self.path, self.entries = path, entries
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        try:
-            items = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+        try:  # past a leading byte-order mark, as every input is read
+            items = json.loads(path.read_text(encoding="utf-8-sig")) if path.exists() else []
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CorpusError(f"{path}: unreadable manifest: {exc}") from exc
         malformed = f"{path}: the manifest is not a JSON list of stage entries"
@@ -199,7 +195,7 @@ class RunManifest:
         entry = ManifestEntry(name, __version__, stage.config_digest, stage.config.seed,
                               {key(p): _file_digest(p) for p in stage.inputs},
                               {key(p): _file_digest(p) for p in outputs}, started_at, finished_at)
-        pruned = [replace(old, outputs={k: v for k, v in old.outputs.items() if key(k) not in entry.outputs})
+        pruned = [old._replace(outputs={k: v for k, v in old.outputs.items() if key(k) not in entry.outputs})
                   for old in self.entries]
         self.entries = [old for old in pruned if old.outputs] + [entry]
         write_json(self.path, list(map(to_row, self.entries)))

@@ -2,15 +2,16 @@
 
 Row artifacts (segments, cases, records, verdicts, gold rows, corpus
 annotations) are JSON Lines; documents (manifest, sweep, eval, report) are
-indented JSON. A dataclass's fields give its row's keys in order:
-``metadata={"key": ...}`` renames a key.
+indented JSON. A record is a ``typing.NamedTuple``: its fields give its row's keys
+in order, and a class-level ``_keys`` mapping renames a field's key. A record with a
+``_check`` method is declared with :func:`checked`, so that every way of building one runs it.
 
 Reading checks every key of a record (a JSON Lines row, a backend spec, the
 run config, a manifest entry) against its field's type and converts the value in the same pass:
 a JSON integer reads as a number, and neither a boolean nor NaN nor an
 infinity is one; a path is a string; an enum or a ``Literal`` field is one of its texts;
 a ``Mapping[K, V]`` is an object whose keys read as ``K`` and values as ``V`` (``object``
-is any JSON value, kept as read); a dataclass is an object read the same
+is any JSON value, kept as read); a record is an object read the same
 way, and an error inside either names the key path (``judge.alpha``, ``inputs['a']``).
 A missing key takes the field's default, or is an error where there is none; an unknown
 key is an error. A bad line of a JSON Lines file raises CorpusError as
@@ -32,13 +33,12 @@ import sys
 import threading
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Callable, Iterable, Literal, Union, get_args, get_origin
+from typing import Callable, ForwardRef, Iterable, Literal, Union, get_args, get_origin
 
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
@@ -174,23 +174,42 @@ def _decoder(hint) -> Callable[[object], object]:
         kinds = set(args) - {Ellipsis}  # one scalar type for all items, as in Span, or none
         whole = kinds if len(kinds) == 1 and kinds <= _SCALARS.keys() else set()
         return _tuple(tuple(map(_decoder, args[:1] if variadic else args)), variadic, whole)
-    if is_dataclass(hint):
+    if isinstance(hint, type) and issubclass(hint, tuple):  # a record
         return partial(from_row, hint)
     raise TypeError(f"no JSON decoder for {hint!r}")
+
+
+# The default of a field that must be given but follows a defaulted one, which a
+# NamedTuple field may not; the record's own check rejects it (TestCase.seed).
+REQUIRED = object()
+
+
+def checked(cls: type) -> type:
+    """Make ``cls(...)``, ``cls._make`` and so ``record._replace`` run ``record._check()``
+    on each new ``cls`` record: a NamedTuple may not define ``__new__`` or ``_make`` itself."""
+    new, make = cls.__new__, cls._make.__func__
+
+    def check(record):
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(lambda kind, /, *args, **kwargs: check(new(kind, *args, **kwargs)))
+    cls._make = classmethod(lambda kind, iterable: check(make(kind, iterable)))
+    return cls
 
 
 @cache
 def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool, Callable[[object], object]], ...]:
     """(attribute, key, enum class or None, required, decoder) per field of ``cls``."""
-    # Only the fields' annotations are resolved: on Python 3.10, get_type_hints(cls)
-    # rejects a KW_ONLY marker. Postponed evaluation leaves each one a string.
-    namespace = vars(sys.modules[cls.__module__])
+    # Postponed evaluation leaves each annotation a string, which NamedTuple wraps in a ForwardRef.
+    namespace, keys = vars(sys.modules[cls.__module__]), getattr(cls, "_keys", {})
     plan = []
-    for item in fields(cls):
-        hint = eval(item.type, namespace) if isinstance(item.type, str) else item.type
+    for name in cls._fields:
+        hint = cls.__annotations__[name]
+        hint = eval(hint.__forward_arg__, namespace) if isinstance(hint, ForwardRef) else hint
         enum = hint if isinstance(hint, type) and issubclass(hint, Enum) else None
-        required = item.default is MISSING and item.default_factory is MISSING
-        plan.append((item.name, item.metadata.get("key", item.name), enum, required, _decoder(hint)))
+        required = cls._field_defaults.get(name, REQUIRED) is REQUIRED
+        plan.append((name, keys.get(name, name), enum, required, _decoder(hint)))
     return tuple(plan)
 
 

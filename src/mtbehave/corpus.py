@@ -14,10 +14,9 @@ Loaders validate aggressively and report the offending file and line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Mapping, get_args
+from typing import Literal, Mapping, NamedTuple, get_args
 
-from .codec import CorpusError, read_jsonl, read_lines
+from .codec import CorpusError, checked, read_jsonl, read_lines
 
 Span = tuple[int, int]
 # Word alignment links for one pair, as (source index, reference index).
@@ -46,15 +45,15 @@ def spans_overlap(a: Span, b: Span) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
-@dataclass(frozen=True)
-class TranslationPair:
+@checked
+class TranslationPair(NamedTuple):
     """One bitext pair; ``source`` and ``reference`` are token tuples."""
 
     pair_id: str
     source: tuple[str, ...]
     reference: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.pair_id or any(ch.isspace() for ch in self.pair_id):
             raise ValueError(f"invalid pair id {self.pair_id!r}")
         for side, tokens in (("source", self.source), ("reference", self.reference)):
@@ -68,8 +67,8 @@ class TranslationPair:
                 raise ValueError(f"{side} contains the mask token {MASK_TOKEN!r}")
 
 
-@dataclass(frozen=True)
-class Annotation:
+@checked
+class Annotation(NamedTuple):
     """Token-level and span-level annotations for one pair.
 
     ``pos`` and ``past_perfect`` run parallel to the source tokens. NE spans are
@@ -77,14 +76,15 @@ class Annotation:
     their name says. All spans are half-open.
     """
 
-    pair_id: str = field(metadata={"key": "id"})
+    pair_id: str
     pos: tuple[PosTag, ...]
     past_perfect: tuple[bool, ...]
-    ne_spans: tuple[tuple[int, int, str], ...] = field(metadata={"key": "ne"})
-    phrase_spans_src: tuple[Span, ...] = field(metadata={"key": "phrases_src"})
-    phrase_spans_ref: tuple[Span, ...] = field(metadata={"key": "phrases_ref"})
+    ne_spans: tuple[tuple[int, int, str], ...]
+    phrase_spans_src: tuple[Span, ...]
+    phrase_spans_ref: tuple[Span, ...]
+    _keys = {"pair_id": "id", "ne_spans": "ne", "phrase_spans_src": "phrases_src", "phrase_spans_ref": "phrases_ref"}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.past_perfect) != len(self.pos):
             raise ValueError("past_perfect length differs from pos length")
         for start, end, label in self.ne_spans:

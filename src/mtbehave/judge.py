@@ -10,12 +10,11 @@ against its reference. The case passes iff the base translation is good enough
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence, get_args
+from typing import Iterable, Literal, Mapping, NamedTuple, Sequence, get_args
 
 from .backends import Backend, BackendError, pipeline, unwrap
 from .casegen import STATUS_KEPT, TestCase
-from .codec import read_jsonl, to_row, write_jsonl
+from .codec import checked, read_jsonl, to_row, write_jsonl
 from .corpus import TranslationPair
 
 FailReason = Literal["low_base_quality", "large_diff"]
@@ -26,22 +25,21 @@ class EmptyVerdictSet(ValueError):
     """A pass rate over zero verdicts is undefined, never silently 0."""
 
 
-@dataclass(frozen=True)
-class JudgeConfig:
+@checked
+class JudgeConfig(NamedTuple):
     """Judging thresholds: alpha for base quality, beta for the allowed drop."""
 
     alpha: float = 0.8
     beta: float = 0.05
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.beta < 0:
             raise ValueError("beta must not be negative")
 
 
-@dataclass
-class TranslationRecord:
+class TranslationRecord(NamedTuple):
     """Translations and scores for one case under one MT system."""
 
     case_id: str
@@ -54,8 +52,8 @@ class TranslationRecord:
     error_kind: str | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+@checked
+class Verdict(NamedTuple):
     case_id: str
     system_id: str
     qual_y: float
@@ -64,7 +62,7 @@ class Verdict:
     passed: bool
     fail_reason: FailReason | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.passed != (self.fail_reason is None):
             raise ValueError(f"fail_reason {self.fail_reason!r} contradicts passed {self.passed!r}")
 
@@ -170,16 +168,15 @@ def score_records(
 
     records = []
     for case, (x, r, x_prime, r_prime) in zip(kept, texts):
-        record = TranslationRecord(case.case_id, system_id)
+        answers = {}  # the record's fields, in order, up to its first failing request
         try:
-            record.y = unwrap(translations[x])
-            record.y_prime = unwrap(translations[x_prime])
-            record.qual_y = unwrap(scores[(x, record.y, r)])
-            record.qual_y_prime = unwrap(scores[(x_prime, record.y_prime, r_prime)])
+            answers["y"] = unwrap(translations[x])
+            answers["y_prime"] = unwrap(translations[x_prime])
+            answers["qual_y"] = unwrap(scores[(x, answers["y"], r)])
+            answers["qual_y_prime"] = unwrap(scores[(x_prime, answers["y_prime"], r_prime)])
         except BackendError as exc:
-            record.error = str(exc)
-            record.error_kind = exc.error_kind
-        records.append(record)
+            answers.update(error=str(exc), error_kind=exc.error_kind)
+        records.append(TranslationRecord(case.case_id, system_id, **answers))
     return records
 
 

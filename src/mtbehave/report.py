@@ -8,14 +8,12 @@ positions. Undefined ratios raise; they are never reported as zero.
 
 from __future__ import annotations
 
-import csv
 import io
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .casegen import STATUS_KEPT, TestCase
-from .codec import json_text, read_jsonl, row_keys, to_row, write_text
+from .codec import checked, json_text, read_jsonl, row_keys, to_row, write_text
 from .corpus import Span, check_span, spans_overlap
 from .judge import Verdict, pass_rate
 from .segmentation import Capability
@@ -31,8 +29,8 @@ class ZeroGoldErrors(Exception):
     """Gold marks no erroneous case; recall has no denominator."""
 
 
-@dataclass(frozen=True)
-class GoldErrorAnnotation:
+@checked
+class GoldErrorAnnotation(NamedTuple):
     """Human judgment of one (case, system) translation y'.
 
     ``error_spans`` mark erroneous tokens of y'; ``edited_spans`` are where the
@@ -43,9 +41,10 @@ class GoldErrorAnnotation:
     system_id: str
     is_erroneous: bool
     error_spans: tuple[Span, ...]
-    edited_spans: tuple[Span, ...] = field(metadata={"key": "edited_spans_on_y_prime"})
+    edited_spans: tuple[Span, ...]
+    _keys = {"edited_spans": "edited_spans_on_y_prime"}
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.is_erroneous and self.error_spans:
             raise ValueError(
                 f"case {self.case_id!r}: error spans on a non-erroneous translation"
@@ -54,8 +53,7 @@ class GoldErrorAnnotation:
             check_span(span, f"case {self.case_id!r}:")
 
 
-@dataclass(frozen=True)
-class CapabilityReport:
+class CapabilityReport(NamedTuple):
     """One pass-rate table row: a capability under one MT system."""
 
     capability: Capability
@@ -63,7 +61,8 @@ class CapabilityReport:
     pass_rate: float
     size: int
     errored: int
-    is_best: bool = field(metadata={"key": "best"})
+    is_best: bool
+    _keys = {"is_best": "best"}
 
 
 def capability_table(
@@ -245,6 +244,8 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
 
 def render_report_csv(rows: Sequence[CapabilityReport]) -> str:
     """The JSON report's rows under its keys: rates to two decimals, flags as true or false."""
+    import csv  # here, so that a stage that writes no CSV report never loads it
+
     cell = {float: "{:.2f}".format, bool: lambda flag: str(flag).lower()}
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, row_keys(CapabilityReport), lineterminator="\n")

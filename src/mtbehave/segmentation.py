@@ -10,8 +10,8 @@ filtering, and seeded selection of masking plans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Annotation, Links, Span, TranslationPair
 
@@ -53,8 +53,7 @@ class Capability(str, Enum):
         return member
 
 
-@dataclass(frozen=True)
-class EditableSegment:
+class EditableSegment(NamedTuple):
     """A maskable source span and the reference span solely aligned with it.
 
     ``kind`` is "word" for a single-token source span, "phrase" otherwise.

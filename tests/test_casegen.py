@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtbehave import codec
 from mtbehave.backends import BackendError, BackendSpec, _StubTransport, Backend
 from mtbehave.casegen import (
     STATUS_DROPPED_IDENTICAL,
@@ -320,7 +321,6 @@ class TestFilters:
         # |0.60 - 0.57| = 0.03 <= 0.05
         status = quality_filter(case, 0.60, 0.57, beta=0.05)
         assert status == STATUS_KEPT
-        assert case.score_diff == pytest.approx(0.03)
 
     def test_quality_filter_drops_large_movement(self):
         pair = make_pair("p1", "a b", "x y")
@@ -328,7 +328,6 @@ class TestFilters:
         # |0.60 - 0.50| = 0.10 > 0.05
         status = quality_filter(case, 0.60, 0.50, beta=0.05)
         assert status == STATUS_DROPPED_QUALITY
-        assert case.score_diff == pytest.approx(0.10)
 
     def test_quality_filter_boundary_is_inclusive(self):
         pair = make_pair("p1", "a b", "x y")
@@ -394,6 +393,14 @@ class TestGenerateCases:
         assert case.template_id == "pos"
         assert case.masked_ref_spans == ((0, 1),)
         assert case.score_diff == 0.0
+
+    def test_a_quality_dropped_case_records_its_score_diff(self):
+        # The length-ratio scorer rates p1 at 3/6 and its two-word fill at 3/7.
+        infill = stub_backend("infill-stub", "infill", src="big store", ref="门店")
+        scorer = stub_backend("qe-stub", "scorer_ref_free")
+        (case,) = generate_cases(generation_segments(), Capability.NOUN, 1, infill, scorer, BETA, seed=7)
+        assert case.filter_status == STATUS_DROPPED_QUALITY
+        assert case.score_diff == abs(3 / 6 - 3 / 7)
 
     def test_identity_fill_is_dropped_as_identical(self):
         cases = generate_cases(
@@ -615,6 +622,17 @@ class TestCasesFile:
             assert after.score_diff == before.score_diff
             assert after.raw_response_digest == before.raw_response_digest
             assert after.masked_ref_spans == before.masked_ref_spans
+
+    def test_a_case_needs_its_seed(self, tmp_path):
+        # seed follows defaulted keys in the file, so its field has a placeholder default
+        with pytest.raises(TypeError, match="missing required argument: 'seed'"):
+            Case("c1", "p1", Capability.NOUN)
+        with pytest.raises(TypeError, match="missing required argument: 'seed'"):
+            Case("c1", "p1", Capability.NOUN, seed=1)._replace(seed=codec.REQUIRED)
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"case_id":"c1","pair_id":"p1","capability":"noun"}\n', encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:1: bad case record: missing fields: ['seed']")):
+            read_cases(path)
 
     def test_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "cases.jsonl"

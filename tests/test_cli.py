@@ -19,7 +19,6 @@ import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -40,7 +39,7 @@ from mtbehave.cli import (
     build_parser,
     load_run_config,
 )
-from mtbehave.codec import from_row, json_text, to_row, write_jsonl
+from mtbehave.codec import from_row, json_text, row_keys, to_row, write_jsonl
 from mtbehave.corpus import load_annotations, load_pairs
 from mtbehave.judge import FailReason, TranslationRecord, Verdict
 from mtbehave.report import GoldErrorAnnotation, load_gold
@@ -666,6 +665,14 @@ class TestManifest:
         assert result.stderr.startswith(f"error: {manifest}: unreadable manifest: maximum recursion depth")
         assert result.stderr.count("\n") == 1
 
+    def test_a_manifest_that_starts_with_a_byte_order_mark_is_read_past_it(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.write_bytes(codecs.BOM_UTF8 + manifest.read_bytes())
+        run_ok("judge", "--config", config)
+        assert [entry["stage"] for entry in read_manifest(tmp_path)] == ["generate", "judge"]
+
     def test_reruns_keep_one_entry_per_file_and_every_output_digest_current(self, tmp_path):
         config = workspace(tmp_path)
         for _ in range(3):
@@ -984,8 +991,8 @@ class TestMistypedRows:
                 assert result.stderr.startswith(f"error: {root / artifact}:1: bad {what}: ")
                 assert key in result.stderr and result.stderr.count("\n") == 1
         else:
-            (item,) = [item for item in fields(cls) if item.metadata.get("key", item.name) == key]
-            assert has_type(getattr(decoded, item.name), cls, item)
+            (name,) = [name for name, field_key in zip(cls._fields, row_keys(cls)) if field_key == key]
+            assert has_type(getattr(decoded, name), cls, name)
             with edited_copy(judged_c07, artifact, key, value) as (root, result, outputs):
                 assert result.exception is None or isinstance(result.exception, SystemExit)
                 run = (result.exit_code, result.output.replace(str(root), "ROOT"), outputs)
@@ -1060,9 +1067,9 @@ def edited_copy(workspace: Path, artifact: str, key: str, value):
         yield root, result, outputs
 
 
-def has_type(value, cls: type, item) -> bool:
-    """Whether ``value`` has the outer type of the field ``item`` of ``cls``."""
-    hint = eval(item.type, vars(sys.modules[cls.__module__])) if isinstance(item.type, str) else item.type
+def has_type(value, cls: type, name: str) -> bool:
+    """Whether ``value`` has the outer type of the field ``name`` of ``cls``."""
+    hint = get_type_hints(cls)[name]
     options = get_args(hint) if get_origin(hint) is UnionType else (hint,)
     return any(type(value) is (get_origin(option) or option) for option in options)
 
@@ -1482,6 +1489,19 @@ class TestConfigValidation:
         assert result.stderr == f"error: {message.format(config=config)}\n"
         assert sorted(tmp_path.rglob("*")) == before  # no file or directory made
 
+    def test_an_unset_auth_variable_exits_1_before_any_request(self, tmp_path, monkeypatch):
+        # Exit 3 would say that every case failed upstream; no request has left.
+        monkeypatch.delenv("MTBEHAVE_UNSET_KEY", raising=False)
+        write_corpus(tmp_path)
+        spec = {"backend_id": "i", "transport": "http", "endpoint": "http://127.0.0.1:9/infill",
+                "auth_env_var": "MTBEHAVE_UNSET_KEY"}
+        config = write_document(tmp_path / "auth.json", with_slot("infill", spec))
+        before = sorted(tmp_path.rglob("*"))
+        result = invoke("generate", "--config", config)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "error: backend 'infill': environment variable MTBEHAVE_UNSET_KEY is not set\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_null_reads_as_an_absent_key(self, tmp_path):
         write_corpus(tmp_path)
         nulls = dict.fromkeys(["output_dir", "cache_root", "per_pair", "seed", "jobs"])
@@ -1640,13 +1660,13 @@ def test_the_readme_lists_every_config_key():
     table = readme.split("| Key | Type | Default | Flag | Read by |\n|---|---|---|---|---|\n")[1]
     rows = table.split("\n\n")[0].splitlines()
     listed = [row.split("|")[1].strip().strip("`") for row in rows]
-    assert listed == [item.name for item in fields(RunConfig)]
+    assert listed == list(RunConfig._fields)
 
 
 def test_the_readme_lists_every_stub_parameter():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     sentence = " ".join(readme.split()).split("The stub parameters are ")[1].split(".")[0]
-    assert re.findall(r"`(\w+)`", sentence) == [item.name for item in fields(StubParams)]
+    assert re.findall(r"`(\w+)`", sentence) == list(StubParams._fields)
 
 
 def test_the_readme_lists_every_capability_in_order():
@@ -1866,6 +1886,7 @@ class TestCommandFlags:
         assert result.stdout.split() == ["True", "0"]
 
     def test_importing_the_cli_loads_only_the_standard_library(self):
+        # Each stage is a process of its own: a module that its start-up loads, every stage pays for.
         code = (
             "import sys; before = set(sys.modules); import mtbehave.cli; "
             "print(*sorted(set(sys.modules) - before))"
@@ -1884,6 +1905,7 @@ class TestCommandFlags:
             for name in loaded
             if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "mtbehave"
         ] == []
+        assert {"dataclasses", "inspect", "csv"}.isdisjoint(loaded)
 
     def test_only_generate_needs_a_capability(self, tmp_path):
         config = workspace(tmp_path)

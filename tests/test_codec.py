@@ -1,18 +1,21 @@
-"""The artifact codec: atomic writes and dataclass-driven rows."""
+"""The artifact codec: atomic writes and rows driven by NamedTuple records."""
 
 from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 import pytest
 
 from mtbehave import codec
-from mtbehave.corpus import CorpusError
+from mtbehave.backends import BackendSpec
+from mtbehave.cli import CorpusFiles, RunConfig
+from mtbehave.corpus import Annotation, CorpusError, TranslationPair
+from mtbehave.judge import JudgeConfig, Verdict
+from mtbehave.report import GoldErrorAnnotation
 
 
 class Shade(str, Enum):
@@ -20,33 +23,31 @@ class Shade(str, Enum):
     LIGHT = "light"
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     shade: Shade
-    spans: tuple[tuple[int, int], ...] = field(default=(), metadata={"key": "marks"})
+    spans: tuple[tuple[int, int], ...] = ()
+    _keys = {"spans": "marks"}
 
 
-@dataclass(frozen=True)
-class Typed:
+class Typed(NamedTuple):
     flag: bool
     count: int
     score: float | None
     tokens: tuple[str, ...]
     triples: tuple[tuple[int, int, str], ...]
     params: Mapping[str, object]
-    weights: Mapping[str, float] = field(default_factory=dict)
+    weights: Mapping[str, float] = {}
 
 
 Tone = Literal["warm", "cool"]
 
 
-@dataclass(frozen=True)
-class Toned:
+class Toned(NamedTuple):
     tone: Tone
     tones: tuple[Tone, ...] = ()
     maybe: Tone | None = None
-    by_tone: Mapping[Tone, int] = field(default_factory=dict)
+    by_tone: Mapping[Tone, int] = {}
 
 
 def by_name(row: Row) -> str:
@@ -56,17 +57,16 @@ def by_name(row: Row) -> str:
 TYPED = {"flag": True, "count": 2, "score": 0.5, "tokens": ["a"], "triples": [[0, 1, "x"]], "params": {}}
 
 
-@dataclass(frozen=True)
-class Inner:
+@codec.checked
+class Inner(NamedTuple):
     low: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.low < 0:
             raise ValueError("low must not be negative")
 
 
-@dataclass(frozen=True)
-class Nested:
+class Nested(NamedTuple):
     home: Path
     inner: Inner = Inner()
     rows: tuple[Row, ...] = ()
@@ -231,12 +231,37 @@ class TestRows:
         with pytest.raises(ValueError, match=r"^missing fields: \['flag', 'params'\]$"):
             codec.from_row(Typed, {key: TYPED[key] for key in ("count", "score", "tokens", "triples")})
 
-    def test_the_field_plan_is_built_once_per_class(self, tmp_path, monkeypatch):
-        calls = []
-        real = codec.fields
-        monkeypatch.setattr(codec, "fields", lambda cls: calls.append(cls) or real(cls))
+    def test_the_field_plan_is_built_once_per_class(self, tmp_path):
         codec._plan.cache_clear()
         path = tmp_path / "rows.jsonl"
         codec.write_jsonl(path, map(codec.to_row, [Row(name, Shade.DARK) for name in "abc"]))
         assert len(codec.read_jsonl(path, Row, "row", by_name)) == 3
-        assert calls == [Row]
+        assert codec._plan.cache_info().misses == 1
+
+
+# (a valid record of each checked type, a change its check rejects, the message)
+CHECKED = [
+    (TranslationPair("p1", ("a",), ("b",)), {"pair_id": ""}, "invalid pair id"),
+    (Annotation("p1", ("NOUN",), (False,), (), (), ()), {"past_perfect": ()}, "past_perfect length differs"),
+    (JudgeConfig(), {"beta": -1.0}, "beta must not be negative"),
+    (Verdict("c1", "s", 0.9, 0.9, 0.0, True), {"fail_reason": "large_diff"}, "contradicts passed True"),
+    (GoldErrorAnnotation("c1", "s", True, ((0, 1),), ()), {"is_erroneous": False}, "non-erroneous translation"),
+    (BackendSpec("b", "translator", "stub"), {"backend_id": ""}, "backend_id must not be empty"),
+    (RunConfig(CorpusFiles(Path("p"), Path("a"), Path("n"))), {"jobs": 0}, "jobs must be at least 1, got 0"),
+]
+
+
+class TestCheckedRecords:
+    def test_a_call_make_and_replace_each_run_the_check(self):
+        for build in (lambda: Inner(-1.0), lambda: Inner._make([-1.0]), lambda: Inner(1.0)._replace(low=-1.0)):
+            with pytest.raises(ValueError, match="^low must not be negative$"):
+                build()
+        assert Inner._make([1.0])._replace(low=2.0) == Inner(2.0)
+
+    @pytest.mark.parametrize("record, change, message", CHECKED, ids=[type(item[0]).__name__ for item in CHECKED])
+    def test_every_checked_record_rejects_a_bad_value_however_built(self, record, change, message):
+        values = [change.get(name, value) for name, value in zip(record._fields, record)]
+        for build in (lambda: type(record)(*values), lambda: type(record)._make(values),
+                      lambda: record._replace(**change)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import re
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -206,8 +205,8 @@ class TestLoadAnnotations:
 
     def test_each_record_builds_one_annotation_and_keeps_repeated_spans(self, tmp_path, monkeypatch):
         built = []
-        check = Annotation.__post_init__
-        monkeypatch.setattr(Annotation, "__post_init__", lambda note: built.append(note.pair_id) or check(note))
+        check = Annotation._check
+        monkeypatch.setattr(Annotation, "_check", lambda note: built.append(note.pair_id) or check(note))
         pairs = load_pairs(write_lines(tmp_path / "p.tsv", "p1\ta b\tx", "p2\tc\ty"))
         path = write_annotations(
             tmp_path / "ann.jsonl",
@@ -423,5 +422,5 @@ class TestRepeatedSpans:
         (pair, links, note), name = data.draw(st.sampled_from(listed))
         spans = getattr(note, name)
         k = data.draw(st.integers(0, len(spans) - 1))
-        repeated = replace(note, **{name: spans[: k + 1] + spans[k:]})
+        repeated = note._replace(**{name: spans[: k + 1] + spans[k:]})
         assert extract_editable(pair, links, repeated) == extract_editable(pair, links, note)
