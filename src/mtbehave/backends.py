@@ -18,14 +18,13 @@ import hashlib
 import json
 import math
 import os
-import sys
 import threading
 import time
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Literal, Mapping, NamedTuple
 
-from .codec import checked, from_row
+from .codec import checked, from_row, number
 from .corpus import MASK_TOKEN
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -483,11 +482,10 @@ def _extract_score(raw: object) -> float:
         if "score" not in raw:
             raise BackendError(f"scorer reply has no score field: {raw!r}")
         value = raw["score"]
-    # Only a JSON number is a score: not a bool, nor text, and no int too large for a float.
-    score = float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
-    if not _is_answer("scorer_ref_free", score):  # one rule for both scorer kinds
-        raise BackendError(f"scorer reply is not a finite number: {value!r}")
-    return score
+    try:  # one rule for both scorer kinds, the codec's for a number
+        return number(value)
+    except ValueError:
+        raise BackendError(f"scorer reply is not a finite number: {value!r}") from None
 
 
 def pipeline(work: Iterable[tuple], first: Callable, follow: Callable, second: Callable,

@@ -14,7 +14,7 @@ from collections import defaultdict
 from typing import Iterable, Literal, NamedTuple, get_args
 
 from .backends import Backend, BackendError, pipeline, unwrap
-from .codec import REQUIRED, checked, read_jsonl, to_row, write_jsonl
+from .codec import read_jsonl, to_row, write_jsonl
 from .corpus import MASK_TOKEN, Span, TranslationPair
 from .segmentation import Capability, EditableSegment, filter_by_capability, plan_selection
 
@@ -80,23 +80,20 @@ class PromptRequest(NamedTuple):
     rendered_text: str
 
 
-@checked
 class TestCase(NamedTuple):
     """One generated perturbation and the outcome of its filters.
 
-    The field order is the cases file's key order. ``seed`` is required, but a
-    NamedTuple field after a defaulted one needs a default: its default is the
-    codec's ``REQUIRED`` placeholder, which the codec reads as no default and
-    the check rejects.
+    The field order is the cases file's key order. ``source_prime`` and
+    ``reference_prime`` are the filled pair, None until an infill reply parses.
     """
 
     case_id: str
     pair_id: str
     capability: Capability
-    source_prime: tuple[str, ...] | None = None
-    reference_prime: tuple[str, ...] | None = None
-    filter_status: FilterStatus = STATUS_PENDING
-    seed: int = REQUIRED
+    source_prime: tuple[str, ...] | None
+    reference_prime: tuple[str, ...] | None
+    filter_status: FilterStatus
+    seed: int
     template_id: str | None = None
     raw_response_digest: str | None = None
     score_diff: float | None = None
@@ -104,10 +101,6 @@ class TestCase(NamedTuple):
     error_kind: str | None = None
     masked_ref_spans: tuple[Span, ...] = ()
     _keys = {"source_prime": "x_prime", "reference_prime": "r_prime"}
-
-    def _check(self) -> None:
-        if self.seed is REQUIRED:
-            raise TypeError("TestCase() missing required argument: 'seed'")
 
 
 def derive_seed(master_seed: int, pair_id: str) -> int:
@@ -206,7 +199,7 @@ def dedup(case: TestCase, original: TranslationPair) -> str:
     return STATUS_PENDING
 
 
-def quality_filter(case: TestCase, q_original: float, q_edited: float, beta: float) -> str:
+def quality_filter(q_original: float, q_edited: float, beta: float) -> str:
     """Keep the case iff the reference-free score moved by at most beta.
 
     ``q_original`` and ``q_edited`` are the scorer's ratings of the reference
@@ -248,6 +241,7 @@ def generate_cases(
                 case_id=f"{pair.pair_id}-{capability.value}-{index:03d}",
                 pair_id=pair.pair_id,
                 capability=capability,
+                source_prime=None, reference_prime=None, filter_status=STATUS_PENDING,
                 seed=pair_seed,
                 template_id=prompt.template_id,
                 masked_ref_spans=tuple(sorted(seg.ref_span for seg in plan)),
@@ -279,7 +273,7 @@ def generate_cases(
             unwrap(replies[prompt])
             if case.filter_status == STATUS_PENDING:
                 q_original, q_edited = (unwrap(scores[request]) for request in _qe_requests(case, pair))
-                case = case._replace(filter_status=quality_filter(case, q_original, q_edited, beta),
+                case = case._replace(filter_status=quality_filter(q_original, q_edited, beta),
                                      score_diff=abs(q_original - q_edited))
         except BackendError as exc:
             case = _failed(case, exc)

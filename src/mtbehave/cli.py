@@ -20,7 +20,6 @@ import atexit
 import functools
 import gc
 import hashlib
-import json
 import math
 import os
 import sys
@@ -40,7 +39,7 @@ from .casegen import (
     read_cases,
     write_cases,
 )
-from .codec import checked, from_row, to_row, write_json, write_jsonl, write_text
+from .codec import checked, decode_json, from_row, to_row, write_json, write_jsonl, write_text
 from .corpus import CorpusError, TranslationPair, load_corpus, load_pairs
 from .judge import (
     FAIL_LOW_BASE_QUALITY,
@@ -119,14 +118,9 @@ def load_run_config(config_path, overrides: Mapping[str, object] | None = None) 
     _expect(path.is_file(), f"config file not found: {path}")
     blob = path.read_bytes()
     try:
-        data = json.loads(blob, object_hook=lambda members: {k: v for k, v in members.items() if v is not None})
-    except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8 text, nested too deep
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    _expect(isinstance(data, dict), f"{path}: config must be a JSON object")
-    try:
-        config = from_row(RunConfig, data)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        config = decode_json(path, blob, RunConfig, lambda members: {k: v for k, v in members.items() if v is not None})
+    except ValueError as exc:  # CorpusError, as for a data file, but a config error exits 1
+        raise ConfigError(str(exc)) from None
     base, files = path.parent, config.corpus
     flags = {key: value for key, value in (overrides or {}).items() if value is not None}
     if "capability" in flags:  # argparse has checked it against the capabilities
@@ -175,20 +169,11 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        try:  # past a leading byte-order mark, as every input is read
-            items = json.loads(path.read_text(encoding="utf-8-sig")) if path.exists() else []
-        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        try:
+            blob = path.read_bytes() if path.exists() else b"[]"
+        except OSError as exc:
             raise CorpusError(f"{path}: unreadable manifest: {exc}") from exc
-        malformed = f"{path}: the manifest is not a JSON list of stage entries"
-        if type(items) is not list:
-            raise CorpusError(malformed)
-        entries = []
-        for index, item in enumerate(items):
-            try:
-                entries.append(from_row(ManifestEntry, item))
-            except ValueError as exc:
-                raise CorpusError(f"{malformed}: entry {index}: {exc}") from None
-        return cls(path, entries)
+        return cls(path, list(decode_json(path, blob, tuple[ManifestEntry, ...])))
 
     def record_stage(self, name: str, stage: Stage, outputs: list[Path], started_at: str, finished_at: str) -> None:
         key = os.path.abspath  # a file's one key, however the config's path was spelled

@@ -12,12 +12,14 @@ a JSON integer reads as a number, and neither a boolean nor NaN nor an
 infinity is one; a path is a string; an enum or a ``Literal`` field is one of its texts;
 a ``Mapping[K, V]`` is an object whose keys read as ``K`` and values as ``V`` (``object``
 is any JSON value, kept as read); a record is an object read the same
-way, and an error inside either names the key path (``judge.alpha``, ``inputs['a']``).
-A missing key takes the field's default, or is an error where there is none; an unknown
-key is an error. A bad line of a JSON Lines file raises CorpusError as
-``path:line: bad <what>: <reason>``, the reason naming the key; a line whose record
-key an earlier line has as ``path:line: duplicate <what> <key>``; and a byte that is
-not UTF-8 in a text input as ``path:line: <reason>``. A leading byte-order mark is read past.
+way, and an error inside either names the key path (``judge.alpha``, ``inputs['a']``,
+``[1].seed`` in a list). A missing key takes the field's default, or is an error where
+there is none; an unknown key is an error. CorpusError reports a bad line of a JSON Lines
+file as ``path:line: bad <what>: <reason>``, the reason naming the key; a line whose record
+key an earlier line has as ``path:line: duplicate <what> <key>``; a bad JSON document (the
+run config, the manifest) as ``path: not valid JSON: <reason>`` or ``path: <reason>``; and
+a byte that is not UTF-8 in a text input as ``path:line: <reason>``. A leading byte-order
+mark is read past.
 
 Every write fills a temporary file beside the target and renames it over the
 target, so an interrupted stage leaves the previous file, never half of one.
@@ -79,14 +81,20 @@ class CorpusError(ValueError):
 
 
 class _Mismatch(ValueError):
-    """A JSON value of another type than its field's. ``where`` is its key path,
-    built up as the error leaves each list and record (".judge.alpha", ".spans[2]")."""
+    """A JSON value of another type than its field's, or with ``expected`` None a record
+    that breaks a rule of its own, ``value`` saying which. ``where`` is its key path, built
+    up as the error leaves each list and record (".judge.alpha", ".spans[2]", "[1].seed")."""
 
-    def __init__(self, expected: str, value: object):
+    def __init__(self, expected: str | None, value: object):
         self.expected, self.value, self.where = expected, value, ""
 
     def __str__(self) -> str:
-        return f"{self.where[1:]} must be {self.expected}, got {self.value!r}"
+        where = self.where.removeprefix(".")
+        if self.expected is None:
+            return f"{where}: {self.value}" if where else self.value
+        if not where:  # a whole JSON document
+            return f"expected {self.expected}, got {self.value!r}"
+        return f"{where} must be {self.expected}, got {self.value!r}"
 
 
 def _exact(kind: type, expected: str) -> Callable[[object], object]:
@@ -98,7 +106,8 @@ def _exact(kind: type, expected: str) -> Callable[[object], object]:
     return decode
 
 
-def _number(value) -> float:
+def number(value) -> float:
+    """A JSON number as a float; ValueError for anything else, a bool included."""
     if type(value) is float and math.isfinite(value):  # json reads bare NaN and Infinity
         return value
     if type(value) is int and abs(value) <= sys.float_info.max:  # float() of a larger one overflows
@@ -150,7 +159,7 @@ def _decoder(hint) -> Callable[[object], object]:
     if hint in _SCALARS:
         return _exact(hint, _SCALARS[hint])
     if hint is float:
-        return _number
+        return number
     if hint is Path:
         string = _exact(str, "a string")
         return lambda value: Path(string(value))
@@ -179,11 +188,6 @@ def _decoder(hint) -> Callable[[object], object]:
     raise TypeError(f"no JSON decoder for {hint!r}")
 
 
-# The default of a field that must be given but follows a defaulted one, which a
-# NamedTuple field may not; the record's own check rejects it (TestCase.seed).
-REQUIRED = object()
-
-
 def checked(cls: type) -> type:
     """Make ``cls(...)``, ``cls._make`` and so ``record._replace`` run ``record._check()``
     on each new ``cls`` record: a NamedTuple may not define ``__new__`` or ``_make`` itself."""
@@ -208,7 +212,7 @@ def _plan(cls: type) -> tuple[tuple[str, str, type[Enum] | None, bool, Callable[
         hint = cls.__annotations__[name]
         hint = eval(hint.__forward_arg__, namespace) if isinstance(hint, ForwardRef) else hint
         enum = hint if isinstance(hint, type) and issubclass(hint, Enum) else None
-        required = cls._field_defaults.get(name, REQUIRED) is REQUIRED
+        required = name not in cls._field_defaults
         plan.append((name, keys.get(name, name), enum, required, _decoder(hint)))
     return tuple(plan)
 
@@ -229,7 +233,7 @@ def to_row(obj: object) -> dict:
 def from_row(cls: type, row: object):
     """A ``cls`` from one JSON object; ValueError names the first key that does not fit."""
     if type(row) is not dict:
-        raise ValueError(f"expected an object, got {row!r}")
+        raise _Mismatch(None, f"expected an object, got {row!r}")
     kwargs, missing = {}, []
     try:
         for name, key, _, required, decode in _plan(cls):
@@ -240,27 +244,45 @@ def from_row(cls: type, row: object):
     except _Mismatch as exc:
         exc.where = f".{key}{exc.where}"
         raise
-    except ValueError as exc:  # a record field's own: a missing or unknown key, or its class's check
-        raise ValueError(f"{key}: {exc}") from None
     if missing:
-        raise ValueError(f"missing fields: {missing}")
+        raise _Mismatch(None, f"missing fields: {missing}")
     if len(kwargs) < len(row):
-        unknown = set(row).difference(row_keys(cls))
-        raise ValueError(f"unknown fields: {sorted(unknown)}")
-    return cls(**kwargs)
+        raise _Mismatch(None, f"unknown fields: {sorted(set(row).difference(row_keys(cls)))}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # the class's check
+        raise _Mismatch(None, str(exc)) from None
 
 
-def read_lines(path) -> list[str]:
-    """A UTF-8 file's lines as text mode reads them, past a leading byte-order mark;
+def _text(path, blob: bytes) -> str:
+    """``path``'s bytes ``blob`` as UTF-8 text, past a leading byte-order mark;
     a byte that is not UTF-8 raises CorpusError ``path:line: …``."""
-    blob = Path(path).read_bytes()
     try:  # not "utf-8-sig": it decodes the bytes after the mark, so a bad byte's position would be off by 3
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = blob[: exc.start]  # line ends as text mode splits them
         lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise CorpusError(f"{path}:{lineno}: {exc}") from None
-    return io.StringIO(text.removeprefix("\ufeff"), newline=None).readlines()
+    return text.removeprefix("\ufeff")
+
+
+def read_lines(path) -> list[str]:
+    """A UTF-8 file's lines as text mode reads them, past a leading byte-order mark."""
+    return io.StringIO(_text(path, Path(path).read_bytes()), newline=None).readlines()
+
+
+def decode_json(path, blob: bytes, hint, object_hook: Callable[[dict], dict] | None = None):
+    """``path``'s bytes ``blob``, a JSON document, as ``hint``; CorpusError names the
+    file, and the line of a byte that is not UTF-8."""
+    text = _text(path, blob)
+    try:
+        document = json.loads(text, object_hook=object_hook)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise CorpusError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return _decoder(hint)(document)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def read_jsonl(path, cls: type, what: str, key: Callable[[object], object]) -> dict:

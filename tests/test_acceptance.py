@@ -499,17 +499,7 @@ def test_c09_quality_filter_boundary(capsys):
         for beta, wanted in expected_kept.items():
             kept = set()
             for key in values:
-                case = Case(
-                    f"c{key}",
-                    f"q{key}",
-                    Capability.NOUN,
-                    seed=1,
-                    source_prime=(f"s{key}", "x"),
-                    reference_prime=(f"r{key}", "x"),
-                )
-                status = quality_filter(
-                    case, table[(f"s{key}", f"r{key}")], table[(f"s{key} x", f"r{key} x")], beta
-                )
+                status = quality_filter(table[(f"s{key}", f"r{key}")], table[(f"s{key} x", f"r{key} x")], beta)
                 assert status in (STATUS_KEPT, STATUS_DROPPED_QUALITY)
                 if status == STATUS_KEPT:
                     kept.add(key)

@@ -36,7 +36,7 @@ from mtbehave.backends import (
     unwrap,
 )
 from mtbehave.casegen import EN_MARKER, ZH_MARKER, PromptRequest, mask_pair, parse_response, render_prompt
-from mtbehave.codec import from_row
+from mtbehave.codec import from_row, number
 from mtbehave.corpus import MASK_TOKEN
 from mtbehave.segmentation import Capability, EditableSegment
 
@@ -937,6 +937,16 @@ class TestReplyExtraction:
         message = "has no score field" if unscored else "is not a finite number"
         with pytest.raises(BackendError, match=f"scorer reply {message}"):
             _extract_score(raw)
+
+    @pytest.mark.parametrize("value", [1, 1.5, True, "0.5", 10**400, float("nan")])
+    def test_a_score_is_what_the_codec_reads_as_a_number(self, value):
+        try:
+            expected = number(value)
+        except ValueError:
+            with pytest.raises(BackendError, match="scorer reply is not a finite number"):
+                _extract_score({"score": value})
+        else:
+            assert _extract_score({"score": value}) == expected and type(expected) is float
 
     @pytest.mark.parametrize("raw", [{"score": "0.5"}, "0.75"])
     def test_a_text_score_is_an_error_that_is_not_cached(self, tmp_path, raw):

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtbehave import codec
 from mtbehave.backends import BackendError, BackendSpec, _StubTransport, Backend
 from mtbehave.casegen import (
     STATUS_DROPPED_IDENTICAL,
@@ -300,6 +299,7 @@ def pending_case(pair, source_prime, reference_prime):
         seed=1,
         source_prime=tuple(source_prime.split(" ")),
         reference_prime=tuple(reference_prime.split(" ")),
+        filter_status=STATUS_PENDING,
     )
 
 
@@ -316,24 +316,18 @@ class TestFilters:
         assert dedup(pending_case(pair, "a b", "x z"), pair) == STATUS_PENDING
 
     def test_quality_filter_keeps_small_movement(self):
-        pair = make_pair("p1", "a b", "x y")
-        case = pending_case(pair, "a c", "x z")
         # |0.60 - 0.57| = 0.03 <= 0.05
-        status = quality_filter(case, 0.60, 0.57, beta=0.05)
+        status = quality_filter(0.60, 0.57, beta=0.05)
         assert status == STATUS_KEPT
 
     def test_quality_filter_drops_large_movement(self):
-        pair = make_pair("p1", "a b", "x y")
-        case = pending_case(pair, "a c", "x z")
         # |0.60 - 0.50| = 0.10 > 0.05
-        status = quality_filter(case, 0.60, 0.50, beta=0.05)
+        status = quality_filter(0.60, 0.50, beta=0.05)
         assert status == STATUS_DROPPED_QUALITY
 
     def test_quality_filter_boundary_is_inclusive(self):
-        pair = make_pair("p1", "a b", "x y")
-        case = pending_case(pair, "a c", "x z")
         # The diff equals beta exactly (0.25 is binary-exact), so it is kept.
-        status = quality_filter(case, 1.0, 0.75, beta=0.25)
+        status = quality_filter(1.0, 0.75, beta=0.25)
         assert status == STATUS_KEPT
 
 
@@ -624,14 +618,19 @@ class TestCasesFile:
             assert after.masked_ref_spans == before.masked_ref_spans
 
     def test_a_case_needs_its_seed(self, tmp_path):
-        # seed follows defaulted keys in the file, so its field has a placeholder default
-        with pytest.raises(TypeError, match="missing required argument: 'seed'"):
-            Case("c1", "p1", Capability.NOUN)
-        with pytest.raises(TypeError, match="missing required argument: 'seed'"):
-            Case("c1", "p1", Capability.NOUN, seed=1)._replace(seed=codec.REQUIRED)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'seed'"):
+            Case("c1", "p1", Capability.NOUN, None, None, STATUS_PENDING)
         path = tmp_path / "cases.jsonl"
-        path.write_text('{"case_id":"c1","pair_id":"p1","capability":"noun"}\n', encoding="utf-8")
+        path.write_text('{"case_id":"c1","pair_id":"p1","capability":"noun","x_prime":null,"r_prime":null,'
+                        '"filter_status":"pending"}\n', encoding="utf-8")
         with pytest.raises(CorpusError, match=re.escape(f"{path}:1: bad case record: missing fields: ['seed']")):
+            read_cases(path)
+
+    def test_a_case_needs_its_filled_pair_and_status(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"case_id":"c1","pair_id":"p1","capability":"noun","seed":1}\n', encoding="utf-8")
+        message = f"{path}:1: bad case record: missing fields: ['x_prime', 'r_prime', 'filter_status']"
+        with pytest.raises(CorpusError, match=re.escape(message)):
             read_cases(path)
 
     def test_rejects_bad_lines(self, tmp_path):

@@ -651,7 +651,7 @@ class TestManifest:
         before = sorted((p.name, p.read_bytes()) for p in out.iterdir())
         result = invoke("judge", "--config", config)
         assert result.exit_code == 2
-        assert f"error: {manifest}: unreadable manifest" in result.output
+        assert f"error: {manifest}: not valid JSON: " in result.output
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir()) == before
 
     def test_a_manifest_nested_too_deep_is_a_data_error(self, tmp_path):
@@ -662,7 +662,7 @@ class TestManifest:
         result = invoke("judge", "--config", config)
         assert (result.exit_code, result.stdout) == (2, "")
         assert isinstance(result.exception, SystemExit)  # no traceback
-        assert result.stderr.startswith(f"error: {manifest}: unreadable manifest: maximum recursion depth")
+        assert result.stderr.startswith(f"error: {manifest}: not valid JSON: maximum recursion depth")
         assert result.stderr.count("\n") == 1
 
     def test_a_manifest_that_starts_with_a_byte_order_mark_is_read_past_it(self, tmp_path):
@@ -672,6 +672,22 @@ class TestManifest:
         manifest.write_bytes(codecs.BOM_UTF8 + manifest.read_bytes())
         run_ok("judge", "--config", config)
         assert [entry["stage"] for entry in read_manifest(tmp_path)] == ["generate", "judge"]
+
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_line_and_file_offset(self, tmp_path):
+        config = workspace(tmp_path)
+        run_ok("generate", "--config", config)
+        manifest = tmp_path / "out" / "manifest.json"
+        blob = codecs.BOM_UTF8 + manifest.read_bytes().replace(b'"generate"', b'"gener\xffate"')
+        manifest.write_bytes(blob)
+        line, position = blob[: blob.index(b"\xff")].count(b"\n") + 1, blob.index(b"\xff")
+        before = file_states(tmp_path)
+        result = invoke("judge", "--config", config)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"error: {manifest}:{line}: 'utf-8' codec can't decode byte 0xff in position {position}: "
+            "invalid start byte\n"
+        )
+        assert file_states(tmp_path) == before
 
     def test_reruns_keep_one_entry_per_file_and_every_output_digest_current(self, tmp_path):
         config = workspace(tmp_path)
@@ -774,18 +790,18 @@ class TestManifest:
     @pytest.mark.parametrize(
         "entries, reason",
         [
-            ([1], ": entry 0: expected an object, got 1"),
-            ([["outputs"]], ": entry 0: expected an object, got ['outputs']"),
-            ([{"stage": "generate"}], ": entry 0: missing fields: ['tool_version', 'config_digest', 'seed', "
+            ([1], "[0]: expected an object, got 1"),
+            ([["outputs"]], "[0]: expected an object, got ['outputs']"),
+            ([{"stage": "generate"}], "[0]: missing fields: ['tool_version', 'config_digest', 'seed', "
              "'inputs', 'outputs', 'started_at', 'finished_at']"),
-            ([{"stage": "generate", "outputs": []}], ": entry 0: outputs must be an object, got []"),
-            ([ENTRY, {**ENTRY, "seed": "7"}], ": entry 1: seed must be an integer, got '7'"),
-            ([ENTRY, {**ENTRY, "inputs": []}], ": entry 1: inputs must be an object, got []"),
-            ([{"inputs": {"a": 1}}], ": entry 0: inputs['a'] must be a string, got 1"),
+            ([{"stage": "generate", "outputs": []}], "[0].outputs must be an object, got []"),
+            ([ENTRY, {**ENTRY, "seed": "7"}], "[1].seed must be an integer, got '7'"),
+            ([ENTRY, {**ENTRY, "inputs": []}], "[1].inputs must be an object, got []"),
+            ([{"inputs": {"a": 1}}], "[0].inputs['a'] must be a string, got 1"),
             ([ENTRY, {k: v for k, v in ENTRY.items() if k != "finished_at"}],
-             ": entry 1: missing fields: ['finished_at']"),
-            ([ENTRY, {**ENTRY, "metrics": {}}], ": entry 1: unknown fields: ['metrics']"),
-            (ENTRY, ""),
+             "[1]: missing fields: ['finished_at']"),
+            ([ENTRY, {**ENTRY, "metrics": {}}], "[1]: unknown fields: ['metrics']"),
+            (ENTRY, f"expected a list, got {ENTRY!r}"),
         ],
         ids=["number", "list", "no outputs", "outputs list", "seed string", "inputs list", "input digest number",
              "no finished_at", "unknown key", "an entry, not a list"],
@@ -800,9 +816,7 @@ class TestManifest:
         result = invoke("judge", "--config", config)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no traceback
-        assert (result.stdout, result.stderr) == (
-            "", f"error: {manifest}: the manifest is not a JSON list of stage entries{reason}\n"
-        )
+        assert (result.stdout, result.stderr) == ("", f"error: {manifest}: {reason}\n")
         assert file_states(tmp_path) == before
 
     def test_a_c07_manifest_decodes_and_a_sweep_rerun_keeps_the_other_entries_bytes(self, tmp_path):
@@ -1339,7 +1353,11 @@ CONFIG_ERRORS = [
         "{config}: exclude_low_base must be a boolean, got 'yes'",
         id="exclude_low_base string",
     ),
-    pytest.param([config_document()], "{config}: config must be a JSON object", id="config list"),
+    pytest.param(
+        [config_document()],
+        "{config}: expected an object, got " + repr([config_document()]).replace("{", "{{").replace("}", "}}"),
+        id="config list",
+    ),
     pytest.param(
         with_corpus(pairs="pairs.tsv", alignments="alignments.txt"),
         "{config}: corpus: missing fields: ['annotations']",
@@ -1392,7 +1410,7 @@ CONFIG_ERRORS = [
     ),
     pytest.param(
         b'{"seed": "\xff"}',
-        "{config}: not valid JSON: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        "{config}:1: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
         id="config not UTF-8",
     ),
     pytest.param(
@@ -1437,6 +1455,21 @@ class TestConfigValidation:
         result = invoke("extract", "--config", config)
         assert result.exit_code == 1
         assert "not valid JSON" in result.output
+
+    def test_a_bad_byte_names_its_line(self, tmp_path):
+        write_corpus(tmp_path)
+        blob = json.dumps(config_document(), indent=1).encode("utf-8").replace(b'"out"', b'"o\xffut"')
+        config = write_document(tmp_path / "config.json", blob)
+        line, position = blob[: blob.index(b"\xff")].count(b"\n") + 1, blob.index(b"\xff")
+        assert line > 1
+        before = sorted(tmp_path.rglob("*"))
+        result = invoke("generate", "--config", config)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"error: {config}:{line}: 'utf-8' codec can't decode byte 0xff in position {position}: "
+            "invalid start byte\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_a_config_nested_too_deep_is_rejected(self, tmp_path):
         config = tmp_path / "deep.json"
@@ -1661,6 +1694,33 @@ def test_the_readme_lists_every_config_key():
     rows = table.split("\n\n")[0].splitlines()
     listed = [row.split("|")[1].strip().strip("`") for row in rows]
     assert listed == list(RunConfig._fields)
+
+
+# Each input whose error the README quotes: (name, the config file's bytes or document, the manifest's entries).
+README_ERRORS = [
+    ("bool alpha", config_document(judge={"alpha": True}), None),
+    ("unknown judge key", config_document(judge={"alpah": 0.7}), None),
+    ("config byte", b'{\n "seed": 7,\n "output_dir": "\xff"\n}\n', None),
+    ("manifest seed", config_document(), [ENTRY, {**ENTRY, "seed": "7"}]),
+    ("manifest entry key", config_document(), [ENTRY, {k: v for k, v in ENTRY.items() if k != "finished_at"}]),
+]
+
+
+def test_the_readme_quotes_each_config_and_manifest_error_as_printed(tmp_path, monkeypatch):
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.findall(r"`(error: (?:run\.json|out/manifest\.json)[^`]*)`", readme)
+    printed = []
+    for name, document, entries in README_ERRORS:
+        root = tmp_path / name.replace(" ", "_")
+        (root / "out").mkdir(parents=True)
+        monkeypatch.chdir(root)
+        write_document(root / "run.json", document)
+        if entries is not None:
+            write_document(root / "out" / "manifest.json", entries)
+        result = invoke("extract", "--config", "run.json")
+        assert (result.exit_code, result.stdout) == (2 if entries else 1, ""), name
+        printed.append(result.stderr.removesuffix("\n"))
+    assert sorted(quoted) == sorted(printed)
 
 
 def test_the_readme_lists_every_stub_parameter():

@@ -239,6 +239,56 @@ class TestRows:
         assert codec._plan.cache_info().misses == 1
 
 
+class TestDocuments:
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            ('[{"name": "a", "shade": "dark"}, {"name": "b", "shade": 1}]',
+             "[1].shade must be one of ['dark', 'light'], got 1"),
+            ('[{"name": "a"}]', "[0]: missing fields: ['shade']"),
+            ('[{"name": "a", "shade": "dark"}, 1]', "[1]: expected an object, got 1"),
+            ('[{"name": "a", "shade": "dark", "tone": 1}]', "[0]: unknown fields: ['tone']"),
+            ('[{"name": "a", "shade": "dark", "marks": [[0, "1"]]}]', "[0].marks[0][1] must be an integer, got '1'"),
+            ('{"name": "a"}', "expected a list, got {'name': 'a'}"),
+        ],
+        ids=["key in an item", "item's missing key", "item not an object", "item's unknown key", "deep key",
+             "not a list"],
+    )
+    def test_a_list_of_records_names_the_item_and_key_path(self, tmp_path, document, reason):
+        path = tmp_path / "rows.json"
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: {reason}") + "$"):
+            codec.decode_json(path, path.read_bytes(), tuple[Row, ...])
+
+    def test_a_record_check_inside_a_list_or_a_record_names_its_place(self):
+        with pytest.raises(ValueError, match=r"^\[1\]: low must not be negative$"):
+            codec._decoder(tuple[Inner, ...])([{"low": 1}, {"low": -1}])
+        with pytest.raises(ValueError, match=r"^rows\[0\]: missing fields: \['shade'\]$"):
+            codec.from_row(Nested, {"home": "h", "rows": [{"name": "r"}]})
+
+    def test_a_document_reads_past_a_byte_order_mark_through_its_object_hook(self):
+        blob = codecs.BOM_UTF8 + b'[{"name": "a", "shade": "dark", "marks": null}]'
+        drop_nulls = lambda members: {k: v for k, v in members.items() if v is not None}  # noqa: E731
+        assert codec.decode_json("doc.json", blob, tuple[Row, ...], drop_nulls) == (Row("a", Shade.DARK),)
+
+    def test_a_bad_byte_names_its_line_and_file_offset(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'[\r\n{"name": "a",\n "shade": "\xff"}]')
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}:3: ") + ".* in position 31: "):
+            codec.decode_json(path, path.read_bytes(), tuple[Row, ...])
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("[", "Expecting value"), ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"), ("", "Expecting")],
+        ids=["cut short", "nested too deep", "empty"],
+    )
+    def test_text_that_is_not_json_is_reported_as_such(self, tmp_path, text, reason):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match="^" + re.escape(f"{path}: not valid JSON: {reason}")):
+            codec.decode_json(path, path.read_bytes(), tuple[Row, ...])
+
+
 # (a valid record of each checked type, a change its check rejects, the message)
 CHECKED = [
     (TranslationPair("p1", ("a",), ("b",)), {"pair_id": ""}, "invalid pair id"),

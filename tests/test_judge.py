@@ -243,7 +243,7 @@ class TestScoreRecords:
     def cases(self):
         return [
             kept_case("c1", "p1", "the store closed", "门店 关门"),
-            Case("c2", "p1", Capability.NOUN, seed=1, filter_status=STATUS_DROPPED_IDENTICAL),
+            Case("c2", "p1", Capability.NOUN, None, None, STATUS_DROPPED_IDENTICAL, seed=1),
             kept_case("c3", "p2", "he walked home", "他 走了 回家"),
         ]
 
@@ -375,7 +375,7 @@ class TestScoreRecords:
             score_records(orphan, scoring_pairs(), translator(), self.scorer())
 
     def test_kept_case_without_edited_texts_is_a_hard_error(self):
-        bare = [Case("c8", "p1", Capability.NOUN, seed=1, filter_status=STATUS_KEPT)]
+        bare = [Case("c8", "p1", Capability.NOUN, None, None, STATUS_KEPT, seed=1)]
         with pytest.raises(ValueError, match="lacks its edited texts"):
             score_records(bare, scoring_pairs(), translator(), self.scorer())
 

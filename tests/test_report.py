@@ -32,7 +32,7 @@ from dumpers import load_report
 
 
 def case(case_id, capability=Capability.NOUN, status=STATUS_KEPT):
-    return Case(case_id, "p1", capability, seed=1, filter_status=status)
+    return Case(case_id, "p1", capability, None, None, status, seed=1)
 
 
 def passing(case_id, system_id="mt"):
